@@ -6,7 +6,7 @@ tool version, parameters and certificates.  Outputs are decimal text at 17
 significant digits, so identical configurations give byte-identical files.
 
 Exit codes: 0 success, 2 parse/validation error, 3 numerical-tolerance
-failure, 4 resource budget exceeded.
+failure, 4 resource budget exceeded (including RepresentationError).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import measure as me
 from . import measure_io as mio
 from .errors import (
     DomainError,
+    RepresentationError,
     ResourceError,
     ToleranceError,
     ValidationError,
@@ -386,7 +387,7 @@ def run(argv=None) -> int:
     except ToleranceError as e:
         click.echo(f"tolerance failure: {e}", err=True)
         return 3
-    except ResourceError as e:
+    except (ResourceError, RepresentationError) as e:
         click.echo(f"resource budget exceeded: {e}", err=True)
         return 4
 

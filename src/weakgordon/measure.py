@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import poly
-from .errors import DomainError, RepresentationError, ValidationError
+from .errors import DomainError, RepresentationError, ToleranceError, ValidationError
 
 MAX_DEGREE = 3
 
@@ -416,22 +416,6 @@ def _sliding_sup(atom_items, abs_segs, lo, hi, width):
     return best
 
 
-def sliding_mass_sup(mu: LocalMeasure, lo, hi, width, upper_bound_ok=True):
-    """Certified (exact for real densities) sup of |mu|((a, a+width]) over
-    a in [lo, hi - width].  Returns (value, exact_flag)."""
-    lo = max(lo, mu.lo)
-    hi = min(hi, mu.hi)
-    atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
-    try:
-        segs = _abs_segments(mu, upper_bound=False)
-        return _sliding_sup(atoms, segs, lo, hi, width), True
-    except _ComplexDensity:
-        if not upper_bound_ok:
-            raise
-        segs = _abs_segments(mu, upper_bound=True)
-        return _sliding_sup(atoms, segs, lo, hi, width), False
-
-
 def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     """The scaled uniform norm (1/r) sup_a |mu|((a, a+r]) over the window.
 
@@ -452,8 +436,38 @@ def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
         return _norm_unif_quad(mu, r) / r
 
 
+# refinement steps _norm_unif_quad may take before giving up
+_NORM_UNIF_MAX_STEPS = 200000
+
+
+def _abs_density_range(mu, x0, x1):
+    """(inf, sup) of |density| over (x0, x1), from the ends and the critical
+    points of |rho|^2 on each overlapping segment; inf is 0 unless segments
+    cover the whole stretch."""
+    inf, sup, covered = math.inf, 0.0, 0.0
+    for s in mu.segments:
+        a, b = max(x0, s.start), min(x1, s.end)
+        if b <= a:
+            continue
+        re = tuple(complex(c).real for c in s.coeffs)
+        im = tuple(complex(c).imag for c in s.coeffs)
+        sq = poly.add(poly.multiply(re, re), poly.multiply(im, im))
+        ya, yb = a - s.start, b - s.start
+        ys = [ya, yb] + poly.real_roots_in(poly.derivative(sq), ya, yb)
+        vals = [abs(poly.evaluate(s.coeffs, y)) for y in ys]
+        inf, sup = min(inf, *vals), max(sup, *vals)
+        covered += b - a
+    return (inf if covered >= x1 - x0 else 0.0), sup
+
+
 def _norm_unif_quad(mu, r, tol=1e-11):
-    """Bisection with the monotone cumulative bound; |density| by quadrature."""
+    """Branch-and-bound on a -> |mu|((a, a+r]); |density| by quadrature.
+
+    A node (a0, a1) is bounded by the monotone cumulative bound and by
+    g(a0) + atoms in (a0+r, a1+r] + (a1-a0) (sup |rho| right - inf |rho| left),
+    which closes flat stretches at once.  Raises ToleranceError when the
+    search is still open after _NORM_UNIF_MAX_STEPS nodes.
+    """
     lo, hi = mu.window
     jump_pos = [x for x, _ in mu.atoms if lo < x <= hi]
     jump_mass = [abs(w) for x, w in mu.atoms if lo < x <= hi]
@@ -468,6 +482,16 @@ def _norm_unif_quad(mu, r, tol=1e-11):
         cache[x] = total
         return total
 
+    def node_bound(a0, a1):
+        bound = cum(a1 + r) - cum(a0)
+        if bound <= best + tol:
+            return bound
+        atoms = sum(m for p, m in zip(jump_pos, jump_mass) if a0 + r < p <= a1 + r)
+        inf_left = _abs_density_range(mu, a0, a1)[0]
+        sup_right = _abs_density_range(mu, a0 + r, a1 + r)[1]
+        drift = (a1 - a0) * max(0.0, sup_right - inf_left)
+        return min(bound, cum(a0 + r) - cum(a0) + atoms + drift)
+
     bps = sorted({lo, hi} | set(jump_pos) | set(
         b for s in mu.segments for b in (s.start, s.end)))
     candidates = sorted(
@@ -475,12 +499,15 @@ def _norm_unif_quad(mu, r, tol=1e-11):
     )
     best = max(cum(a + r) - cum(a) for a in candidates)
     stack = [(a0, a1) for a0, a1 in zip(candidates[:-1], candidates[1:]) if a1 > a0]
-    for _ in range(200000):
-        if not stack:
-            break
+    steps = 0
+    while stack:
+        if steps == _NORM_UNIF_MAX_STEPS:
+            raise ToleranceError(
+                f"norm_unif: {len(stack)} open nodes after {steps} refinement steps"
+            )
+        steps += 1
         a0, a1 = stack.pop()
-        bound = cum(a1 + r) - cum(a0)
-        if bound <= best + tol or a1 - a0 < 1e-13:
+        if a1 - a0 < 1e-13 or node_bound(a0, a1) <= best + tol:
             continue
         mid = 0.5 * (a0 + a1)
         best = max(best, cum(mid + r) - cum(mid))

@@ -115,6 +115,16 @@ def real_roots_in(coeffs, lo, hi, include_ends=False):
     companion matrix (np.roots) with a small imaginary-part tolerance.
     """
     c = to_real(trim(coeffs))
+    # a leading term below the rounding of the others on the interval moves
+    # no root inside it, but can overflow the companion matrix: drop it
+    R = max(abs(lo), abs(hi))
+    while (
+        len(c) > 1
+        and math.isfinite(R)
+        and abs(c[-1]) * R ** (len(c) - 1)
+        <= 2.0**-53 * sum(abs(v) * R**k for k, v in enumerate(c[:-1]))
+    ):
+        c = c[:-1]
     deg = len(c) - 1
     if deg == 0:
         return []
@@ -208,24 +218,6 @@ def hermite_cubic(x0, x1, f0, d0, f1, d1):
     return (c0, c1, c2, c3)
 
 
-def hermite_error_bound(h, f4_sup):
-    """Sup-norm error of two-point Hermite cubic interpolation on a width-h
-    cell for a C^4 function with |f''''| <= f4_sup."""
-    return (h**4) / 384.0 * f4_sup
-
-
 def as_complex(coeffs):
     return tuple(complex(c) for c in coeffs)
 
-
-def companion_roots_batch(coeff_rows):
-    """Real roots for a batch of same-length real coefficient rows.
-
-    coeff_rows: ndarray (n, d+1), low order first.  Returns a list of sorted
-    root lists.  Degenerate rows (zero leading coefficients) are handled by
-    degree reduction per row.
-    """
-    results = []
-    for row in np.asarray(coeff_rows, dtype=float):
-        results.append(real_roots_in(tuple(row), -math.inf, math.inf))
-    return results

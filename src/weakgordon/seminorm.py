@@ -5,6 +5,14 @@ min_c int |phi_mu - c| dt, with any Lebesgue median of phi_mu as minimiser;
 the tie-break is the smallest median.  For complex measures only the
 two-sided bracket [M/2, M] is available, where M = min over complex c.
 
+The smallest median comes from one sweep: each polynomial piece of phi is
+split once, at its critical points, into monotone branches and constant
+steps, so the sublevel measure S(c) = |{phi <= c}| is a sum of branch
+inverses (closed form up to degree 2, bracketed Newton above).  A binary
+search over the sorted branch-end values finds the bracket where S crosses
+half the window length; inside it the closed form (every active branch
+affine) or Newton on S, with S' = sum 1/|phi'|, closes the bracket to 2 ulp.
+
 Interval seminorms (|I| > 2) take a certified supremum over all admissible
 windows: breakpoint enumeration plus branch-and-bound refinement, pruned by
 a Lipschitz estimate and by the sliding unit-mass bound
@@ -57,29 +65,11 @@ def _phi_offset(mu, wlo):
 
 
 # ---------------------------------------------------------------------------
-# exact real median and L1 distance
+# exact real median (one sweep over monotone branches) and L1 distance
 
 
 def _real_pieces(pieces):
     return [(t0, t1, poly.to_real(c)) for t0, t1, c in pieces]
-
-
-def _sublevel_measure(pieces, c):
-    total = 0.0
-    for t0, t1, coeffs in pieces:
-        L = t1 - t0
-        if len(poly.trim(coeffs)) == 1:
-            if coeffs[0] <= c:
-                total += L
-            continue
-        shifted = poly.add(coeffs, (-c,))
-        pts = [0.0] + poly.real_roots_in(shifted, 0.0, L) + [L]
-        for a, b in zip(pts[:-1], pts[1:]):
-            if b <= a:
-                continue
-            if poly.evaluate(shifted, 0.5 * (a + b)) <= 0:
-                total += b - a
-    return total
 
 
 def _l1_real(pieces, c):
@@ -90,41 +80,159 @@ def _l1_real(pieces, c):
     return total
 
 
-def _value_range(pieces):
-    vmin = math.inf
-    vmax = -math.inf
+def _bracketed_newton(f, lo, hi, x):
+    """Crossing of an increasing f with f(lo) < 0 <= f(hi); f returns
+    (value, slope) and x is the first probe.
+
+    A Newton step that leaves the bracket, or is longer than half the step
+    before last, falls back to bisection.  Every probe is kept an ulp inside
+    the bracket, so the bracket shrinks at each step, and a converged Newton
+    iterate is followed by a probe on the other side: it closes to 2 ulp.
+    Returns its right end.
+    """
+    tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    gap = 0.5 * tol
+    step = step_old = hi - lo
+    while hi - lo > tol:
+        x = min(max(x, lo + gap), hi - gap)
+        v, dv = f(x)
+        if v == 0.0:
+            return x
+        if v < 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = x - v / dv if dv > 0.0 else math.nan
+        if lo <= newton <= hi and abs(2.0 * v) <= abs(step_old * dv):
+            step_old, step = step, newton - x
+            x = newton
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x = lo + step
+    return hi
+
+
+class _Branch(namedtuple("_Branch", "coeffs deriv xa xb va vb")):
+    """A piece of phi on [xa, xb] (local coordinates), strictly monotone
+    there, with end values va = p(xa) and vb = p(xb)."""
+
+    def crossing(self, c):
+        """(x, p'(x)) with p(x) = c, for c strictly between va and vb:
+        closed form up to degree 2, bracketed Newton above."""
+        p = self.coeffs
+        if len(p) == 2:
+            x = (c - p[0]) / p[1]
+        elif len(p) == 3:
+            a0 = p[0] - c
+            disc = max(p[1] * p[1] - 4.0 * p[2] * a0, 0.0)
+            q = -0.5 * (p[1] + math.copysign(math.sqrt(disc), p[1]))
+            roots = (q / p[2], a0 / q) if q != 0.0 else (0.0,)
+            x = min(roots, key=lambda r: max(self.xa - r, r - self.xb))
+        else:
+            sign = 1.0 if self.vb > self.va else -1.0
+
+            def f(y):
+                return (sign * (poly.evaluate(p, y) - c),
+                        sign * poly.evaluate(self.deriv, y))
+
+            x = _bracketed_newton(
+                f, self.xa, self.xb,
+                self.xa + (self.xb - self.xa) * (c - self.va) / (self.vb - self.va),
+            )
+        x = min(max(x, self.xa), self.xb)
+        return x, poly.evaluate(self.deriv, x)
+
+
+def _monotone_parts(pieces):
+    """Split each real piece once, at its critical points.
+
+    Returns (vlo, vhi, length, branch) in piece order.  Constant pieces and
+    flat stretches are steps (vlo == vhi, branch None); the rest are
+    monotone branches.
+    """
+    parts = []
     for t0, t1, coeffs in pieces:
+        p = poly.trim(coeffs)
         L = t1 - t0
-        xs = [0.0, L] + poly.real_roots_in(poly.derivative(coeffs), 0.0, L)
-        for x in xs:
-            v = poly.evaluate(coeffs, x)
-            vmin = min(vmin, v)
-            vmax = max(vmax, v)
-    return vmin, vmax
+        if len(p) == 1:
+            parts.append((p[0], p[0], L, None))
+            continue
+        d = poly.derivative(p)
+        xs = [0.0] + poly.real_roots_in(d, 0.0, L) + [L]
+        vs = [poly.evaluate(p, x) for x in xs]
+        for xa, xb, va, vb in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+            if xb <= xa:
+                continue
+            if va == vb:
+                parts.append((va, va, xb - xa, None))
+            else:
+                parts.append(
+                    (min(va, vb), max(va, vb), xb - xa, _Branch(p, d, xa, xb, va, vb))
+                )
+    return parts
+
+
+def _sublevel(parts, c):
+    """Lebesgue measure S(c) of {phi <= c} and its derivative in c."""
+    total = slope = 0.0
+    for vlo, vhi, length, br in parts:
+        if c >= vhi:
+            total += length
+        elif c > vlo:
+            x, dp = br.crossing(c)
+            total += x - br.xa if br.vb > br.va else br.xb - x
+            slope += 1.0 / abs(dp) if dp else math.inf
+    return total, slope
 
 
 def _smallest_median(pieces, half):
-    """Smallest c with lebesgue{phi <= c} >= half (the lower quantile)."""
-    vmin, vmax = _value_range(pieces)
+    """Smallest c with lebesgue{phi <= c} >= half (the lower quantile).
+
+    Binary search over the sorted branch-end values finds the bracket where
+    S crosses half; inside it S is a sum of branch inverses, solved by
+    bracketed Newton from the closed form when every active branch is
+    affine.
+    """
+    parts = _monotone_parts(pieces)
+    vmin = min(vlo for vlo, _, _, _ in parts)
+    vmax = max(vhi for _, vhi, _, _ in parts)
     if vmax - vmin <= 0:
         return vmin
-    # fast path: piecewise constant
-    if all(len(poly.trim(c)) == 1 for _, _, c in pieces):
-        items = sorted((c[0], t1 - t0) for t0, t1, c in pieces)
+    if all(br is None for _, _, _, br in parts):
+        # no branch: S is a staircase, accumulated in sorted order
+        items = sorted((v, L) for v, _, L, _ in parts)
         acc = 0.0
         for v, L in items:
             acc += L
             if acc >= half - 1e-15:
                 return v
         return items[-1][0]
-    lo_c, hi_c = vmin, vmax
-    for _ in range(90):
-        mid = 0.5 * (lo_c + hi_c)
-        if _sublevel_measure(pieces, mid) >= half:
-            hi_c = mid
+    events = sorted({v for vlo, vhi, _, _ in parts for v in (vlo, vhi)})
+    i, j, s_lo = -1, len(events) - 1, 0.0
+    while j - i > 1:
+        m = (i + j) // 2
+        s = _sublevel(parts, events[m])[0]
+        if s >= half:
+            j = m
         else:
-            lo_c = mid
-    c = hi_c
+            i, s_lo = m, s
+    c = events[j]
+    if j > 0:
+        lo = events[j - 1]
+        active = [br for vlo, vhi, _, br in parts if br is not None and vlo <= lo and vhi >= c]
+        below = math.nextafter(c, lo)
+        # S jumps past half at c (a step there) unless it already holds below
+        if active and below > lo and _sublevel(parts, below)[0] >= half:
+            if all(len(br.coeffs) == 2 for br in active):
+                x0 = lo + (half - s_lo) / sum(1.0 / abs(br.coeffs[1]) for br in active)
+            else:
+                x0 = 0.5 * (lo + below)
+
+            def excess(y):
+                s, ds = _sublevel(parts, y)
+                return s - half, ds
+
+            c = _bracketed_newton(excess, lo, below, x0)
     # snap to a representation value when that is also a valid median
     candidates = set()
     for t0, t1, coeffs in pieces:
@@ -134,7 +242,7 @@ def _smallest_median(pieces, half):
             candidates.add(coeffs[0])
     scale_ref = max(1.0, abs(vmin), abs(vmax))
     for v in sorted(candidates):
-        if abs(v - c) <= 1e-9 * scale_ref and _sublevel_measure(pieces, v) >= half:
+        if abs(v - c) <= 1e-9 * scale_ref and _sublevel(parts, v)[0] >= half:
             if v <= c or abs(_l1_real(pieces, v) - _l1_real(pieces, c)) <= 1e-12 * scale_ref:
                 return v
     return c

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from weakgordon import cli
+from weakgordon import measure as me
 from weakgordon import measure_io as mio
-from weakgordon.errors import ValidationError
+from weakgordon.errors import RepresentationError, ValidationError
 
 
 DIRAC = """{"window": [-1, 1],
@@ -112,6 +113,17 @@ class TestSharpnessCommand:
 
     def test_budget_exit_4(self, workdir):
         assert cli.run(["sharpness", "--m-max", "9", "--out", "rep.csv"]) == 4
+
+
+class TestExitCodes:
+    def test_representation_error_exit_4(self, workdir, monkeypatch, capsys):
+        def over_budget(*_args):
+            raise RepresentationError("degree reduction needs 20000 cells, budget 16384")
+
+        monkeypatch.setattr(me, "mollify_with_error", over_budget)
+        rc = cli.run(["mollify", "--measure", "dirac.json", "--n", "4", "--out", "m.json"])
+        assert rc == 4
+        assert "resource budget exceeded" in capsys.readouterr().err
 
 
 class TestQuasiperiodicCommand:

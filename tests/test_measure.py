@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
-from weakgordon.errors import DomainError, ValidationError
+from weakgordon.errors import DomainError, ToleranceError, ValidationError
 
 from conftest import random_measure
 
@@ -173,6 +173,20 @@ class TestNormUnif:
     def test_complex_density_fallback(self):
         mu = me.make_measure((), ((0.0, 2.0, (1.0 + 1.0j,)),), (0, 2))
         assert me.norm_unif(mu, 1.0) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+    def test_complex_interior_max_matches_real_modulus(self):
+        # |rho| = sqrt(5) (x - x^2/2): the complex search must find the same
+        # interior maximum as the exact real path, within its 1e-11 tolerance
+        s5 = math.sqrt(5.0)
+        cplx = me.make_measure([(0.3, 0.2j)], ((0.0, 2.0, (0, 2 + 1j, -1 - 0.5j)),), (0, 2))
+        real = me.make_measure([(0.3, 0.2)], ((0.0, 2.0, (0, s5, -s5 / 2)),), (0, 2))
+        assert me.norm_unif(cplx, 1.0) == pytest.approx(me.norm_unif(real, 1.0), abs=1e-10)
+
+    def test_open_search_at_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(me, "_NORM_UNIF_MAX_STEPS", 3)
+        mu = me.make_measure([(0.3, 0.2j)], ((0.0, 2.0, (0, 2 + 1j, -1 - 0.5j)),), (0, 2))
+        with pytest.raises(ToleranceError):
+            me.norm_unif(mu, 1.0)
 
 
 class TestMollify:
