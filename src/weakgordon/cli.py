@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -60,8 +59,6 @@ def _write_meta(ctx, subcommand, params, certificates):
         "tool": "weakgordon",
         "version": __version__,
         "subcommand": subcommand,
-        "threads": ctx.obj.get("threads", 0),
-        "seed": ctx.obj.get("seed", 0),
         "parameters": params,
         "certificates": certificates,
     }
@@ -96,16 +93,12 @@ def _parse_list(s, name):
 
 
 @click.group()
-@click.option("--threads", type=int, default=0, help="parallelism degree (0 = serial)")
-@click.option("--seed", type=int, default=0, help="seed for corpus-based subcommands")
 @click.option("--meta", type=click.Path(), default=None, help="meta sidecar path")
 @click.version_option(__version__)
 @click.pass_context
-def main(ctx, threads, seed, meta):
+def main(ctx, meta):
     """Weak Gordon seminorms and eigenvalue-exclusion certificates."""
     ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
-    ctx.obj["seed"] = seed
     ctx.obj["meta"] = meta
 
 
@@ -218,11 +211,6 @@ def gordon_scan_cmd(ctx, measure_path, periods, weight, r_grid, tol, out):
         raise ValidationError("--periods must be nonempty")
     pmax = max(ps)
     mu = _load_local(measure_path, (-pmax - 1.0, 2.0 * pmax + 1.0))
-    threads = ctx.obj.get("threads") or 0
-    if threads > 1:
-        # rows are independent; deterministic assembly by index
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda p: go.translation_defect(mu, p, tol), sorted(ps)))
     rep = go.exclusion_bound(mu, ps, rs, C=weight, tol=tol)
     footer = [
         f"C_mu,{_fmt(rep.C_mu_estimate)}",

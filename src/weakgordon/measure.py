@@ -3,7 +3,8 @@
 A measure is a list of atoms (position, complex weight) plus piecewise
 polynomial density segments of degree <= 3.  All interval restrictions use
 the half-open convention (lo, hi], which keeps the primitive
-phi(t) = mu((0, t]) and restriction exactly consistent.
+phi(t) = mu((0, t]) and restriction exactly consistent.  |density| is split
+into nonnegative pieces by `poly.abs_pieces` (`_abs_segments`).
 
 Everything here is immutable and pure; values can be shared freely.
 """
@@ -81,8 +82,8 @@ class LocalMeasure:
     def is_zero(self):
         return not self.atoms and not self.segments
 
-    def atom_positions(self):
-        return [x for x, _ in self.atoms]
+    def has_real_density(self):
+        return all(poly.is_real(s.coeffs) for s in self.segments)
 
     def breakpoints(self):
         """Positions where the representation changes: atoms and segment ends."""
@@ -298,35 +299,15 @@ def total_variation(mu: LocalMeasure, interval=None, tol=1e-12) -> float:
 # absolute-value decomposition and sliding-window mass suprema
 
 
-class _ComplexDensity(Exception):
-    pass
-
-
-def _abs_segments(mu, upper_bound=False):
-    """Segments representing |density| exactly (real coefficients) or an
-    upper bound |Re rho| + |Im rho| when `upper_bound` and rho is complex."""
+def _abs_segments(mu):
+    """|density| as nonnegative poly.abs_pieces; a complex density gives the
+    pieces of |Re rho| and then |Im rho|, whose sum bounds |rho| above."""
     out = []
     for s in mu.segments:
-        if poly.is_real(s.coeffs):
-            parts = [poly.to_real(s.coeffs)]
-        elif upper_bound:
-            parts = [
-                poly.to_real(tuple(c.real for c in s.coeffs)),
-                poly.to_real(tuple(c.imag for c in s.coeffs)),
-            ]
-        else:
-            raise _ComplexDensity
+        parts = [s.coeffs] if poly.is_real(s.coeffs) else [
+            tuple(c.real for c in s.coeffs), tuple(c.imag for c in s.coeffs)]
         for cr in parts:
-            L = s.end - s.start
-            pts = [0.0] + poly.real_roots_in(cr, 0.0, L) + [L]
-            for x0, x1 in zip(pts[:-1], pts[1:]):
-                g0, g1 = s.start + x0, s.start + x1
-                if x1 <= x0 or g1 <= g0:
-                    continue
-                mid = 0.5 * (x0 + x1)
-                sign = 1.0 if poly.evaluate(cr, mid) >= 0 else -1.0
-                coeffs = poly.shift_origin(tuple(sign * c for c in cr), x0)
-                out.append(Segment(g0, g1, poly.trim(coeffs)))
+            out.extend(poly.abs_pieces(poly.to_real(cr), s.start, s.end))
     return out
 
 
@@ -428,12 +409,10 @@ def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     lo, hi = mu.window
     if hi - lo < r:
         raise DomainError(f"r={r} larger than window length {hi - lo}")
-    atoms = [(x, abs(w)) for x, w in mu.atoms]
-    try:
-        segs = _abs_segments(mu, upper_bound=False)
-        return _sliding_sup(atoms, segs, lo, hi, r) / r
-    except _ComplexDensity:
+    if not mu.has_real_density():
         return _norm_unif_quad(mu, r) / r
+    atoms = [(x, abs(w)) for x, w in mu.atoms]
+    return _sliding_sup(atoms, _abs_segments(mu), lo, hi, r) / r
 
 
 # refinement steps _norm_unif_quad may take before giving up

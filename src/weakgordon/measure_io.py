@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from functools import partial
 
 from . import measure as me
 from .errors import ValidationError
@@ -60,20 +61,24 @@ def _line_of_element(text, key, index):
     return None
 
 
-def _err(text, msg, line=None):
+def _err(msg, line=None):
+    """Raise SpecFileError; `line` may be a callable, so that locating the
+    element (a scan of the text) happens only on this error path."""
+    if callable(line):
+        line = line()
     if line is not None:
         raise SpecFileError(f"line {line}: {msg}")
     raise SpecFileError(msg)
 
 
-def _real(text, obj, key, where, line):
+def _real(obj, key, where, line):
     if key not in obj:
-        _err(text, f"{where}: missing field '{key}'", line)
+        _err(f"{where}: missing field '{key}'", line)
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _err(text, f"{where}: field '{key}' must be a number", line)
+        _err(f"{where}: field '{key}' must be a number", line)
     if not math.isfinite(v):
-        _err(text, f"{where}: field '{key}' is not finite", line)
+        _err(f"{where}: field '{key}' is not finite", line)
     return float(v)
 
 
@@ -82,7 +87,7 @@ def parse_measure(text: str):
 
     def reject_constant(name):
         line = _line_of_token(text, r"NaN|Infinity|-Infinity")
-        _err(text, f"non-finite literal {name} is not allowed", line)
+        _err(f"non-finite literal {name} is not allowed", line)
 
     try:
         doc = json.loads(text, parse_constant=reject_constant)
@@ -91,7 +96,7 @@ def parse_measure(text: str):
     except json.JSONDecodeError as e:
         raise SpecFileError(f"line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
-        _err(text, "top level must be an object")
+        _err("top level must be an object")
 
     win = doc.get("window")
     if (
@@ -99,35 +104,34 @@ def parse_measure(text: str):
         or len(win) != 2
         or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in win)
     ):
-        _err(text, "field 'window' must be [lo, hi] with finite numbers",
+        _err("field 'window' must be [lo, hi] with finite numbers",
              _line_of_token(text, r'"window"'))
     lo, hi = float(win[0]), float(win[1])
 
     atoms = []
     for i, a in enumerate(doc.get("atoms", [])):
-        line = _line_of_element(text, "atoms", i)
+        line = partial(_line_of_element, text, "atoms", i)
         if not isinstance(a, dict):
-            _err(text, f"atoms[{i}] must be an object", line)
-        x = _real(text, a, "x", f"atoms[{i}]", line)
-        re_w = _real(text, a, "re", f"atoms[{i}]", line) if "re" in a else 0.0
-        im_w = _real(text, a, "im", f"atoms[{i}]", line) if "im" in a else 0.0
+            _err(f"atoms[{i}] must be an object", line)
+        x = _real(a, "x", f"atoms[{i}]", line)
+        re_w = _real(a, "re", f"atoms[{i}]", line) if "re" in a else 0.0
+        im_w = _real(a, "im", f"atoms[{i}]", line) if "im" in a else 0.0
         if "re" not in a and "im" not in a:
-            _err(text, f"atoms[{i}]: needs 're' and/or 'im'", line)
+            _err(f"atoms[{i}]: needs 're' and/or 'im'", line)
         atoms.append((x, complex(re_w, im_w)))
 
     segments = []
     for i, s in enumerate(doc.get("segments", [])):
-        line = _line_of_element(text, "segments", i)
+        line = partial(_line_of_element, text, "segments", i)
         if not isinstance(s, dict):
-            _err(text, f"segments[{i}] must be an object", line)
-        a = _real(text, s, "a", f"segments[{i}]", line)
-        b = _real(text, s, "b", f"segments[{i}]", line)
+            _err(f"segments[{i}] must be an object", line)
+        a = _real(s, "a", f"segments[{i}]", line)
+        b = _real(s, "b", f"segments[{i}]", line)
         coeffs = s.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
-            _err(text, f"segments[{i}]: 'coeffs' must be a nonempty list", line)
+            _err(f"segments[{i}]: 'coeffs' must be a nonempty list", line)
         if len(coeffs) > me.MAX_DEGREE + 1:
             _err(
-                text,
                 f"segments[{i}]: degree {len(coeffs) - 1} exceeds cap {me.MAX_DEGREE}",
                 line,
             )
@@ -140,10 +144,10 @@ def parse_measure(text: str):
                     isinstance(v, (int, float)) and math.isfinite(v) for v in c
                 )
             ):
-                _err(text, f"segments[{i}]: coeffs entries must be [re, im]", line)
+                _err(f"segments[{i}]: coeffs entries must be [re, im]", line)
             parsed.append(complex(c[0], c[1]))
         if not a < b:
-            _err(text, f"segments[{i}]: need a < b, got [{a}, {b}]", line)
+            _err(f"segments[{i}]: need a < b, got [{a}, {b}]", line)
         segments.append((a, b, tuple(parsed)))
 
     # overlap check with line anchors before handing to make_measure
@@ -151,14 +155,12 @@ def parse_measure(text: str):
     for i, j in zip(order[:-1], order[1:]):
         if segments[j][0] < segments[i][1] - 1e-15:
             _err(
-                text,
                 f"segments[{i}] and segments[{j}] overlap",
                 _line_of_element(text, "segments", j),
             )
     for i, (x, _w) in enumerate(atoms):
         if not lo <= x <= hi:
             _err(
-                text,
                 f"atoms[{i}]: position {x} outside window [{lo}, {hi}]",
                 _line_of_element(text, "atoms", i),
             )
@@ -172,16 +174,16 @@ def parse_measure(text: str):
         per = doc["periodic"]
         line = _line_of_token(text, r'"periodic"')
         if not isinstance(per, dict) or "period" not in per:
-            _err(text, "'periodic' must be an object with field 'period'", line)
-        p = _real(text, per, "period", "periodic", line)
+            _err("'periodic' must be an object with field 'period'", line)
+        p = _real(per, "period", "periodic", line)
         if not p > 0:
-            _err(text, f"period must be positive, got {p}", line)
+            _err(f"period must be positive, got {p}", line)
         try:
             return me.PeriodicMeasure(
                 me.LocalMeasure(mu.atoms, mu.segments, (0.0, p)), p
             )
         except ValidationError as e:
-            _err(text, str(e), line)
+            _err(str(e), line)
     return mu
 
 

@@ -10,11 +10,14 @@ fall back to adaptive quadrature.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import quad
 
-_REAL_EPS = 1e-14
+# a polynomial in t - start on [start, end]; |p| pieces may exceed the
+# measure-density degree cap, so these are not measure Segments
+Piece = namedtuple("Piece", "start end coeffs")
 
 
 def trim(coeffs):
@@ -34,10 +37,6 @@ def evaluate(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
-
-
-def _is_complex(coeffs):
-    return any(abs(getattr(c, "imag", 0.0)) > 0.0 for c in coeffs)
 
 
 def is_real(coeffs, tol=0.0):
@@ -108,7 +107,7 @@ def integral(coeffs, x0, x1):
     return evaluate(F, x1) - evaluate(F, x0)
 
 
-def real_roots_in(coeffs, lo, hi, include_ends=False):
+def real_roots_in(coeffs, lo, hi):
     """Real roots of a real-coefficient polynomial inside (lo, hi).
 
     Degrees 1 and 2 are closed-form; higher degrees go through the
@@ -151,20 +150,35 @@ def real_roots_in(coeffs, lo, hi, include_ends=False):
             for r in rts
             if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real))
         ]
-    out = []
-    for x in raw:
-        if include_ends:
-            if lo - 1e-15 <= x <= hi + 1e-15:
-                out.append(min(max(x, lo), hi))
-        elif lo < x < hi:
-            out.append(x)
-    out.sort()
+    out = sorted(x for x in raw if lo < x < hi)
     # collapse numerically coincident roots
     dedup = []
     for x in out:
         if not dedup or x - dedup[-1] > 1e-13 * max(1.0, abs(x)):
             dedup.append(x)
     return dedup
+
+
+def abs_pieces(coeffs, t0, t1):
+    """|p| on [t0, t1] as nonnegative Pieces, for real p in the local
+    variable t - t0.
+
+    Splits at the real roots, takes each piece's sign from the largest of
+    |p| at its ends and midpoint, and re-expands the signed polynomial at
+    the piece start, so each Piece is in global coordinates with its own
+    local origin.  (The midpoint alone can give the wrong sign: a double
+    root there that root isolation misses leaves p at rounding level.)
+    """
+    pts = [0.0] + real_roots_in(coeffs, 0.0, t1 - t0) + [t1 - t0]
+    out = []
+    for x0, x1 in zip(pts[:-1], pts[1:]):
+        g0, g1 = t0 + x0, t0 + x1
+        if x1 <= x0 or g1 <= g0:
+            continue
+        vals = [evaluate(coeffs, x) for x in (x0, 0.5 * (x0 + x1), x1)]
+        sign = 1.0 if max(vals, key=abs) >= 0 else -1.0
+        out.append(Piece(g0, g1, trim(shift_origin(tuple(sign * c for c in coeffs), x0))))
+    return out
 
 
 def integral_abs(coeffs, x0, x1, tol=1e-12):

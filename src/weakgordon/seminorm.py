@@ -15,21 +15,21 @@ affine) or Newton on S, with S' = sum 1/|phi'|, closes the bracket to 2 ulp.
 
 Interval seminorms (|I| > 2) take a certified supremum over all admissible
 windows: breakpoint enumeration plus branch-and-bound refinement, pruned by
-a Lipschitz estimate and by the sliding unit-mass bound
-||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]).
+a Lipschitz bound, by the sliding unit-mass bound
+||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]) and by the sliding sup of
+|phi - c|.  Both sliding sups run over nonnegative pieces from
+`poly.abs_pieces`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-
-# pieces of |phi - c| may exceed the measure-density degree cap
-_RawPiece = namedtuple("_RawPiece", ["start", "end", "coeffs"])
 
 from . import measure as me
 from . import poly
@@ -252,12 +252,7 @@ def _smallest_median(pieces, half):
 # complex case: geometric median of phi
 
 
-def _gauss_nodes(n=24):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-_GL_X, _GL_W = _gauss_nodes()
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 
 def _piece_quad(coeffs, L, fn):
@@ -378,38 +373,7 @@ class _PieceOracle:
         self.pieces = sorted(pieces, key=lambda s: s.start)
         self._starts = [s.start for s in self.pieces]
 
-    @classmethod
-    def from_abs_measure(cls, mu, lo, hi):
-        atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
-        segs = me._abs_segments(mu, upper_bound=True)
-        return cls(atoms, [s for s in segs if s.end > lo and s.start < hi])
-
-    @classmethod
-    def from_l1_distance(cls, mu, c, lo, hi):
-        """|phi_mu - c| as nonnegative pieces over [lo, hi] (real measures)."""
-        pieces = me.cumulative_pieces(mu, lo, hi)
-        c_s = complex(c) - _phi_offset(mu, lo)
-        out = []
-        for t0, t1, coeffs in pieces:
-            cr = poly.add(poly.to_real(coeffs), (-c_s.real,))
-            L = t1 - t0
-            pts = [0.0] + poly.real_roots_in(cr, 0.0, L) + [L]
-            for x0, x1 in zip(pts[:-1], pts[1:]):
-                g0, g1 = t0 + x0, t0 + x1
-                if x1 <= x0 or g1 <= g0:
-                    continue
-                sign = 1.0 if poly.evaluate(cr, 0.5 * (x0 + x1)) >= 0 else -1.0
-                out.append(
-                    _RawPiece(
-                        g0, g1,
-                        poly.trim(poly.shift_origin(tuple(sign * v for v in cr), x0)),
-                    )
-                )
-        return cls([], out)
-
     def sliding_sup(self, lo, hi, width):
-        from bisect import bisect_left
-
         atoms = [a for a in self.atoms if lo <= a[0] <= hi]
         i0 = bisect_left(self._starts, lo)
         while i0 > 0 and self.pieces[i0 - 1].end > lo:
@@ -420,9 +384,7 @@ class _PieceOracle:
                 break
             a, b = max(s.start, lo), min(s.end, hi)
             if b > a:
-                subset.append(
-                    _RawPiece(a, b, poly.shift_origin(s.coeffs, a - s.start))
-                )
+                subset.append(poly.Piece(a, b, poly.shift_origin(s.coeffs, a - s.start)))
         return me._sliding_sup(atoms, subset, lo, hi, width)
 
 
@@ -435,7 +397,8 @@ def interval_seminorm(
     """Certified sup of window seminorms over all length-min(2,|I|) windows
     inside I.
 
-    The map a -> N(a) is Lipschitz with constant K <= |mu|(I); together with
+    The map a -> N(a) is Lipschitz with constant K = |mu|(I), bounded by
+    |Re rho| + |Im rho| for a complex density; together with
     the sliding unit-mass bound this prunes the branch-and-bound search.  On
     return upper - lower <= tol (plus the complex bracket width).
     """
@@ -454,7 +417,16 @@ def interval_seminorm(
         )
 
     a_lo, a_hi = lo + 1.0, hi - 1.0
-    K = me.total_variation(mu, (lo, hi), tol=1e-10)
+    atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
+    pieces = [p for p in me._abs_segments(mu) if p.end > lo and p.start < hi]
+    abs_oracle = _PieceOracle(atoms, pieces)
+    if mu.has_real_density():
+        K = me.total_variation(mu, (lo, hi), tol=1e-10)
+    else:
+        # quadrature |rho| is an estimate; |Re rho| + |Im rho| >= |rho| bounds
+        K = sum(w for x, w in atoms if x > lo) + sum(
+            poly.integral(p.coeffs, max(p.start, lo) - p.start, min(p.end, hi) - p.start)
+            for p in pieces)
 
     cands = {a_lo, a_hi}
     for b in mu.breakpoints():
@@ -477,8 +449,6 @@ def interval_seminorm(
         if vlo > best_lower:
             best_lower, best_a = vlo, a
 
-    abs_oracle = _PieceOracle.from_abs_measure(mu, lo, hi)
-
     def unit_bound(a1, a2):
         span_lo = max(mu.lo, a1 - 1.0)
         span_hi = min(mu.hi, a2 + 1.0)
@@ -495,7 +465,7 @@ def interval_seminorm(
             return math.inf
         c = complex(evals[best_a][2]).real
         if c not in slide_oracles:
-            slide_oracles[c] = _PieceOracle.from_l1_distance(mu, c, lo, hi)
+            slide_oracles[c] = _PieceOracle([], _l1_pieces(mu, c, lo, hi))
         return slide_oracles[c].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0)
 
     def node_bound(a1, a2, cutoff):
@@ -575,6 +545,19 @@ def test_functional(mu: me.LocalMeasure, u: me.PiecewiseAffine) -> complex:
     return complex(total)
 
 
+def _l1_pieces(mu, c, lo, hi):
+    """|phi_mu - c| over [lo, hi] as nonnegative poly.abs_pieces (real
+    measures and constants only)."""
+    pieces = me.cumulative_pieces(mu, lo, hi)
+    c_s = complex(c) - _phi_offset(mu, lo)
+    if any(not poly.is_real(k) for _, _, k in pieces) or abs(c_s.imag) > 0:
+        raise DomainError("|phi - c| pieces need a real measure and constant")
+    out = []
+    for t0, t1, coeffs in pieces:
+        out.extend(poly.abs_pieces(poly.add(poly.to_real(coeffs), (-c_s.real,)), t0, t1))
+    return out
+
+
 def sliding_l1_sup(mu: me.LocalMeasure, c: complex, span, window_length: float):
     """Exact sup over a of int_a^{a+L} |phi_mu(t) - c| dt within the span.
 
@@ -583,25 +566,4 @@ def sliding_l1_sup(mu: me.LocalMeasure, c: complex, span, window_length: float):
     only.
     """
     lo, hi = float(span[0]), float(span[1])
-    pieces = me.cumulative_pieces(mu, lo, hi)
-    c_s = complex(c) - _phi_offset(mu, lo)
-    if any(not poly.is_real(k) for _, _, k in pieces) or abs(c_s.imag) > 0:
-        raise DomainError("sliding_l1_sup requires a real measure and constant")
-    abs_segs = []
-    for t0, t1, coeffs in pieces:
-        cr = poly.add(poly.to_real(coeffs), (-c_s.real,))
-        L = t1 - t0
-        pts = [0.0] + poly.real_roots_in(cr, 0.0, L) + [L]
-        for x0, x1 in zip(pts[:-1], pts[1:]):
-            g0, g1 = t0 + x0, t0 + x1
-            if x1 <= x0 or g1 <= g0:
-                continue
-            sign = 1.0 if poly.evaluate(cr, 0.5 * (x0 + x1)) >= 0 else -1.0
-            abs_segs.append(
-                _RawPiece(
-                    g0,
-                    g1,
-                    poly.trim(poly.shift_origin(tuple(sign * v for v in cr), x0)),
-                )
-            )
-    return me._sliding_sup([], abs_segs, lo, hi, window_length)
+    return me._sliding_sup([], _l1_pieces(mu, c, lo, hi), lo, hi, window_length)

@@ -87,14 +87,6 @@ class TestGordonScanCommand:
         cli.run(args)
         assert (workdir / "scan.csv").read_bytes() == first
 
-    def test_threads_do_not_change_output(self, workdir):
-        base = ["gordon-scan", "--measure", "comb.json", "--periods", "1,2",
-                "--r-grid", "1,2", "--out", "scan.csv"]
-        cli.run(base)
-        serial = (workdir / "scan.csv").read_bytes()
-        cli.run(["--threads", "4"] + base)
-        assert (workdir / "scan.csv").read_bytes() == serial
-
 
 class TestSharpnessCommand:
     def test_report_and_plot(self, workdir):
@@ -172,6 +164,24 @@ class TestParser:
         with pytest.raises(ValidationError) as ei:
             mio.parse_measure('{"window": [0, 1],\n "atoms": }')
         assert "line 2" in str(ei.value)
+
+    def test_element_line_after_long_atoms_array(self):
+        # the line of an element is located only once a check fails
+        atoms = ",\n".join(
+            '  {"x": %g,\n   "re": 0.5}' % (0.01 * k) for k in range(40)
+        )
+        segments = ",\n".join(
+            '  {"a": %d, "b": %d, "coeffs": [[1, 0]]}' % (k, k + 1) for k in range(3)
+        )
+        text = (
+            '{"window": [0, 9],\n "atoms": [\n' + atoms + '],\n "segments": [\n'
+            + segments + ',\n  {"a": 5, "coeffs": [[1, 0]]}]}'
+        )
+        line = text.splitlines().index('  {"a": 5, "coeffs": [[1, 0]]}]}') + 1
+        assert line == 87
+        with pytest.raises(ValidationError) as ei:
+            mio.parse_measure(text)
+        assert str(ei.value) == f"line {line}: segments[3]: missing field 'b'"
 
     def test_round_trip(self, tmp_path):
         mu = mio.parse_measure(DIRAC)

@@ -170,6 +170,17 @@ class TestNormUnif:
         # mass of (a, a+1] maximal at a = 0.5: integral = 3/4
         assert me.norm_unif(mu, 1.0) == pytest.approx(0.75, abs=1e-13)
 
+    def test_double_root_at_segment_midpoint(self):
+        # -1.5 (x - L/2)^2 on (0, L]: root isolation misses the double root,
+        # and the sign taken at the midpoint alone once made |rho| = rho,
+        # so the norm came out 0; the best window is (0, 1]
+        L = 1.7195994325385362
+        mu = me.make_measure(
+            (), ((0.0, L, (-1.108883328145071, 2.5793991488078043, -1.5)),), (0, 3)
+        )
+        r = 0.5 * L
+        assert me.norm_unif(mu, 1.0) == pytest.approx(0.5 * ((1 - r) ** 3 + r**3), rel=1e-9)
+
     def test_complex_density_fallback(self):
         mu = me.make_measure((), ((0.0, 2.0, (1.0 + 1.0j,)),), (0, 2))
         assert me.norm_unif(mu, 1.0) == pytest.approx(math.sqrt(2.0), abs=1e-9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakgordon import measure as me
 from weakgordon import propagator as pr
@@ -126,6 +128,51 @@ class TestPropagate:
             errs.append(float(np.max(np.abs(tr.u - ref.u))))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 0.02
+
+
+@st.composite
+def walks(draw):
+    """A measure on (-3, 3) with atoms on grid points, at s and on segment
+    ends, a grid, s inside its range (a grid point or not) and z."""
+    lattice = [round(-2.5 + 0.5 * k, 12) for k in range(11)]
+    grid = sorted(set(draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=6))))
+    s = draw(st.one_of(st.sampled_from(grid), st.floats(grid[0], grid[-1])))
+    cuts = sorted(draw(st.lists(st.floats(-2.9, 2.9), min_size=2, max_size=4)))
+    segments = []
+    for a, b in zip(cuts[0::2], cuts[1::2]):
+        if b - a > 1e-6:
+            deg = draw(st.integers(0, 3))
+            coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=deg + 1, max_size=deg + 1))
+            segments.append((a, b, tuple(coeffs)))
+    special = grid + [s] + [x for a, b, _ in segments for x in (a, b)]
+    position = st.one_of(st.sampled_from(special), st.floats(-2.9, 2.9))
+    weight = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))
+    atoms = draw(st.lists(st.tuples(position, weight), max_size=6))
+    z = draw(st.builds(complex, st.floats(-2.0, 2.0), st.floats(-0.5, 0.5)))
+    return me.make_measure(atoms, segments, (-3, 3)), z, s, grid
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(walks())
+def test_walker_consumers_agree(case):
+    # propagate folds the walk into a state, transfer_matrix into matrices.
+    # Grid points cut the Magnus steps of a walk, so T(x, s) is chained
+    # through the grid points between s and x: both consumers then apply
+    # the same factors, and differ only by rounding.
+    mu, z, s, grid = case
+    initial = np.array([1.0 - 0.5j, 0.25 + 0j])
+    tr = pr.propagate(mu, z, s, initial, grid, 1e-6)
+    scale = max(1.0, float(np.max(np.abs(tr.u))), float(np.max(np.abs(tr.du))))
+    right = [k for k, x in enumerate(grid) if x >= s]
+    left = [k for k, x in enumerate(grid) if x < s]
+    for side in (right, left[::-1]):
+        prev, state = s, initial
+        for k in side:
+            state = pr.transfer_matrix(mu, z, prev, grid[k], 1e-6).entries @ state
+            assert np.max(np.abs(state - [tr.u[k], tr.du[k]])) <= 1e-10 * scale
+            prev = grid[k]
+    logged = sorted(x for x, _w, _jump in tr.jump_log)
+    assert logged == [x for x, _w in mu.atoms if grid[0] < x <= grid[-1]]
 
 
 class TestGrowthBounds:

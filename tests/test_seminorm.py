@@ -176,6 +176,20 @@ class TestComplexBracket:
             assert abs(sn.test_functional(mu, u)) <= r.upper + 1e-9
 
 
+    def test_lipschitz_bounds_complex_density(self):
+        # rho = (t - 2) + i on (0, 4]: |Re| + |Im| integrates to 4 + 4, the
+        # atom at 1 adds |3 + 4i| = 5 and the atom at lo = -1 lies outside
+        # (lo, hi]; quadrature |rho| gives only 2 sqrt(5) + asinh(2) + 5
+        mu = me.make_measure(
+            [(-1.0, 2.0), (1.0, 3 + 4j)], ((0.0, 4.0, (-2 + 1j, 1.0)),), (-2, 6)
+        )
+        r = sn.interval_seminorm(mu, (-1.0, 5.0), tol=50.0)
+        tv = me.total_variation(mu, (-1.0, 5.0))
+        assert tv == pytest.approx(5.0 + 2.0 * math.sqrt(5.0) + math.asinh(2.0))
+        assert r.certificate.lipschitz == pytest.approx(13.0, rel=1e-14)
+        assert r.certificate.lipschitz >= tv
+
+
 class TestMollifierDistance:
     def test_distance_decreasing_to_zero(self, rng):
         # the atom pattern matters: the distance scales like
