@@ -3,8 +3,10 @@
 A measure is a list of atoms (position, complex weight) plus piecewise
 polynomial density segments of degree <= 3.  All interval restrictions use
 the half-open convention (lo, hi], which keeps the primitive
-phi(t) = mu((0, t]) and restriction exactly consistent.  |density| is split
-into nonnegative pieces by `poly.abs_pieces` (`_abs_segments`).
+phi(t) = mu((0, t]) and restriction exactly consistent.  A real |density|
+is split into nonnegative pieces by `poly.abs_pieces` (`_abs_segments`); a
+complex one is integrated by `poly.integral_abs`, whose Gauss rule is exact
+up to its 1e-13 quadrature tolerance.
 
 Everything here is immutable and pure; values can be shared freely.
 """
@@ -16,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import poly
-from .errors import DomainError, RepresentationError, ToleranceError, ValidationError
+from .errors import DomainError, RepresentationError, ValidationError
 
 MAX_DEGREE = 3
 
@@ -50,12 +52,12 @@ class Segment:
             return 0.0
         return poly.integral(self.coeffs, a - self.start, b - self.start)
 
-    def abs_integral_over(self, a, b, tol=1e-12):
+    def abs_integral_over(self, a, b):
         a = max(a, self.start)
         b = min(b, self.end)
         if b <= a:
             return 0.0
-        return poly.integral_abs(self.coeffs, a - self.start, b - self.start, tol)
+        return poly.integral_abs(self.coeffs, a - self.start, b - self.start)
 
 
 @dataclass(frozen=True)
@@ -278,11 +280,11 @@ def subtract(m1: LocalMeasure, m2: LocalMeasure) -> LocalMeasure:
     return add_measures(m1, negate(m2))
 
 
-def total_variation(mu: LocalMeasure, interval=None, tol=1e-12) -> float:
+def total_variation(mu: LocalMeasure, interval=None) -> float:
     """|mu|((a, b]): atom moduli plus integrals of |density|.
 
     Real densities are split at their roots (exact); genuinely complex
-    coefficients use modulus quadrature at tolerance `tol`.
+    coefficients go through the Gauss rule of `poly.integral_abs`.
     """
     if interval is None:
         a, b = mu.window
@@ -291,7 +293,7 @@ def total_variation(mu: LocalMeasure, interval=None, tol=1e-12) -> float:
         if a < mu.lo or b > mu.hi:
             raise DomainError(f"interval {interval} not inside window {mu.window}")
     total = sum(abs(w) for x, w in mu.atoms if a < x <= b)
-    total += sum(s.abs_integral_over(a, b, tol) for s in mu.segments)
+    total += sum(s.abs_integral_over(a, b) for s in mu.segments)
     return float(total)
 
 
@@ -311,13 +313,16 @@ def _abs_segments(mu):
     return out
 
 
-def _sliding_sup(atom_items, abs_segs, lo, hi, width):
+def _sliding_sup(atom_items, segs, lo, hi, width, modulus=False):
     """Exact sup over a in [lo, hi - width] of `mass((a, a + width])` for a
-    nonnegative measure given by atoms (pos, mass>=0) and nonneg segments."""
+    nonnegative measure given by atoms (pos, mass>=0) and segments: nonneg
+    polynomial pieces or, with `modulus`, complex densities rho of which
+    |rho| is integrated (exact up to the quadrature of `poly.integral_abs`)."""
     span = hi - lo
     if width > span + 1e-12:
         raise DomainError(f"width {width} exceeds window span {span}")
     width = min(width, span)
+    mass = poly.integral_abs if modulus else lambda c, x0, x1: poly.integral(c, x0, x1).real
 
     # half-open convention: an atom exactly at lo can never fall in (a, a+w]
     atom_items = sorted((x, m) for x, m in atom_items if lo < x <= hi)
@@ -326,12 +331,12 @@ def _sliding_sup(atom_items, abs_segs, lo, hi, width):
     for _, m in atom_items:
         jump_prefix.append(jump_prefix[-1] + m)
 
-    segs = sorted(abs_segs, key=lambda s: s.start)
+    segs = sorted(segs, key=lambda s: s.start)
     seg_start = [s.start for s in segs]
     seg_prefix = [0.0]
     for s in segs:
         a, b = max(s.start, lo), min(s.end, hi)
-        full = poly.integral(s.coeffs, a - s.start, b - s.start).real if b > a else 0.0
+        full = mass(s.coeffs, a - s.start, b - s.start) if b > a else 0.0
         seg_prefix.append(seg_prefix[-1] + full)
 
     def _seg_cum(x):
@@ -341,7 +346,7 @@ def _sliding_sup(atom_items, abs_segs, lo, hi, width):
             s = segs[i - 1]
             a, b = max(s.start, lo), min(s.end, hi)
             if b > a and x < b:
-                total -= poly.integral(s.coeffs, max(a, min(x, b)) - s.start, b - s.start).real
+                total -= mass(s.coeffs, max(a, min(x, b)) - s.start, b - s.start)
         return total
 
     def cum(x):
@@ -371,8 +376,9 @@ def _sliding_sup(atom_items, abs_segs, lo, hi, width):
         best = max(best, cum_left(a + width) - cum_left(a))
 
     if segs:
-        # between candidates the window mass is a polynomial in a; add its
-        # interior critical points
+        # between candidates the window mass g is smooth in a; add the
+        # interior zeros of g'(a) = f(a + width) - f(a), with f = |rho| for
+        # a modulus: there |rho(a + width)|^2 = |rho(a)|^2
         def density_at(x):
             i = bisect_right(seg_start, x)
             if i > 0 and segs[i - 1].start <= x <= segs[i - 1].end:
@@ -387,9 +393,10 @@ def _sliding_sup(atom_items, abs_segs, lo, hi, width):
             cr, orr = density_at(mid + width)
             if len(poly.trim(cl)) == 1 and len(poly.trim(cr)) == 1:
                 continue  # window mass is affine in a: endpoints suffice
-            # g'(a) = f(a + width) - f(a); express both around a0
-            pl = poly.shift_origin(poly.to_real(cl), a0 - ol)
-            pr = poly.shift_origin(poly.to_real(cr), a0 + width - orr)
+            # express both sides around a0
+            f = poly.abs_sq if modulus else poly.to_real
+            pl = poly.shift_origin(f(cl), a0 - ol)
+            pr = poly.shift_origin(f(cr), a0 + width - orr)
             diff = poly.add(pr, poly.negate(pl))
             for root in poly.real_roots_in(diff, 0.0, a1 - a0):
                 a = a0 + root
@@ -400,99 +407,20 @@ def _sliding_sup(atom_items, abs_segs, lo, hi, width):
 def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     """The scaled uniform norm (1/r) sup_a |mu|((a, a+r]) over the window.
 
-    The sup ranges over a with (a, a+r] inside the working window.  Exact for
-    real densities; complex densities are refined by monotone bisection on the
-    cumulative modulus (quadrature tolerance 1e-12).
+    The sup ranges over a with (a, a+r] inside the working window.  One
+    candidate-and-critical-point sweep (`_sliding_sup`) serves both cases:
+    exact for real densities, exact up to the Gauss rule of
+    `poly.integral_abs` for complex ones.
     """
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
     lo, hi = mu.window
     if hi - lo < r:
         raise DomainError(f"r={r} larger than window length {hi - lo}")
-    if not mu.has_real_density():
-        return _norm_unif_quad(mu, r) / r
     atoms = [(x, abs(w)) for x, w in mu.atoms]
-    return _sliding_sup(atoms, _abs_segments(mu), lo, hi, r) / r
-
-
-# refinement steps _norm_unif_quad may take before giving up
-_NORM_UNIF_MAX_STEPS = 200000
-
-
-def _abs_density_range(mu, x0, x1):
-    """(inf, sup) of |density| over (x0, x1), from the ends and the critical
-    points of |rho|^2 on each overlapping segment; inf is 0 unless segments
-    cover the whole stretch."""
-    inf, sup, covered = math.inf, 0.0, 0.0
-    for s in mu.segments:
-        a, b = max(x0, s.start), min(x1, s.end)
-        if b <= a:
-            continue
-        re = tuple(complex(c).real for c in s.coeffs)
-        im = tuple(complex(c).imag for c in s.coeffs)
-        sq = poly.add(poly.multiply(re, re), poly.multiply(im, im))
-        ya, yb = a - s.start, b - s.start
-        ys = [ya, yb] + poly.real_roots_in(poly.derivative(sq), ya, yb)
-        vals = [abs(poly.evaluate(s.coeffs, y)) for y in ys]
-        inf, sup = min(inf, *vals), max(sup, *vals)
-        covered += b - a
-    return (inf if covered >= x1 - x0 else 0.0), sup
-
-
-def _norm_unif_quad(mu, r, tol=1e-11):
-    """Branch-and-bound on a -> |mu|((a, a+r]); |density| by quadrature.
-
-    A node (a0, a1) is bounded by the monotone cumulative bound and by
-    g(a0) + atoms in (a0+r, a1+r] + (a1-a0) (sup |rho| right - inf |rho| left),
-    which closes flat stretches at once.  Raises ToleranceError when the
-    search is still open after _NORM_UNIF_MAX_STEPS nodes.
-    """
-    lo, hi = mu.window
-    jump_pos = [x for x, _ in mu.atoms if lo < x <= hi]
-    jump_mass = [abs(w) for x, w in mu.atoms if lo < x <= hi]
-    cache = {}
-
-    def cum(x):
-        if x in cache:
-            return cache[x]
-        total = sum(m for p, m in zip(jump_pos, jump_mass) if p <= x)
-        for s in mu.segments:
-            total += s.abs_integral_over(lo, x)
-        cache[x] = total
-        return total
-
-    def node_bound(a0, a1):
-        bound = cum(a1 + r) - cum(a0)
-        if bound <= best + tol:
-            return bound
-        atoms = sum(m for p, m in zip(jump_pos, jump_mass) if a0 + r < p <= a1 + r)
-        inf_left = _abs_density_range(mu, a0, a1)[0]
-        sup_right = _abs_density_range(mu, a0 + r, a1 + r)[1]
-        drift = (a1 - a0) * max(0.0, sup_right - inf_left)
-        return min(bound, cum(a0 + r) - cum(a0) + atoms + drift)
-
-    bps = sorted({lo, hi} | set(jump_pos) | set(
-        b for s in mu.segments for b in (s.start, s.end)))
-    candidates = sorted(
-        {min(max(a, lo), hi - r) for b in bps for a in (b, b - r)} | {lo, hi - r}
-    )
-    best = max(cum(a + r) - cum(a) for a in candidates)
-    stack = [(a0, a1) for a0, a1 in zip(candidates[:-1], candidates[1:]) if a1 > a0]
-    steps = 0
-    while stack:
-        if steps == _NORM_UNIF_MAX_STEPS:
-            raise ToleranceError(
-                f"norm_unif: {len(stack)} open nodes after {steps} refinement steps"
-            )
-        steps += 1
-        a0, a1 = stack.pop()
-        if a1 - a0 < 1e-13 or node_bound(a0, a1) <= best + tol:
-            continue
-        mid = 0.5 * (a0 + a1)
-        best = max(best, cum(mid + r) - cum(mid))
-        stack.append((a0, mid))
-        stack.append((mid, a1))
-    return best
+    if mu.has_real_density():
+        return _sliding_sup(atoms, _abs_segments(mu), lo, hi, r) / r
+    return _sliding_sup(atoms, mu.segments, lo, hi, r, modulus=True) / r
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +448,6 @@ def cumulative_pieces(mu: LocalMeasure, wlo: float, whi: float):
     pieces = []
     cum = 0j
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 <= t0:
-            continue
         if t0 in atom_map and t0 > wlo:
             cum += atom_map[t0]
         density = None
@@ -718,10 +644,6 @@ def mollify_with_error(mu: LocalMeasure, n: int):
         for b in (s.start - half, s.start + half, s.end - half, s.end + half):
             bps.add(b)
     cuts = sorted(b for b in bps if lo <= b <= hi)
-    if cuts[0] > lo:
-        cuts.insert(0, lo)
-    if cuts[-1] < hi:
-        cuts.append(hi)
 
     h_interp = 0.018684 / n
     segs = []

@@ -3,8 +3,8 @@
 Polynomials are tuples of coefficients (c0, c1, ..., cn), low order first,
 in a local variable x, so p(x) = sum c_k x^k.  Everything the measure layer
 needs (evaluation, Taylor shifts, antiderivatives, root isolation, integrals
-of |p|) stays closed-form for real coefficients; genuinely complex densities
-fall back to adaptive quadrature.
+of |p|) stays closed-form for real coefficients; complex |p| is integrated
+by one adaptive Gauss-Legendre rule (`gauss_integral`).
 """
 
 from __future__ import annotations
@@ -13,11 +13,17 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.integrate import quad
+
+from .errors import ToleranceError
 
 # a polynomial in t - start on [start, end]; |p| pieces may exceed the
 # measure-density degree cap, so these are not measure Segments
 Piece = namedtuple("Piece", "start end coeffs")
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+# panel bisections integral_abs may make before it gives up
+_MAX_PANELS = 2000
 
 
 def trim(coeffs):
@@ -181,12 +187,12 @@ def abs_pieces(coeffs, t0, t1):
     return out
 
 
-def integral_abs(coeffs, x0, x1, tol=1e-12):
+def integral_abs(coeffs, x0, x1):
     """Integral of |p(x)| over [x0, x1].
 
-    Real coefficients: exact root splitting.  Complex coefficients: adaptive
-    quadrature to `tol` (documented fallback; the modulus of a complex cubic
-    has no closed-form antiderivative).
+    Real coefficients: exact root splitting.  Complex coefficients:
+    `gauss_integral` of |p| to 1e-13 relative; raises ToleranceError when
+    it is still open after _MAX_PANELS bisections.
     """
     if x1 <= x0:
         return 0.0
@@ -200,10 +206,61 @@ def integral_abs(coeffs, x0, x1, tol=1e-12):
                 continue
             total += abs(integral(cr, a, b))
         return total
-    val, _err = quad(
-        lambda x: abs(evaluate(c, x)), x0, x1, epsabs=tol, epsrel=tol, limit=200
-    )
+    val, converged = gauss_integral(c, x0, x1, np.abs, _MAX_PANELS)
+    if not converged:
+        raise ToleranceError(f"integral_abs: open after {_MAX_PANELS} panel bisections")
     return float(val)
+
+
+def abs_sq(coeffs):
+    """|p(x)|^2 for real x, as a real polynomial."""
+    re = to_real(coeffs)
+    im = tuple(float(getattr(v, "imag", 0.0)) for v in coeffs)
+    return add(multiply(re, re), multiply(im, im))
+
+
+def abs_critical_points(coeffs, x0, x1):
+    """x0, the critical points of |p|^2 inside (x0, x1), and x1, sorted:
+    every kink and every extremum of |p| is one of them."""
+    return [x0] + real_roots_in(derivative(abs_sq(trim(coeffs))), x0, x1) + [x1]
+
+
+def _gauss(coeffs, fn, a, b):
+    h = 0.5 * (b - a)
+    return h * np.dot(_GL_W, fn(evaluate(coeffs, h * _GL_X + (a + h))))
+
+
+def gauss_integral(coeffs, x0, x1, fn, max_panels):
+    """(integral of fn(p(x)) over [x0, x1], converged) for a vectorised fn.
+
+    Splits at `abs_critical_points` and applies the 24-point Gauss-Legendre
+    rule to each stretch in its own local variable: node rounding then scales
+    with the stretch, on which a polynomial cannot be small against its
+    coefficients, and not with |x|, which can stall the test below near a
+    zero far from the origin.  A panel that differs from its two halves by
+    more than its length's share of 1e-13 of the estimate is bisected, at
+    most `max_panels` times.
+    """
+    pts = abs_critical_points(coeffs, x0, x1)
+    todo = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        if b > a:
+            q = shift_origin(coeffs, a)
+            todo.append((q, 0.0, b - a, _gauss(q, fn, 0.0, b - a)))
+    tol = 1e-13 * sum(abs(t[-1]) for t in todo) / (x1 - x0)
+    total, splits = 0.0, 0
+    while todo:
+        q, a, b, whole = todo.pop()
+        m = 0.5 * (a + b)
+        left, right = _gauss(q, fn, a, m), _gauss(q, fn, m, b)
+        if abs(left + right - whole) <= tol * (b - a) or not a < m < b:
+            total += left + right
+        elif splits == max_panels:
+            return total + whole + sum(t[-1] for t in todo), False
+        else:
+            splits += 1
+            todo += [(q, a, m, left), (q, m, b, right)]
+    return total, True
 
 
 def sup_abs_on(coeffs, x0, x1):
@@ -214,12 +271,7 @@ def sup_abs_on(coeffs, x0, x1):
         cr = to_real(c)
         xs = [x0, x1] + real_roots_in(derivative(cr), x0, x1)
         return max(abs(evaluate(cr, x)) for x in xs)
-    # |p|^2 is a real polynomial; its critical points are real roots.
-    re = to_real(tuple(getattr(v, "real", v) for v in c))
-    im = to_real(tuple(getattr(v, "imag", 0.0) for v in c))
-    sq = add(multiply(re, re), multiply(im, im))
-    xs = [x0, x1] + real_roots_in(derivative(sq), x0, x1)
-    return max(abs(evaluate(c, x)) for x in xs)
+    return max(abs(evaluate(c, x)) for x in abs_critical_points(c, x0, x1))
 
 
 def hermite_cubic(x0, x1, f0, d0, f1, d1):

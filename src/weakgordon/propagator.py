@@ -140,31 +140,22 @@ def _factor_events(mu, z, a, b, markers=()):
 
 
 def _span_factors(mu, z, x0, x1, tol):
-    """Factors for the atom-free stretch (x0, x1), in walking order."""
+    """Factors for the atom-free stretch (x0, x1), in walking order; it lies
+    inside the segments it meets, as `_factor_events` cuts at their ends."""
     out = []
-    x = x0
-    segs = [s for s in mu.segments if s.end > x0 and s.start < x1]
-    segs.sort(key=lambda s: s.start)
-    for s in segs:
-        if s.start > x:
-            out.append(_const_factor(-z, s.start - x))
-            x = s.start
-        a, b = max(s.start, x0), min(s.end, x1)
-        if b <= a:
+    for s in mu.segments:
+        if not (s.start <= x0 and x1 <= s.end):
             continue
         c = poly.trim(s.coeffs)
         if len(c) == 1:
-            out.append(_const_factor(c[0] - z, b - a))
-        else:
-            step = min(b - a, tol**0.25)
-            n = max(1, int(math.ceil((b - a) / step)))
-            h = (b - a) / n
-            for k in range(n):
-                out.append(_magnus_factor(s.coeffs, a - s.start + k * h, h, z))
-        x = b
-    if x < x1:
-        out.append(_const_factor(-z, x1 - x))
-    return out
+            out.append(_const_factor(c[0] - z, x1 - x0))
+            continue
+        step = min(x1 - x0, tol**0.25)
+        n = max(1, int(math.ceil((x1 - x0) / step)))
+        h = (x1 - x0) / n
+        for k in range(n):
+            out.append(_magnus_factor(s.coeffs, x0 - s.start + k * h, h, z))
+    return out or [_const_factor(-z, x1 - x0)]
 
 
 def _det_defect_of(F):

@@ -3,7 +3,9 @@
 For a real measure on a window [a-1, a+1] the seminorm equals
 min_c int |phi_mu - c| dt, with any Lebesgue median of phi_mu as minimiser;
 the tie-break is the smallest median.  For complex measures only the
-two-sided bracket [M/2, M] is available, where M = min over complex c.
+two-sided bracket [M/2, M] is available, where M = min over complex c.  M
+is the better of the componentwise median and Weiszfeld iterations from
+it; every reported M is a converged `poly.integral_abs` of |phi - c|.
 
 The smallest median comes from one sweep: each polynomial piece of phi is
 split once, at its critical points, into monotone branches and constant
@@ -252,36 +254,15 @@ def _smallest_median(pieces, half):
 # complex case: geometric median of phi
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-
-
-def _piece_quad(coeffs, L, fn):
-    """Integral of fn(p(x)) over [0, L] with panel doubling to ~1e-13."""
-    prev = None
-    panels = 1
-    for _ in range(8):
-        vals = []
-        for k in range(panels):
-            a = L * k / panels
-            b = L * (k + 1) / panels
-            xs = 0.5 * (b - a) * _GL_X + 0.5 * (a + b)
-            ps = poly.evaluate(poly.as_complex(coeffs), xs)
-            vals.append(np.sum(fn(ps) * _GL_W) * 0.5 * (b - a))
-        acc = sum(vals)
-        if prev is not None and abs(acc - prev) <= 1e-13 * max(1.0, abs(acc)):
-            return acc
-        prev = acc
-        panels *= 2
-    return prev
+def _inv_abs(v):
+    return 1.0 / np.maximum(np.abs(v), 1e-300)
 
 
 def _l1_complex(pieces, c):
-    total = 0.0
-    for t0, t1, coeffs in pieces:
-        total += float(
-            _piece_quad(coeffs, t1 - t0, lambda p: np.abs(p - c)).real
-        )
-    return total
+    return sum(
+        poly.integral_abs(poly.add(coeffs, (-c,)), 0.0, t1 - t0)
+        for t0, t1, coeffs in pieces
+    )
 
 
 def _weiszfeld(pieces, c0, iters=120):
@@ -291,16 +272,12 @@ def _weiszfeld(pieces, c0, iters=120):
     for _ in range(iters):
         num = 0j
         den = 0.0
+        # the weights only steer c and every candidate is scored by a
+        # converged _l1_complex, so 64 unchecked panel bisections will do
         for t0, t1, coeffs in pieces:
-            L = t1 - t0
-            num += _piece_quad(
-                coeffs, L, lambda p: p / np.maximum(np.abs(p - c), 1e-300)
-            )
-            den += float(
-                _piece_quad(
-                    coeffs, L, lambda p: 1.0 / np.maximum(np.abs(p - c), 1e-300)
-                ).real
-            )
+            q, L = poly.add(coeffs, (-c,)), t1 - t0
+            num += poly.gauss_integral(q, 0.0, L, lambda v: (v + c) * _inv_abs(v), 64)[0]
+            den += float(poly.gauss_integral(q, 0.0, L, _inv_abs, 64)[0])
         if den <= 0:
             break
         c_new = num / den
@@ -421,7 +398,7 @@ def interval_seminorm(
     pieces = [p for p in me._abs_segments(mu) if p.end > lo and p.start < hi]
     abs_oracle = _PieceOracle(atoms, pieces)
     if mu.has_real_density():
-        K = me.total_variation(mu, (lo, hi), tol=1e-10)
+        K = me.total_variation(mu, (lo, hi))
     else:
         # quadrature |rho| is an estimate; |Re rho| + |Im rho| >= |rho| bounds
         K = sum(w for x, w in atoms if x > lo) + sum(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
+from weakgordon import poly
 from weakgordon.errors import DomainError, ToleranceError, ValidationError
 
 from conftest import random_measure
@@ -193,9 +194,11 @@ class TestNormUnif:
         real = me.make_measure([(0.3, 0.2)], ((0.0, 2.0, (0, s5, -s5 / 2)),), (0, 2))
         assert me.norm_unif(cplx, 1.0) == pytest.approx(me.norm_unif(real, 1.0), abs=1e-10)
 
-    def test_open_search_at_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(me, "_NORM_UNIF_MAX_STEPS", 3)
-        mu = me.make_measure([(0.3, 0.2j)], ((0.0, 2.0, (0, 2 + 1j, -1 - 0.5j)),), (0, 2))
+    def test_open_quadrature_at_panel_cap_raises(self, monkeypatch):
+        # |rho| = sqrt((x - 1)^2 + 1e-12) bends on a 1e-6 scale at x = 1,
+        # which the Gauss rule resolves only by bisecting towards it
+        monkeypatch.setattr(poly, "_MAX_PANELS", 3)
+        mu = me.make_measure((), ((0.0, 2.0, (-1 + 1e-6j, 1)),), (0, 2))
         with pytest.raises(ToleranceError):
             me.norm_unif(mu, 1.0)
 

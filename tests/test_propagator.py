@@ -175,6 +175,51 @@ def test_walker_consumers_agree(case):
     assert logged == [x for x, _w in mu.atoms if grid[0] < x <= grid[-1]]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(walks(), st.floats(-2.9, 2.9), st.floats(-2.9, 2.9))
+def test_composition_through_matmul(case, r, t):
+    # T(t, r) T(r, s) = T(t, s); the walk to r cuts the Magnus steps at r,
+    # which moves the product at the discretisation level (1e-10 at tol 1e-12)
+    mu, z, s, _grid = case
+    tol = 1e-12
+    Ttr, Trs = pr.transfer_matrix(mu, z, r, t, tol), pr.transfer_matrix(mu, z, s, r, tol)
+    Tts = pr.transfer_matrix(mu, z, s, t, tol)
+    prod = Ttr @ Trs
+    scale = max(1.0, float(np.max(np.abs(Ttr.entries))) * float(np.max(np.abs(Trs.entries))))
+    assert np.max(np.abs(prod.entries - Tts.entries)) <= 1e-9 * scale
+    assert (prod.source, prod.target) == (s, t)
+    assert prod.det_defect == Ttr.det_defect + Trs.det_defect
+    with pytest.raises(DomainError):
+        Ttr @ pr.transfer_matrix(mu, z, s, r + 1e-6, tol)
+
+
+class TestComplexSpectralShift:
+    def test_atoms_only_norm(self, rng):
+        # |mu - z lambda| puts |z| on every unit of length next to the atoms
+        for _ in range(20):
+            mu = random_measure(rng, window=(-3, 3), max_segments=0, complex_weights=True)
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            for r in (0.3, 1.0, 2.5):
+                # the heaviest window (a, a + r] ends at an atom x, or
+                # starts at the window edge when x - r lies outside it
+                heaviest = max(
+                    sum(abs(w) for y, w in mu.atoms if max(mu.lo, x - r) < y <= max(x, mu.lo + r))
+                    for x, _ in mu.atoms
+                )
+                got = me.norm_unif(pr.spectral_shift(mu, z), r)
+                assert got == pytest.approx(heaviest / r + abs(z), abs=1e-12)
+
+    def test_stability_bound_at_complex_z(self, rng):
+        mu2 = random_potential(rng, window=(-4, 4), max_atoms=4)
+        mu1 = me.add_measures(mu2, me.dirac(0.3, 0.05, (-4, 4)))
+        z = 0.5 - 0.25j
+        b = pr.stability_bound(mu1, mu2, z, -2, 2, u2_sup=1.0, tol=1e-4)
+        assert b.omega == me.norm_unif(pr.spectral_shift(mu1, z)) + 1.0
+        assert b.omega > abs(z) + 1.0
+        assert math.isfinite(b.constant) and b.constant > 0
+        assert b(1.0) > 0
+
+
 class TestGrowthBounds:
     def test_gronwall_formula(self):
         mu = me.zero_measure((-2, 2))
