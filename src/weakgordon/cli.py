@@ -37,10 +37,6 @@ from .seminorm import interval_seminorm, window_seminorm
 def _fmt(x) -> str:
     if isinstance(x, complex):
         return f"{_fmt(x.real)} {_fmt(x.imag)}"
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
     return "%.17g" % float(x)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import poly
 from .errors import DomainError, RepresentationError, ValidationError
@@ -67,6 +67,8 @@ class LocalMeasure:
     atoms: tuple
     segments: tuple
     window: tuple
+    # norm_unif by r, filled by norm_unif; not part of the value
+    _norm_unif: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lo(self):
@@ -410,17 +412,22 @@ def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     The sup ranges over a with (a, a+r] inside the working window.  One
     candidate-and-critical-point sweep (`_sliding_sup`) serves both cases:
     exact for real densities, exact up to the Gauss rule of
-    `poly.integral_abs` for complex ones.
+    `poly.integral_abs` for complex ones.  The value is kept on `mu`, so
+    each r is swept once per measure.
     """
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
     lo, hi = mu.window
     if hi - lo < r:
         raise DomainError(f"r={r} larger than window length {hi - lo}")
-    atoms = [(x, abs(w)) for x, w in mu.atoms]
-    if mu.has_real_density():
-        return _sliding_sup(atoms, _abs_segments(mu), lo, hi, r) / r
-    return _sliding_sup(atoms, mu.segments, lo, hi, r, modulus=True) / r
+    if r not in mu._norm_unif:
+        atoms = [(x, abs(w)) for x, w in mu.atoms]
+        if mu.has_real_density():
+            value = _sliding_sup(atoms, _abs_segments(mu), lo, hi, r) / r
+        else:
+            value = _sliding_sup(atoms, mu.segments, lo, hi, r, modulus=True) / r
+        mu._norm_unif[r] = value
+    return mu._norm_unif[r]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ polynomial pieces use a two-point Gauss Magnus step (4th order).  All factors
 are traceless-exponentials or exact unipotents, so the Wronskian certificate
 accumulates only factor-level rounding.
 
-One walker, `_walk`, yields the factors, atoms and sample points between two
-points, to the right or (inverted, in reverse order) to the left.
-`_transfer_along` folds them into matrices, `transfer_matrix` included;
-`propagate` folds them into a state vector and logs the atom jumps.
+One walker, `_walk`, lists the factors, atoms and sample points between two
+points, to the right or (inverted, in reverse order) to the left.  It
+evaluates every Magnus step of the walk in one NumPy pass
+(`_magnus_factors`); atom and constant factors are scalar closed forms.  A
+factor is a 4-tuple (F00, F01, F10, F11) of Python complex numbers, and the
+folds are scalar arithmetic: `_transfer_along` folds the walk into matrices,
+`transfer_matrix` included; `propagate` folds it into a state vector and
+logs the atom jumps.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import DomainError, ToleranceError
 from .seminorm import interval_seminorm, window_seminorm
 
 _SQRT3 = math.sqrt(3.0)
+_EYE = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
 @dataclass(frozen=True)
@@ -80,30 +85,61 @@ def _even_funcs(w2):
     return cmath.cosh(r), cmath.sinh(r) / r
 
 
+def _even_funcs_array(w2):
+    """`_even_funcs` over a complex array, with the same series branch."""
+    c = np.ones_like(w2)
+    s = np.ones_like(w2)
+    small = np.abs(w2) < 1e-4
+    ws = w2[small]
+    cs, ss, term = c[small], s[small], np.ones_like(ws)
+    for k in range(1, 7):
+        term = term * ws
+        cs += term / math.factorial(2 * k)
+        ss += term / math.factorial(2 * k + 1)
+    c[small], s[small] = cs, ss
+    big = ~small
+    r = np.sqrt(w2[big])
+    c[big], s[big] = np.cosh(r), np.sinh(r) / r
+    return c, s
+
+
 def _const_factor(q, h):
     w2 = q * h * h
     c, s = _even_funcs(w2)
-    return np.array([[c, h * s], [q * h * s, c]], dtype=complex)
+    return (c, h * s, q * h * s, c)
 
 
-def _magnus_factor(coeffs, x0, h, z):
-    """One 4th-order Magnus step across a density piece.
+def _magnus_factors(runs, z):
+    """4th-order Magnus steps across density pieces, all in one NumPy pass.
 
-    coeffs are in the local variable of the enclosing segment; x0 is the
-    local offset of the step start.
+    Each run (coeffs, x0, h, n) is n steps of length h across one segment:
+    coeffs are in the segment's local variable and x0 is the local offset of
+    the first step.  Returns one factor per step, in order.
     """
-    t1 = x0 + (0.5 - _SQRT3 / 6.0) * h
-    t2 = x0 + (0.5 + _SQRT3 / 6.0) * h
-    q1 = poly.evaluate(coeffs, t1) - z
-    q2 = poly.evaluate(coeffs, t2) - z
+    if not runs:
+        return []
+    counts = np.array([n for _, _, _, n in runs])
+    h = np.repeat([run[2] for run in runs], counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    x0 = np.repeat([run[1] for run in runs], counts) + k * h  # step k of its run
+    padded = [tuple(c) + (0j,) * (me.MAX_DEGREE + 1 - len(c)) for c, _, _, _ in runs]
+    coeffs = np.repeat(np.array(padded, dtype=complex), counts, axis=0)
+
+    def q_at(t):
+        acc = coeffs[:, -1]
+        for k in range(me.MAX_DEGREE - 1, -1, -1):
+            acc = acc * t + coeffs[:, k]
+        return acc - z
+
+    q1 = q_at(x0 + (0.5 - _SQRT3 / 6.0) * h)
+    q2 = q_at(x0 + (0.5 + _SQRT3 / 6.0) * h)
     qbar = 0.5 * (q1 + q2)
     delta = (_SQRT3 / 12.0) * h * h * (q1 - q2)
     # Omega = [[delta, h], [h*qbar, -delta]]; Omega^2 = (delta^2 + h^2 qbar) I
     w2 = delta * delta + h * h * qbar
-    c, s = _even_funcs(w2)
-    return np.array(
-        [[c + s * delta, s * h], [s * h * qbar, c - s * delta]], dtype=complex
-    )
+    c, s = _even_funcs_array(w2)
+    sh, sd = s * h, s * delta
+    return list(zip((c + sd).tolist(), sh.tolist(), (sh * qbar).tolist(), (c - sd).tolist()))
 
 
 def _factor_events(mu, z, a, b, markers=()):
@@ -139,9 +175,10 @@ def _factor_events(mu, z, a, b, markers=()):
     return events
 
 
-def _span_factors(mu, z, x0, x1, tol):
+def _span_factors(mu, z, x0, x1, tol, runs):
     """Factors for the atom-free stretch (x0, x1), in walking order; it lies
-    inside the segments it meets, as `_factor_events` cuts at their ends."""
+    inside the segments it meets, as `_factor_events` cuts at their ends.
+    A Magnus step is left as None and its run appended to `runs`."""
     out = []
     for s in mu.segments:
         if not (s.start <= x0 and x1 <= s.end):
@@ -152,34 +189,41 @@ def _span_factors(mu, z, x0, x1, tol):
             continue
         step = min(x1 - x0, tol**0.25)
         n = max(1, int(math.ceil((x1 - x0) / step)))
-        h = (x1 - x0) / n
-        for k in range(n):
-            out.append(_magnus_factor(s.coeffs, x0 - s.start + k * h, h, z))
+        runs.append((s.coeffs, x0 - s.start, (x1 - x0) / n, n))
+        out.extend([None] * n)
     return out or [_const_factor(-z, x1 - x0)]
 
 
 def _det_defect_of(F):
-    d = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    return abs(d - 1.0)
+    return abs(F[0] * F[3] - F[1] * F[2] - 1.0)
+
+
+def _inv_unimodular(F):
+    return (F[3], -F[1], -F[2], F[0])
 
 
 def _walk(mu, z, a, b, tol, markers=(), backward=False):
     """The one factor walk over [a, b], from a up to b or, with `backward`,
     from b down to a.
 
-    Yields ('factor', F) for each span factor, ('atom', x, w) for each atom
+    Lists ('factor', F) for each span factor, ('atom', x, w) for each atom
     in (a, b] and ('sample', x) at each marker.  Walking left reverses the
     span factors and inverts them, so a consumer always applies F on the
     left.  A sample at an atom sees (u(x), u'(x+)) in both directions.
     """
-    events = _factor_events(mu, z, a, b, markers)
-    for ev in reversed(events) if backward else events:
-        if ev[0] != "span":
-            yield ev
-            continue
-        factors = _span_factors(mu, z, ev[1], ev[2], tol)
-        for F in reversed(factors) if backward else factors:
-            yield "factor", _inv_unimodular(F) if backward else F
+    runs = []
+    walk = []
+    for ev in _factor_events(mu, z, a, b, markers):
+        if ev[0] == "span":
+            walk.extend(("factor", F) for F in _span_factors(mu, z, ev[1], ev[2], tol, runs))
+        else:
+            walk.append(ev)
+    magnus = iter(_magnus_factors(runs, z))
+    walk = [("factor", next(magnus)) if ev[1] is None else ev for ev in walk]
+    if not backward:
+        return walk
+    return [("factor", _inv_unimodular(ev[1])) if ev[0] == "factor" else ev
+            for ev in reversed(walk)]
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
@@ -195,11 +239,8 @@ def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     if lo < mu.lo - 1e-12 or hi > mu.hi + 1e-12:
         raise DomainError(f"path [{lo}, {hi}] outside window {mu.window}")
     tmats, defect = _transfer_along(mu, z, s, [t], tol)
-    return TransferMatrix(tmats[t], s, t, defect)
-
-
-def _inv_unimodular(F):
-    return np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]], dtype=complex)
+    a, b, c, d = tmats[t]
+    return TransferMatrix(np.array([[a, b], [c, d]]), s, t, defect)
 
 
 def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
@@ -214,7 +255,7 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
         raise DomainError("grid not inside measure window")
     if not (grid[0] <= s <= grid[-1]):
         raise DomainError("s must lie in the grid range")
-    state0 = np.array([complex(initial[0]), complex(initial[1])])
+    state0 = (complex(initial[0]), complex(initial[1]))
     u = np.zeros(grid.size, dtype=complex)
     du = np.zeros(grid.size, dtype=complex)
     jumps = []
@@ -223,22 +264,22 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     for side, backward in ((right, False), (left[::-1], True)):
         if not side:
             continue
-        state = state0.copy()
+        v, dv = state0
         a, b = sorted((s, grid[side[-1]]))
         idx = 0
         for ev in _walk(mu, z, a, b, tol, [grid[i] for i in side], backward):
             if ev[0] == "factor":
-                state = ev[1] @ state
+                f00, f01, f10, f11 = ev[1]
+                v, dv = f00 * v + f01 * dv, f10 * v + f11 * dv
             elif ev[0] == "atom":
                 # walking left removes the jump; u'(x-) = u'(x+) - w u(x)
-                jump = ev[2] * state[0]
+                jump = ev[2] * v
                 jumps.append((ev[1], ev[2], jump))
-                step = np.array([0.0, jump])
-                state = state - step if backward else state + step
+                dv = dv - jump if backward else dv + jump
             else:  # sample
                 while idx < len(side) and abs(grid[side[idx]] - ev[1]) <= 1e-12:
-                    u[side[idx]] = state[0]
-                    du[side[idx]] = state[1]
+                    u[side[idx]] = v
+                    du[side[idx]] = dv
                     idx += 1
     jumps.sort(key=lambda j: j[0])
     return SolutionTrace(grid, u, du, tuple(jumps))
@@ -392,28 +433,28 @@ def _transfer_along(mu, z, base, points, tol):
     """T(x, base) for every x in sorted(points), one walk each direction,
     and the summed |det F - 1| over the factors applied."""
     points = sorted(set(float(p) for p in points) | {float(base)})
-    out = {base: np.eye(2, dtype=complex)}
+    out = {base: _EYE}
     defect = 0.0
     right = [p for p in points if p > base]
     left = [p for p in points if p < base]
     for side, backward in ((right, False), (left[::-1], True)):
         if not side:
             continue
-        T = np.eye(2, dtype=complex)
+        t00, t01, t10, t11 = _EYE
         a, b = sorted((base, side[-1]))
-        # the walk is built in full before the fold: folding each factor as
-        # it is built measured about 10% slower on dirichlet_neumann
-        for ev in list(_walk(mu, z, a, b, tol, side, backward)):
+        for ev in _walk(mu, z, a, b, tol, side, backward):
             if ev[0] == "sample":
-                out[ev[1]] = T
+                out[ev[1]] = (t00, t01, t10, t11)
                 continue
             if ev[0] == "factor":
                 F = ev[1]
             else:
-                F = np.array([[1.0, 0.0], [ev[2], 1.0]], dtype=complex)
+                F = (1 + 0j, 0j, complex(ev[2]), 1 + 0j)
                 if backward:
                     F = _inv_unimodular(F)
-            T = F @ T
+            f00, f01, f10, f11 = F
+            t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
+                                  f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
             defect += _det_defect_of(F)
     return out, defect
 
@@ -489,9 +530,10 @@ def solution_difference(mu1, mu2, z, u1_initial, grid, tol: float = 1e-8):
     phi_nu = {x: me.phi(nu, x) for x in node_list}
 
     def integrand(x, Tt_inv):
-        A = tmats[x] @ Tt_inv  # T1(s, t)
-        dud = A[1, 1]          # d1 u_D(s+, t)
-        uD_ts = -A[0, 1]       # u_D(t, s) = -u_D(s, t)
+        # the second column of T1(s, t) = T1(s, 0) T1(t, 0)^-1
+        t00, t01, t10, t11 = tmats[x]
+        dud = t10 * Tt_inv[1] + t11 * Tt_inv[3]       # d1 u_D(s+, t)
+        uD_ts = -(t00 * Tt_inv[1] + t01 * Tt_inv[3])  # u_D(t, s) = -u_D(s, t)
         return (-dud * u2v[x] + uD_ts * du2v[x]) * (c - phi_nu[x])
 
     def panel_sum(a, b, Tt_inv):
@@ -550,8 +592,8 @@ def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionT
     Tt_inv = _inv_unimodular(tmats[t])
 
     def uD_t_r(r):
-        A = tmats[r] @ Tt_inv
-        return -A[0, 1]
+        t00, t01, _, _ = tmats[r]
+        return -(t00 * Tt_inv[1] + t01 * Tt_inv[3])
 
     for x, w in nu.atoms:
         if a < x <= b:

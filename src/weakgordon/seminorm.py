@@ -324,6 +324,9 @@ def _window_value(mu, wlo, whi):
         c_best, m_best = c_w, m_w
     else:
         c_best, m_best = c_med, m_med
+    # M/2 is a lower bound whether or not Weiszfeld converged: c_med takes
+    # the exact medians S of Re phi and Im phi, so
+    # M <= int |phi - c_med| <= S(Re mu) + S(Im mu) <= 2 min_c int |phi - c|
     return 0.5 * m_best, m_best, c_best + offset
 
 

@@ -185,3 +185,25 @@ def test_named_measure_upper_is_its_integral():
     ref = reference_window_upper(mu, res)
     assert res.upper >= ref * (1 - 1e-12)
     assert res.upper == pytest.approx(ref, rel=1e-12)
+
+
+def _part(mu, part):
+    return me.make_measure(
+        [(x, part(w)) for x, w in mu.atoms],
+        [(s.start, s.end, tuple(part(c) for c in s.coeffs)) for s in mu.segments],
+        mu.window,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(measure_windows(complex_=True))
+def test_complex_bracket_holds_the_part_values(case):
+    # S(Re mu) and S(Im mu) are exact real window values; the bracket
+    # [M/2, M] holds max(S(Re mu), S(Im mu)) however far Weiszfeld got
+    mu, wlo, whi = case
+    a = 0.5 * (wlo + whi)
+    res = sn.window_seminorm(mu, a)
+    m = max(sn.window_seminorm(_part(mu, lambda v: v.real), a).upper,
+            sn.window_seminorm(_part(mu, lambda v: v.imag), a).upper)
+    assert res.lower <= m * (1 + 1e-12)
+    assert m <= res.upper * (1 + 1e-12)

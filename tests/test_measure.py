@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weakgordon import measure as me
 from weakgordon import poly
+from weakgordon import propagator as pr
 from weakgordon.errors import DomainError, ToleranceError, ValidationError
 
 from conftest import random_measure
@@ -201,6 +202,45 @@ class TestNormUnif:
         mu = me.make_measure((), ((0.0, 2.0, (-1 + 1e-6j, 1)),), (0, 2))
         with pytest.raises(ToleranceError):
             me.norm_unif(mu, 1.0)
+
+
+class TestNormUnifMemo:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = me._sliding_sup
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(me, "_sliding_sup", counted)
+        return calls
+
+    def test_one_sweep_per_measure_and_r(self, rng, sweeps):
+        mu = random_measure(rng, window=(-6, 6), density_degree=2)
+        for x in np.linspace(-5.0, 5.0, 21):
+            pr.gronwall_bound(mu, x, 1.0)
+            pr.sharp_growth_bound(mu, x, 1.0, 0.5)
+        assert sweeps == [1.0]
+        value = me.norm_unif(mu, 2.0)
+        assert sweeps == [1.0, 2.0]
+        assert me.norm_unif(mu, 2.0) == value and len(sweeps) == 2
+        twin = me.make_measure(mu.atoms, mu.segments, mu.window)
+        assert twin == mu and twin is not mu
+        assert me.norm_unif(twin) == me.norm_unif(mu)
+        assert sweeps == [1.0, 2.0, 1.0]
+
+    def test_new_measures_sweep_afresh(self, sweeps):
+        mu = me.make_measure([(0.5, 2.0)], ((-2.0, 1.0, (0.25, 0.1)),), (-3, 3))
+        first = me.norm_unif(mu)
+        shifted = pr.spectral_shift(mu, 1.5 - 2j)
+        moved = me.translate(mu, 0.75)
+        for new in (shifted, moved):
+            fresh = me.make_measure(new.atoms, new.segments, new.window)
+            assert me.norm_unif(new) == me.norm_unif(fresh)
+        assert me.norm_unif(shifted) != first
+        assert len(sweeps) == 5
 
 
 class TestMollify:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
+from weakgordon import poly
 from weakgordon import propagator as pr
 from weakgordon.errors import DomainError
 
@@ -353,3 +355,164 @@ class TestSolutionDifference:
             i_t = int(np.argmin(np.abs(grid - t)))
             direct = tr1.u[i_t] - tr2.u[i_t]
             assert abs(val - direct) <= 1e-6 * max(1.0, abs(direct))
+
+
+# ---------------------------------------------------------------------------
+# the batched Magnus kernel against the former scalar one
+
+
+_EPS = np.finfo(float).eps
+_SQRT3 = math.sqrt(3.0)
+
+
+def scalar_even_funcs(w2):
+    if abs(w2) < 1e-4:
+        c = 1.0 + 0j
+        s = 1.0 + 0j
+        term = 1.0 + 0j
+        for k in range(1, 7):
+            term = term * w2
+            c += term / math.factorial(2 * k)
+            s += term / math.factorial(2 * k + 1)
+        return c, s
+    r = cmath.sqrt(complex(w2))
+    return cmath.cosh(r), cmath.sinh(r) / r
+
+
+def scalar_magnus_factor(coeffs, x0, h, z):
+    t1 = x0 + (0.5 - _SQRT3 / 6.0) * h
+    t2 = x0 + (0.5 + _SQRT3 / 6.0) * h
+    q1 = poly.evaluate(coeffs, t1) - z
+    q2 = poly.evaluate(coeffs, t2) - z
+    qbar = 0.5 * (q1 + q2)
+    delta = (_SQRT3 / 12.0) * h * h * (q1 - q2)
+    w2 = delta * delta + h * h * qbar
+    c, s = scalar_even_funcs(w2)
+    return np.array(
+        [[c + s * delta, s * h], [s * h * qbar, c - s * delta]], dtype=complex
+    )
+
+
+def scalar_span_factors(mu, z, x0, x1, tol):
+    out = []
+    for s in mu.segments:
+        if not (s.start <= x0 and x1 <= s.end):
+            continue
+        c = poly.trim(s.coeffs)
+        if len(c) == 1:
+            out.append(np.array(pr._const_factor(c[0] - z, x1 - x0)).reshape(2, 2))
+            continue
+        n = max(1, int(math.ceil((x1 - x0) / min(x1 - x0, tol**0.25))))
+        h = (x1 - x0) / n
+        out.extend(scalar_magnus_factor(s.coeffs, x0 - s.start + k * h, h, z)
+                   for k in range(n))
+    return out or [np.array(pr._const_factor(-z, x1 - x0)).reshape(2, 2)]
+
+
+def scalar_transfer(mu, z, s, t, tol):
+    """T(t, s) as a NumPy fold of the scalar factors; to the left, the
+    adjugate of the walk from t up to s."""
+    a, b = sorted((s, t))
+    T = np.eye(2, dtype=complex)
+    for ev in pr._factor_events(mu, z, a, b):
+        if ev[0] == "atom":
+            T = np.array([[1, 0], [ev[2], 1]], dtype=complex) @ T
+        elif ev[0] == "span":
+            for F in scalar_span_factors(mu, z, ev[1], ev[2], tol):
+                T = F @ T
+    return T if t >= s else np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]])
+
+
+complex_unit = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def magnus_runs(draw):
+    """Runs of 1-4 Magnus steps on complex densities of degree 1-3, at local
+    offsets far from 0, with h from 1e-9 to 0.1 or with |w^2| within a
+    factor 2 of the 1e-4 series threshold, and z with |z| <= 10."""
+    z = draw(st.builds(cmath.rect, st.floats(0.0, 10.0), st.floats(-math.pi, math.pi)))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(1, 3))
+        coeffs = tuple(draw(st.lists(complex_unit, min_size=deg + 1, max_size=deg + 1)))
+        x0 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(5.0, 20.0))
+        if draw(st.booleans()):
+            h = 10.0 ** draw(st.floats(-9.0, -1.0))
+        else:
+            q = max(abs(poly.evaluate(coeffs, x0) - z), 1e-300)
+            h = min(0.1, max(1e-9, math.sqrt(1e-4 * draw(st.floats(0.5, 2.0)) / q)))
+        runs.append((coeffs, x0, h, draw(st.integers(1, 4))))
+    return runs, z
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(magnus_runs())
+def test_batched_magnus_matches_scalar_steps(case):
+    runs, z = case
+    got = iter(pr._magnus_factors(runs, z))
+    for coeffs, x0, h, n in runs:
+        for k in range(n):
+            ref = scalar_magnus_factor(coeffs, x0 + k * h, h, z)
+            F = np.array(next(got)).reshape(2, 2)
+            assert np.max(np.abs(F - ref)) <= 64 * _EPS * max(1.0, np.max(np.abs(ref)))
+    assert next(got, None) is None
+
+
+@st.composite
+def density_walks(draw):
+    """Complex densities of degree 1-3 and atoms on (-3, 3), s, t and z."""
+    cuts = sorted(draw(st.lists(st.floats(-2.9, 2.9), min_size=2, max_size=6)))
+    segments = []
+    for a, b in zip(cuts[0::2], cuts[1::2]):
+        if b - a > 1e-6:
+            deg = draw(st.integers(1, 3))
+            segments.append((a, b, tuple(draw(st.lists(complex_unit, min_size=deg + 1,
+                                                        max_size=deg + 1)))))
+    atoms = draw(st.lists(st.tuples(st.floats(-2.9, 2.9), complex_unit), max_size=4))
+    s, t = draw(st.floats(-2.9, 2.9)), draw(st.floats(-2.9, 2.9))
+    z = draw(st.builds(cmath.rect, st.floats(0.0, 10.0), st.floats(-math.pi, math.pi)))
+    tol = draw(st.sampled_from([1e-4, 1e-6, 1e-8]))
+    return me.make_measure(atoms, segments, (-3, 3)), z, s, t, tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(density_walks())
+def test_transfer_along_matches_scalar_fold(case):
+    mu, z, s, t, tol = case
+    ref = scalar_transfer(mu, z, s, t, tol)
+    got = np.array(pr._transfer_along(mu, z, s, [t], tol)[0][t]).reshape(2, 2)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def python_fold(mu, z, s, t):
+    """T(t, s) and its det defect folded in Python complex arithmetic from
+    the closed-form factors of an atom-only measure."""
+    a, b = sorted((s, t))
+    factors = []
+    for ev in pr._factor_events(mu, z, a, b):
+        if ev[0] == "atom":
+            factors.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
+        elif ev[0] == "span":
+            factors.append(pr._const_factor(-z, ev[2] - ev[1]))
+    if t < s:
+        factors = [(d, -b_, -c, a_) for a_, b_, c, d in reversed(factors)]
+    T, defect = (1 + 0j, 0j, 0j, 1 + 0j), 0.0
+    for f00, f01, f10, f11 in factors:
+        t00, t01, t10, t11 = T
+        T = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
+             f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
+        defect += abs(f00 * f11 - f01 * f10 - 1.0)
+    return T, defect
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(-2.9, 2.9), complex_unit), min_size=1, max_size=8),
+       st.floats(-2.9, 2.9), st.floats(-2.9, 2.9),
+       st.builds(complex, st.floats(-10.0, 10.0), st.floats(-3.0, 3.0)))
+def test_atom_only_transfer_is_the_scalar_fold(atoms, s, t, z):
+    mu = me.make_measure(atoms, (), (-3, 3))
+    T = pr.transfer_matrix(mu, z, s, t)
+    ref, defect = python_fold(mu, z, s, t)
+    assert T.entries.ravel().tolist() == list(ref)
+    assert T.det_defect == defect
