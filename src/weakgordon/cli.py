@@ -40,11 +40,27 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _row_format(kinds):
+    """One %-format for a row whose cells have these types: text as is,
+    numbers as `_fmt` prints them, complex ones as two numbers."""
+    cells = ["%s" if issubclass(k, str) else "%.17g %.17g" if issubclass(k, complex) else "%.17g"
+             for k in kinds]
+    return ",".join(cells) + "\n"
+
+
 def _write_csv(path, header, rows, footer_lines=()):
+    formats = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = (_row_format(kinds), any(issubclass(k, complex) for k in kinds))
+            fmt, split = formats[kinds]
+            if split:
+                row = [p for v in row
+                       for p in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+            fh.write(fmt % tuple(row))
         for line in footer_lines:
             fh.write(line + "\n")
 

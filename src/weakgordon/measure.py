@@ -304,14 +304,26 @@ def total_variation(mu: LocalMeasure, interval=None) -> float:
 
 
 def _abs_segments(mu):
-    """|density| as nonnegative poly.abs_pieces; a complex density gives the
-    pieces of |Re rho| and then |Im rho|, whose sum bounds |rho| above."""
+    """|density| as nonnegative, non-overlapping poly.abs_pieces.  A complex
+    density gives |Re rho| + |Im rho|, which bounds |rho| above: one
+    polynomial on each piece between the cuts of |Re rho| and |Im rho|."""
     out = []
     for s in mu.segments:
-        parts = [s.coeffs] if poly.is_real(s.coeffs) else [
-            tuple(c.real for c in s.coeffs), tuple(c.imag for c in s.coeffs)]
-        for cr in parts:
-            out.extend(poly.abs_pieces(poly.to_real(cr), s.start, s.end))
+        if poly.is_real(s.coeffs):
+            out.extend(poly.abs_pieces(poly.to_real(s.coeffs), s.start, s.end))
+            continue
+        parts = [poly.abs_pieces(tuple(getattr(c, part) for c in s.coeffs), s.start, s.end)
+                 for part in ("real", "imag")]
+        cuts = sorted({p.start for pieces in parts for p in pieces} | {s.start, s.end})
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            m = 0.5 * (a + b)
+            total = (0.0,)
+            for pieces in parts:
+                for p in pieces:
+                    if p.start <= m <= p.end:
+                        total = poly.add(total, poly.shift_origin(p.coeffs, a - p.start))
+                        break
+            out.append(poly.Piece(a, b, total))
     return out
 
 

@@ -33,6 +33,8 @@ from .seminorm import interval_seminorm, window_seminorm
 
 _SQRT3 = math.sqrt(3.0)
 _EYE = (1 + 0j, 0j, 0j, 1 + 0j)
+# n! as floats, the divisors of the cosh / sinh series of `_even_funcs`
+_FACTORIALS = tuple(float(math.factorial(n)) for n in range(14))
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,8 @@ def _even_funcs(w2):
         term = 1.0 + 0j
         for k in range(1, 7):
             term = term * w2
-            c += term / math.factorial(2 * k)
-            s += term / math.factorial(2 * k + 1)
+            c += term / _FACTORIALS[2 * k]
+            s += term / _FACTORIALS[2 * k + 1]
         return c, s
     r = cmath.sqrt(complex(w2))
     return cmath.cosh(r), cmath.sinh(r) / r
@@ -94,8 +96,8 @@ def _even_funcs_array(w2):
     cs, ss, term = c[small], s[small], np.ones_like(ws)
     for k in range(1, 7):
         term = term * ws
-        cs += term / math.factorial(2 * k)
-        ss += term / math.factorial(2 * k + 1)
+        cs += term / _FACTORIALS[2 * k]
+        ss += term / _FACTORIALS[2 * k + 1]
     c[small], s[small] = cs, ss
     big = ~small
     r = np.sqrt(w2[big])
@@ -143,14 +145,18 @@ def _magnus_factors(runs, z):
 
 
 def _factor_events(mu, z, a, b, markers=()):
-    """Ordered events from a up to b: ('span', x0, x1), ('atom', x, w),
-    ('sample', x).  Atoms in (a, b] are applied; a sample at x sees the state
-    (u(x), u'(x+))."""
+    """Ordered events from a up to b: ('span', x0, x1, covering),
+    ('atom', x, w), ('sample', x).  `covering` lists the segments that
+    contain the span, found by one merge over the segments sorted by start.
+    Atoms in (a, b] are applied; a sample at x sees the state (u(x), u'(x+))."""
     cuts = {a, b}
+    segments = []
     for s in mu.segments:
         if s.end > a and s.start < b:
             cuts.add(min(max(s.start, a), b))
             cuts.add(min(max(s.end, a), b))
+            segments.append(s)
+    segments.sort(key=lambda s: s.start)
     atom_map = {}
     for x, w in mu.atoms:
         if a < x <= b:
@@ -165,9 +171,15 @@ def _factor_events(mu, z, a, b, markers=()):
     events = []
     if cut[0] in marker_set and cut[0] not in atom_map:
         events.append(("sample", cut[0]))
+    nxt, live = 0, []
     for x0, x1 in zip(cut[:-1], cut[1:]):
         if x1 > x0:
-            events.append(("span", x0, x1))
+            # live: the segments started by x0 that reach past it
+            while nxt < len(segments) and segments[nxt].start <= x0:
+                live.append(segments[nxt])
+                nxt += 1
+            live = [s for s in live if s.end > x0]
+            events.append(("span", x0, x1, [s for s in live if x1 <= s.end]))
         if x1 in atom_map:
             events.append(("atom", x1, atom_map[x1]))
         if x1 in marker_set:
@@ -175,14 +187,12 @@ def _factor_events(mu, z, a, b, markers=()):
     return events
 
 
-def _span_factors(mu, z, x0, x1, tol, runs):
-    """Factors for the atom-free stretch (x0, x1), in walking order; it lies
-    inside the segments it meets, as `_factor_events` cuts at their ends.
-    A Magnus step is left as None and its run appended to `runs`."""
+def _span_factors(z, x0, x1, covering, tol, runs):
+    """Factors for the atom-free stretch (x0, x1), in walking order, from
+    the segments covering it.  A Magnus step is left as None and its run
+    appended to `runs`."""
     out = []
-    for s in mu.segments:
-        if not (s.start <= x0 and x1 <= s.end):
-            continue
+    for s in covering:
         c = poly.trim(s.coeffs)
         if len(c) == 1:
             out.append(_const_factor(c[0] - z, x1 - x0))
@@ -215,7 +225,7 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     walk = []
     for ev in _factor_events(mu, z, a, b, markers):
         if ev[0] == "span":
-            walk.extend(("factor", F) for F in _span_factors(mu, z, ev[1], ev[2], tol, runs))
+            walk.extend(("factor", F) for F in _span_factors(z, *ev[1:], tol, runs))
         else:
             walk.append(ev)
     magnus = iter(_magnus_factors(runs, z))

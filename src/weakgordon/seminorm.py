@@ -16,8 +16,14 @@ half the window length; inside it the closed form (every active branch
 affine) or Newton on S, with S' = sum 1/|phi'|, closes the bracket to 2 ulp.
 
 Interval seminorms (|I| > 2) take a certified supremum over all admissible
-windows: breakpoint enumeration plus branch-and-bound refinement, pruned by
-a Lipschitz bound, by the sliding unit-mass bound
+windows in one sweep over the window centres a, cut at the events where
+a - 1 or a + 1 meets a breakpoint.  On a cell where a real measure's
+windows meet only atoms, phi is a staircase whose level lengths are affine
+in a, so N(a) is the minimum of one affine function per level: concave,
+with its maximum at a vertex of the envelope, found exactly.  The other
+cells (touching a density, or of a complex measure) are refined by
+branch-and-bound, pruned by the Lipschitz constant |mu|((a1-1, a2+1]) local
+to each node, by the sliding unit-mass bound
 ||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]) and by the sliding sup of
 |phi - c|.  Both sliding sups run over nonnegative pieces from
 `poly.abs_pieces`.
@@ -27,9 +33,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -341,30 +348,94 @@ def window_seminorm(mu: me.LocalMeasure, a: float) -> SeminormResult:
 
 
 # ---------------------------------------------------------------------------
-# interval seminorm: certified sup over sliding windows
+# interval seminorm: one event sweep, exact staircase cells, refined others
+
+
+def _envelope_max(A, B):
+    """(t, value) maximising min_k (A[k] + t (B[k] - A[k])) over t in [0, 1].
+
+    The minimum of lines is concave, so walk its vertices to the right from
+    t = 0 until the active slope is no longer positive.  Each step passes to
+    a line of strictly smaller slope, so the walk takes at most K steps.
+    """
+    slopes = [b - a for a, b in zip(A, B)]
+    k = min(range(len(A)), key=A.__getitem__)
+    t = 0.0
+    while slopes[k] > 0.0:
+        # the first crossing to the right (at t itself on a tie), by the
+        # flattest line among equal crossings; none: k stays minimal to t = 1
+        crossings = [((A[j] - A[k]) / (slopes[k] - s), s, j)
+                     for j, s in enumerate(slopes) if s < slopes[k]]
+        tc, _, j = min(crossings, default=(1.0, 0.0, k))
+        if tc >= 1.0:
+            t = 1.0
+            break
+        t, k = max(t, tc), j
+    return t, min(a + t * s for a, s in zip(A, slopes))
+
+
+def _staircase_max(xs, ws, a1, a2):
+    """(max, argmax) of N(a) over the cell [a1, a2] of a real measure whose
+    windows (a - 1, a + 1) there meet only atoms, the same ones (xs, ws
+    sorted by position) for every a inside the cell.
+
+    phi is then a staircase whose level lengths are affine in a: the first
+    shrinks and the last grows at unit rate.  A median is a level, so each
+    level c_k gives an affine f_k(a) = int |phi - c_k| and N = min_k f_k is
+    concave and piecewise linear: its maximum is at a cell end or where two
+    f_k cross, a vertex of the lower envelope.
+    """
+    m = 0.5 * (a1 + a2)
+    i0, i1 = bisect_right(xs, m - 1.0), bisect_left(xs, m + 1.0)
+    if i0 == i1:
+        return 0.0, a1
+    levels = [0.0]
+    for w in ws[i0:i1]:
+        levels.append(levels[-1] + w)
+    gaps = [x1 - x0 for x0, x1 in zip(xs[i0:i1 - 1], xs[i0 + 1:i1])]
+    inner = [sum(abs(v - c) * g for v, g in zip(levels[1:-1], gaps)) for c in levels]
+    at_ends = []
+    for a in (a1, a2):
+        first = max(xs[i0] - (a - 1.0), 0.0)
+        last = max(a + 1.0 - xs[i1 - 1], 0.0)
+        at_ends.append([f + abs(levels[0] - c) * first + abs(levels[-1] - c) * last
+                        for f, c in zip(inner, levels)])
+    t, value = _envelope_max(*at_ends)
+    return value, min(a1 + t * (a2 - a1), a2)
 
 
 class _PieceOracle:
-    """Cached nonnegative piece decomposition answering sliding-window
-    mass suprema over subspans (the branch-and-bound prune queries)."""
+    """Cached nonnegative piece decomposition of |mu| answering the queries
+    of the refinement: the mass of a span (the local Lipschitz constant) and
+    sliding-window mass suprema over subspans (the prunes)."""
 
     def __init__(self, atoms, pieces):
         self.atoms = sorted(atoms)
+        self._xs = [x for x, _ in self.atoms]
+        # the pieces do not overlap, so their ends are sorted too
         self.pieces = sorted(pieces, key=lambda s: s.start)
-        self._starts = [s.start for s in self.pieces]
+        self._ends = [s.end for s in self.pieces]
 
-    def sliding_sup(self, lo, hi, width):
-        atoms = [a for a in self.atoms if lo <= a[0] <= hi]
-        i0 = bisect_left(self._starts, lo)
-        while i0 > 0 and self.pieces[i0 - 1].end > lo:
-            i0 -= 1
-        subset = []
-        for s in self.pieces[i0:]:
+    def _meeting(self, lo, hi):
+        """(piece, a, b) for each piece meeting (lo, hi), clipped to [a, b]."""
+        for s in self.pieces[bisect_right(self._ends, lo):]:
             if s.start >= hi:
                 break
             a, b = max(s.start, lo), min(s.end, hi)
             if b > a:
-                subset.append(poly.Piece(a, b, poly.shift_origin(s.coeffs, a - s.start)))
+                yield s, a, b
+
+    def mass(self, lo, hi):
+        """|mu|((lo, hi]); for a complex density the bound that integrates
+        |Re rho| + |Im rho|."""
+        atoms = self.atoms[bisect_right(self._xs, lo):bisect_right(self._xs, hi)]
+        return sum(m for _, m in atoms) + sum(
+            poly.integral(s.coeffs, a - s.start, b - s.start) for s, a, b in self._meeting(lo, hi))
+
+    def sliding_sup(self, lo, hi, width):
+        atoms = [a for a in self.atoms if lo <= a[0] <= hi]
+        subset = [poly.Piece(a, b, poly.shift_origin(s.coeffs, a - s.start))
+                  for s, a, b in self._meeting(lo, hi)]
         return me._sliding_sup(atoms, subset, lo, hi, width)
 
 
@@ -377,10 +448,22 @@ def interval_seminorm(
     """Certified sup of window seminorms over all length-min(2,|I|) windows
     inside I.
 
-    The map a -> N(a) is Lipschitz with constant K = |mu|(I), bounded by
-    |Re rho| + |Im rho| for a complex density; together with
-    the sliding unit-mass bound this prunes the branch-and-bound search.  On
-    return upper - lower <= tol (plus the complex bracket width).
+    One sweep over the cells of a in [lo+1, hi-1] between events: the ends
+    and every a with a - 1 or a + 1 on a breakpoint of mu.
+    - A cell of a real measure whose windows meet no density is exact: its
+      maximum comes in closed form from `_staircase_max`.
+    - Every other cell (one touching a density, or any cell of a complex
+      measure) is a root node of a branch-and-bound refinement.  A node
+      [a1, a2] is bounded by the Lipschitz constant |mu|((a1-1, a2+1]),
+      local to the node, by the sliding unit-mass bound and, for real
+      measures, by the sliding sup of |phi - c|.
+
+    `lower` is the window value at the witness a*; `upper` is the largest of
+    `lower`, the exact cell maxima and the settled node bounds.  So
+    upper - lower <= tol (plus the complex bracket width), and it is 0 up to
+    rounding when every cell is exact.  The certificate holds the narrowest
+    refined node as `grid_step` (0 when no cell is refined), |mu|(I) as
+    `lipschitz` (the global bound) and upper - lower as `error_bound`.
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -400,20 +483,31 @@ def interval_seminorm(
     atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
     pieces = [p for p in me._abs_segments(mu) if p.end > lo and p.start < hi]
     abs_oracle = _PieceOracle(atoms, pieces)
-    if mu.has_real_density():
-        K = me.total_variation(mu, (lo, hi))
-    else:
-        # quadrature |rho| is an estimate; |Re rho| + |Im rho| >= |rho| bounds
-        K = sum(w for x, w in atoms if x > lo) + sum(
-            poly.integral(p.coeffs, max(p.start, lo) - p.start, min(p.end, hi) - p.start)
-            for p in pieces)
+    # quadrature |rho| is an estimate; |Re rho| + |Im rho| >= |rho| bounds
+    K = me.total_variation(mu, (lo, hi)) if mu.has_real_density() else abs_oracle.mass(lo, hi)
 
-    cands = {a_lo, a_hi}
-    for b in mu.breakpoints():
-        for a in (b - 1.0, b, b + 1.0):
+    breakpoints = mu.breakpoints()
+    events = {a_lo, a_hi}
+    for b in breakpoints:
+        for a in (b - 1.0, b + 1.0):
             if a_lo <= a <= a_hi:
-                cands.add(a)
-    cand = sorted(cands)
+                events.add(a)
+    events = sorted(events)
+
+    real_measure = mu.is_real()
+    staircase = sorted((x, w.real) for x, w in mu.atoms)
+    xs, ws = [x for x, _ in staircase], [w for _, w in staircase]
+    exact_best, exact_a, refined = -math.inf, a_lo, []
+    for a1, a2 in zip(events[:-1], events[1:]):
+        if real_measure and next(abs_oracle._meeting(a1 - 1.0, a2 + 1.0), None) is None:
+            v, a = _staircase_max(xs, ws, a1, a2)
+            if v > exact_best:
+                exact_best, exact_a = v, a
+        else:
+            refined.append((a1, a2))
+    # the refinement also starts from the windows centred on breakpoints
+    refined = [(x1, x2) for a1, a2 in refined for x1, x2 in pairwise(
+        [a1] + breakpoints[bisect_right(breakpoints, a1):bisect_left(breakpoints, a2)] + [a2])]
 
     evals = {}
 
@@ -424,7 +518,10 @@ def interval_seminorm(
 
     best_lower = -math.inf
     best_a = a_lo
-    for a in cand:
+    points = {a for cell in refined for a in cell}
+    if exact_best > -math.inf:
+        points.add(exact_a)
+    for a in sorted(points):
         vlo, vup, _ = evaluate(a)
         if vlo > best_lower:
             best_lower, best_a = vlo, a
@@ -436,7 +533,6 @@ def interval_seminorm(
             return math.inf
         return abs_oracle.sliding_sup(span_lo, span_hi, 1.0)
 
-    real_measure = mu.is_real()
     slide_oracles = {}
 
     def slide_bound(a1, a2):
@@ -449,7 +545,9 @@ def interval_seminorm(
         return slide_oracles[c].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0)
 
     def node_bound(a1, a2, cutoff):
-        b = max(evaluate(a1)[1], evaluate(a2)[1]) + K * (a2 - a1) / 2.0
+        # |dN/da| <= |mu((a-1, a+1])| <= |mu|((a1-1, a2+1]) on the node
+        lip = abs_oracle.mass(a1 - 1.0, a2 + 1.0)
+        b = max(evaluate(a1)[1], evaluate(a2)[1]) + lip * (a2 - a1) / 2.0
         if b <= cutoff:
             return b
         b = min(b, unit_bound(a1, a2))
@@ -458,16 +556,15 @@ def interval_seminorm(
         return min(b, slide_bound(a1, a2))
 
     heap = []
-    counter = 0
-    for a1, a2 in zip(cand[:-1], cand[1:]):
-        if a2 - a1 <= 1e-14:
-            continue
+    min_h = math.inf
+    for counter, (a1, a2) in enumerate(refined):
         b = node_bound(a1, a2, best_lower + tol)
-        heapq.heappush(heap, (-b, counter, a1, a2))
-        counter += 1
+        min_h = min(min_h, a2 - a1)
+        heap.append((-b, counter, a1, a2))
+    heapq.heapify(heap)
+    counter = len(heap)
 
     settled_bound = best_lower
-    min_h = a_hi - a_lo
     nodes = 0
     while heap:
         neg_b, _, a1, a2 = heapq.heappop(heap)
@@ -497,8 +594,9 @@ def interval_seminorm(
             counter += 1
 
     vlo, vup, c = evaluate(best_a)
-    upper = max(vup, settled_bound, best_lower)
-    cert = SeminormCertificate(min_h, K, upper - vlo)
+    upper = max(vup, settled_bound, best_lower, exact_best)
+    grid_step = min_h if refined else 0.0
+    cert = SeminormCertificate(grid_step, K, upper - vlo)
     return SeminormResult(vlo, upper, c, (best_a - 1.0, best_a + 1.0), cert)
 
 

@@ -198,3 +198,21 @@ class TestParser:
         again = mio.load_measure(path)
         assert again.period == P.period
         assert again.base.atoms == P.base.atoms
+
+
+def test_csv_rows_match_the_cell_formatter(tmp_path):
+    # one %-format per row gives the bytes of `_fmt` per cell: text as is,
+    # complex as "re im", NumPy scalars, booleans, -0, inf and nan
+    import numpy as np
+
+    rows = [
+        (1, 2.5, -0.0, float("inf"), "1", np.float64(0.1), np.int64(7), True, float("nan")),
+        (0.1 + 0.2j, np.complex128(-1e-300 + 3j), "x", 1e300),
+        [np.float64(-2.0) / 3.0, 5],
+    ]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["h"], rows, ["k,1"])
+    expected = "h\n" + "".join(
+        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows
+    ) + "k,1\n"
+    assert path.read_text() == expected

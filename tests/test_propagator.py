@@ -379,6 +379,39 @@ def scalar_even_funcs(w2):
     return cmath.cosh(r), cmath.sinh(r) / r
 
 
+@pytest.mark.parametrize("w2", [0.0, 3e-5, -9.9e-5, 2e-5 - 7e-5j, 1e-4j, 0.5, -3.0 + 1j])
+def test_even_funcs_series_is_the_factorial_division(w2):
+    # the constant divisors give the bytes of the math.factorial ones
+    assert pr._even_funcs(w2) == scalar_even_funcs(w2)
+    c, s = pr._even_funcs_array(np.array([w2, w2], dtype=complex))
+    ref_c, ref_s = np.ones(2, dtype=complex), np.ones(2, dtype=complex)
+    if abs(w2) < 1e-4:
+        term = np.ones(2, dtype=complex)
+        for k in range(1, 7):
+            term = term * w2
+            ref_c += term / math.factorial(2 * k)
+            ref_s += term / math.factorial(2 * k + 1)
+    else:
+        r = np.sqrt(np.array([w2, w2], dtype=complex))
+        ref_c, ref_s = np.cosh(r), np.sinh(r) / r
+    assert c.tobytes() == ref_c.tobytes() and s.tobytes() == ref_s.tobytes()
+
+
+def test_span_events_carry_their_covering_segments():
+    # the merge in _factor_events against a scan of every segment, on a
+    # mollified measure (many adjacent segments) and on spans that start
+    # and end inside, between and on segment ends
+    mu = me.make_measure([(0.3, 1.0), (1.0, -0.5)],
+                         ((-2.0, -1.0, (1.0,)), (-1.0, 0.5, (0.5, 1.0)), (1.5, 2.5, (0.2,))),
+                         (-3, 3))
+    for m in (mu, me.mollify(mu, 8)):
+        for a, b in ((-3.0, 3.0), (-1.5, 2.0), (-1.0, 0.5), (0.7, 0.9), (2.6, 3.0)):
+            spans = [ev for ev in pr._factor_events(m, 1.0, a, b) if ev[0] == "span"]
+            assert spans
+            for _, x0, x1, covering in spans:
+                assert covering == [s for s in m.segments if s.start <= x0 and x1 <= s.end]
+
+
 def scalar_magnus_factor(coeffs, x0, h, z):
     t1 = x0 + (0.5 - _SQRT3 / 6.0) * h
     t2 = x0 + (0.5 + _SQRT3 / 6.0) * h

@@ -1,10 +1,21 @@
+"""Window and interval seminorms.
+
+`_bnb_interval_seminorm` is a copy of the branch-and-bound the event sweep
+replaced, kept here only as the oracle: breakpoint candidates, then
+refinement pruned by the global Lipschitz constant |mu|(I), the sliding
+unit-mass bound and the sliding sup of |phi - c|.
+"""
+
+import heapq
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakgordon import measure as me
 from weakgordon import seminorm as sn
-from weakgordon.errors import DomainError
+from weakgordon.errors import DomainError, ToleranceError
 
 from conftest import random_affine_test_function, random_measure
 
@@ -206,3 +217,215 @@ class TestMollifierDistance:
             assert ub <= prev + 1e-12
             prev = ub
         assert prev < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the event sweep against the branch-and-bound it replaced
+
+
+def _bnb_interval_seminorm(mu, interval, tol, max_nodes=60000):
+    """(lower, upper) of the former branch-and-bound, |I| > 2 only."""
+    lo, hi = float(interval[0]), float(interval[1])
+    a_lo, a_hi = lo + 1.0, hi - 1.0
+    atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
+    pieces = [p for p in me._abs_segments(mu) if p.end > lo and p.start < hi]
+    abs_oracle = sn._PieceOracle(atoms, pieces)
+    K = me.total_variation(mu, (lo, hi))
+    cands = {a_lo, a_hi}
+    for b in mu.breakpoints():
+        for a in (b - 1.0, b, b + 1.0):
+            if a_lo <= a <= a_hi:
+                cands.add(a)
+    cand = sorted(cands)
+    evals = {}
+
+    def evaluate(a):
+        if a not in evals:
+            evals[a] = sn._window_value(mu, a - 1.0, a + 1.0)
+        return evals[a]
+
+    best_lower, best_a = max((evaluate(a)[0], a) for a in cand)
+    slide_oracles = {}
+
+    def node_bound(a1, a2, cutoff):
+        b = max(evaluate(a1)[1], evaluate(a2)[1]) + K * (a2 - a1) / 2.0
+        if b <= cutoff:
+            return b
+        span_lo, span_hi = max(mu.lo, a1 - 1.0), min(mu.hi, a2 + 1.0)
+        if span_hi - span_lo >= 1.0:
+            b = min(b, abs_oracle.sliding_sup(span_lo, span_hi, 1.0))
+        if b <= cutoff:
+            return b
+        c = complex(evals[best_a][2]).real
+        if c not in slide_oracles:
+            slide_oracles[c] = sn._PieceOracle([], sn._l1_pieces(mu, c, lo, hi))
+        return min(b, slide_oracles[c].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0))
+
+    heap = [(-node_bound(a1, a2, best_lower + tol), k, a1, a2)
+            for k, (a1, a2) in enumerate(zip(cand[:-1], cand[1:])) if a2 - a1 > 1e-14]
+    heapq.heapify(heap)
+    counter, settled, nodes = len(heap), best_lower, 0
+    while heap:
+        neg_b, _, a1, a2 = heapq.heappop(heap)
+        bound = min(-neg_b, node_bound(a1, a2, best_lower + tol))
+        if bound <= best_lower + tol:
+            settled = max(settled, min(bound, best_lower + tol))
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            raise ToleranceError("oracle node cap")
+        mid = 0.5 * (a1 + a2)
+        if evaluate(mid)[0] > best_lower:
+            best_lower, best_a = evaluate(mid)[0], mid
+        for x1, x2 in ((a1, mid), (mid, a2)):
+            if x2 - x1 <= 1e-13 * max(1.0, abs(x1)):
+                settled = max(settled, bound)
+                continue
+            heapq.heappush(heap, (-node_bound(x1, x2, best_lower + tol), counter, x1, x2))
+            counter += 1
+    vlo, vup, _ = evaluate(best_a)
+    return vlo, max(vup, settled, best_lower)
+
+
+def _eps(mu, interval):
+    return 1e-14 * max(1.0, me.total_variation(mu, interval))
+
+
+def _check_exact(mu, interval):
+    """Atom-only real measures: a bracket of rounding width, no refined
+    node, inside the oracle's bracket."""
+    r = sn.interval_seminorm(mu, interval, tol=1e-6)
+    lo, up = _bnb_interval_seminorm(mu, interval, tol=1e-10)
+    eps = _eps(mu, interval)
+    assert r.upper - r.lower <= eps
+    assert r.certificate.grid_step == 0.0
+    assert r.certificate.error_bound == r.upper - r.lower
+    assert lo - eps <= r.lower <= r.upper <= up + eps, ((r.lower, r.upper), (lo, up))
+    return r
+
+
+@st.composite
+def atom_measures(draw, segments=False):
+    """Up to 8 atoms on (-4, 4), some on a grid of step 1/4 (so atoms sit 2
+    apart and on the window edges of events), an interval of length 2-8
+    and, with `segments`, up to two density segments of degree 0-2."""
+    grid = st.integers(-16, 16).map(lambda k: 0.25 * k)
+    position = st.one_of(grid, st.floats(-4.0, 4.0))
+    weight = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.5, 1.5))
+    atoms = draw(st.lists(st.tuples(position, weight), min_size=1, max_size=8))
+    segs = []
+    if segments:
+        for _ in range(draw(st.integers(1, 2))):
+            a = 0.25 * draw(st.integers(-16, 10))
+            b = a + draw(st.sampled_from([0.25, 0.5, 1.5]))
+            if all(b <= s or a >= e for s, e, _ in segs):
+                deg = draw(st.integers(0, 2))
+                segs.append((a, b, tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=deg + 1,
+                                                       max_size=deg + 1)))))
+    mu = me.make_measure(atoms, segs, (-4, 4))
+    lo = draw(st.one_of(grid, st.floats(-4.0, 2.0)).filter(lambda x: x <= 2.0))
+    hi = min(4.0, lo + draw(st.floats(2.0 + 1e-9, 8.0)))
+    return mu, (lo, hi)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(atom_measures())
+def test_sweep_matches_branch_and_bound_on_atoms(case):
+    _check_exact(*case)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(atom_measures(segments=True))
+def test_sweep_brackets_the_sup_on_mixed_measures(case):
+    # both brackets are certified, so each holds the sup: they overlap
+    mu, interval = case
+    r = sn.interval_seminorm(mu, interval, tol=1e-6)
+    lo, up = _bnb_interval_seminorm(mu, interval, tol=1e-8)
+    eps = _eps(mu, interval)
+    assert 0.0 <= r.lower <= r.upper <= r.lower + 1e-6 + eps
+    assert r.lower <= up + eps and lo <= r.upper + eps
+    # the witness is a window of the interval and lower its value there
+    w = sn.window_seminorm(mu, 0.5 * (r.witness_window[0] + r.witness_window[1]))
+    assert w.lower == pytest.approx(r.lower, abs=eps)
+
+
+class TestEventEdges:
+    def test_atoms_on_window_edges_at_an_event(self):
+        # at a = 0 the atoms at -1 and 1 sit on the edges of (a - 1, a + 1]:
+        # the staircase jumps there, N does not
+        mu = me.make_measure([(-1.0, 0.7), (0.5, -1.1), (1.0, 0.4), (3.0, 0.9)], (), (-3, 5))
+        r = _check_exact(mu, (-2.0, 4.0))
+        K = me.total_variation(mu, (-2.0, 4.0))
+        for a in (0.0, 2.0):
+            n = sn.window_seminorm(mu, a).upper
+            for h in (1e-9, -1e-9):
+                assert abs(sn.window_seminorm(mu, a + h).upper - n) <= K * 1e-9 + 1e-15
+            assert n <= r.upper
+
+    def test_two_atoms_exactly_two_apart(self):
+        # no window holds both inside: N peaks at |w| over each atom
+        mu = me.make_measure([(0.0, 0.8), (2.0, -1.3)], (), (-2, 4))
+        r = _check_exact(mu, (-1.5, 3.5))
+        assert r.lower == pytest.approx(1.3, abs=1e-15)
+        assert sn.window_seminorm(mu, 1.0).upper == 0.0
+
+    def test_tied_levels(self):
+        # levels 0, 1, 0, 1, 0: every median candidate appears twice
+        mu = me.make_measure([(0.0, 1.0), (0.5, -1.0), (1.0, 1.0), (1.5, -1.0)], (), (-2, 4))
+        r = _check_exact(mu, (-2.0, 4.0))
+        assert r.lower == pytest.approx(1.0, abs=1e-15)
+
+    def test_window_with_zero_net_mass(self):
+        # a dipole: any window holding both atoms has phi = 0 off a length
+        # 1/2 step of height 1, so N = 1/2 there and nowhere more
+        mu = me.make_measure([(0.0, 1.0), (0.5, -1.0)], (), (-3, 3))
+        r = _check_exact(mu, (-3.0, 3.0))
+        assert r.lower == pytest.approx(0.5, abs=1e-15)
+
+    def test_empty_cells(self):
+        # atoms on the interval ends are never inside a window: N = 0
+        mu = me.make_measure([(-3.0, 1.0), (3.0, -2.0)], (), (-3, 3))
+        r = sn.interval_seminorm(mu, (-3.0, 3.0))
+        assert (r.lower, r.upper, r.certificate.error_bound) == (0.0, 0.0, 0.0)
+        # far-apart atoms leave empty cells between them
+        mu = me.make_measure([(0.0, 0.6), (5.0, -0.9)], (), (-2, 7))
+        r = _check_exact(mu, (-2.0, 7.0))
+        assert r.lower == pytest.approx(0.9, abs=1e-15)
+        assert sn.window_seminorm(mu, 2.5).upper == 0.0
+
+
+# ---------------------------------------------------------------------------
+# invariances of the interval seminorm, exact on atom-only measures
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atom_measures(), st.floats(-3.0, 3.0))
+def test_interval_seminorm_translation_covariance(case, s):
+    mu, (lo, hi) = case
+    r = sn.interval_seminorm(mu, (lo, hi))
+    t = sn.interval_seminorm(me.translate(mu, s), (lo - s, hi - s))
+    eps = _eps(mu, (lo, hi))
+    assert abs(t.lower - r.lower) <= eps and abs(t.upper - r.upper) <= eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atom_measures(), st.floats(-4.0, 4.0))
+def test_interval_seminorm_homogeneity(case, lam):
+    mu, interval = case
+    r = sn.interval_seminorm(mu, interval)
+    scaled = me.make_measure([(x, lam * w) for x, w in mu.atoms], (), mu.window)
+    t = sn.interval_seminorm(scaled, interval)
+    eps = _eps(scaled, interval)
+    assert abs(t.lower - abs(lam) * r.lower) <= eps
+    assert abs(t.upper - abs(lam) * r.upper) <= eps
+
+
+def test_complex_abs_pieces_do_not_overlap():
+    # rho = 1 + i (t - 1) on (0, 4]: |Re rho| + |Im rho| comes as one piece
+    # on each side of t = 1, so the oracle's sliding sup sees both parts
+    mu = me.make_measure((), ((0.0, 4.0, (1 - 1j, 1j)),), (0, 4))
+    pieces = me._abs_segments(mu)
+    assert [(p.start, p.end) for p in pieces] == [(0.0, 1.0), (1.0, 4.0)]
+    oracle = sn._PieceOracle([], pieces)
+    assert oracle.mass(2.0, 4.0) == pytest.approx(2.0 + 4.0, rel=1e-14)
+    assert oracle.sliding_sup(2.0, 4.0, 1.0) == pytest.approx(1.0 + 2.5, rel=1e-14)
