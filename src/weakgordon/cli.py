@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import islice
 
 import click
 import numpy as np
@@ -48,19 +49,30 @@ def _row_format(kinds):
     return ",".join(cells) + "\n"
 
 
+# rows formatted by one %-format at a time: large enough to pay for the
+# format, small enough that the block's text stays a few hundred kB
+_CSV_BLOCK = 4096
+
+
 def _write_csv(path, header, rows, footer_lines=()):
     formats = {}
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = (_row_format(kinds), any(issubclass(k, complex) for k in kinds))
-            fmt, split = formats[kinds]
-            if split:
-                row = [p for v in row
-                       for p in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
-            fh.write(fmt % tuple(row))
+        while block := list(islice(rows, _CSV_BLOCK)):
+            fmts, cells = [], []
+            for row in block:
+                kinds = tuple(map(type, row))
+                if kinds not in formats:
+                    formats[kinds] = (_row_format(kinds), any(issubclass(k, complex) for k in kinds))
+                fmt, split = formats[kinds]
+                fmts.append(fmt)
+                if split:
+                    cells.extend(p for v in row
+                                 for p in ((v.real, v.imag) if isinstance(v, complex) else (v,)))
+                else:
+                    cells.extend(row)
+            fh.write("".join(fmts) % tuple(cells))
         for line in footer_lines:
             fh.write(line + "\n")
 
@@ -195,7 +207,7 @@ def propagate_cmd(ctx, measure_path, z, s_from, init, grid, tol, out):
         ["t", "u_re", "u_im", "du_re", "du_im"],
         [
             (t, u.real, u.imag, du.real, du.imag)
-            for t, u, du in zip(tr.grid, tr.u, tr.du)
+            for t, u, du in zip(tr.grid.tolist(), tr.u.tolist(), tr.du.tolist())
         ],
     )
     _write_meta(
@@ -338,7 +350,7 @@ def sharpness_cmd(ctx, m_max, weight, tol, out, plot_path):
             else (-S.periods[0], S.periods[0])
         )
         ts, us = cons.eigenfunction_trace(S, win, step=0.01)
-        _write_csv(plot_path, ["t", "u"], list(zip(ts, us)))
+        _write_csv(plot_path, ["t", "u"], zip(ts.tolist(), us.tolist()))
     _write_meta(
         ctx,
         "sharpness",

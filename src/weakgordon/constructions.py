@@ -144,17 +144,19 @@ def interior_solution(b: float, c: float, L: float, t: float) -> float:
     """
     if not (L > 0):
         raise DomainError(f"arc length must be positive, got {L}")
-    d = _arc_denominator(L)
-    alpha = (c - math.exp(-L) * b) / d
-    beta = (b - c * math.exp(-L)) / d
+    alpha, beta = _arc_coefficients(b, c, L)
     return alpha * math.exp(t - L) + beta * math.exp(-t)
 
 
 def interior_derivative(b: float, c: float, L: float, t: float) -> float:
-    d = _arc_denominator(L)
-    alpha = (c - math.exp(-L) * b) / d
-    beta = (b - c * math.exp(-L)) / d
+    alpha, beta = _arc_coefficients(b, c, L)
     return alpha * math.exp(t - L) - beta * math.exp(-t)
+
+
+def _arc_coefficients(b, c, L):
+    """(alpha, beta) of the arc alpha e^{t-L} + beta e^{-t} from b to c."""
+    d, e = _arc_denominator(L), math.exp(-L)
+    return (c - e * b) / d, (b - c * e) / d
 
 
 def _q_left(b: float, c: float, L: float) -> float:
@@ -428,8 +430,28 @@ def sharpness_report(
 
 
 def eigenfunction_trace(S: SharpnessConstruction, window, step: float = 0.01):
-    """Sampled (t, u(t)) arrays for plotting."""
+    """Sampled (t, u(t)) arrays for plotting, with the values of `S.state_at`.
+
+    The arc coefficients alpha, beta of `interior_solution` come once per
+    arc; the samples then find their arcs by one search.  A sample on a support point takes its pinned value.  The
+    sample exponentials go through `math.exp`, whose last bits can differ
+    from `np.exp`.
+    """
     a, b = window
     ts = np.arange(a, b + step / 2, step)
-    us = np.array([S.state_at(float(t))[0] for t in ts])
-    return ts, us
+    xs = np.asarray(S.support)
+    outside = (ts < xs[0]) | (ts > xs[-1])
+    if outside.any():
+        raise DomainError(f"t={ts[outside.argmax()]} outside the constructed support range")
+    us = S.u_on_support
+    alphas, betas = zip(*(_arc_coefficients(u0, u1, x1 - x0) for x0, x1, u0, u1
+                          in zip(S.support, S.support[1:], us, us[1:])))
+    i = np.searchsorted(xs, ts, "right") - 1
+    arc = np.minimum(i, len(alphas) - 1)
+    t = ts - xs[arc]
+    n = ts.size
+    values = (np.take(alphas, arc) * np.fromiter(map(math.exp, t - np.diff(xs)[arc]), float, n)
+              + np.take(betas, arc) * np.fromiter(map(math.exp, -t), float, n))
+    pinned = xs[i] == ts
+    values[pinned] = np.take(us, i[pinned])
+    return ts, values

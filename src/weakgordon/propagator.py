@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -157,11 +159,10 @@ def _factor_events(mu, z, a, b, markers=()):
             cuts.add(min(max(s.end, a), b))
             segments.append(s)
     segments.sort(key=lambda s: s.start)
-    atom_map = {}
-    for x, w in mu.atoms:
-        if a < x <= b:
-            cuts.add(x)
-            atom_map[x] = w
+    # atoms are sorted by position (every LocalMeasure constructor sorts them)
+    atom_map = dict(mu.atoms[bisect_right(mu.atoms, a, key=itemgetter(0)):
+                             bisect_right(mu.atoms, b, key=itemgetter(0))])
+    cuts.update(atom_map)
     marker_set = set()
     for x in markers:
         if a <= x <= b:

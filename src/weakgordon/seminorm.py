@@ -20,7 +20,9 @@ windows in one sweep over the window centres a, cut at the events where
 a - 1 or a + 1 meets a breakpoint.  On a cell where a real measure's
 windows meet only atoms, phi is a staircase whose level lengths are affine
 in a, so N(a) is the minimum of one affine function per level: concave,
-with its maximum at a vertex of the envelope, found exactly.  The other
+with its maximum at a vertex of the envelope, found exactly.  The exact
+cells of a sweep are evaluated together: one NumPy pass gives the level
+distances of every cell, and only the envelope walk runs per cell.  The other
 cells (touching a density, or of a complex measure) are refined by
 branch-and-bound, pruned by the Lipschitz constant |mu|((a1-1, a2+1]) local
 to each node, by the sliding unit-mass bound
@@ -374,34 +376,69 @@ def _envelope_max(A, B):
     return t, min(a + t * s for a, s in zip(A, slopes))
 
 
-def _staircase_max(xs, ws, a1, a2):
-    """(max, argmax) of N(a) over the cell [a1, a2] of a real measure whose
-    windows (a - 1, a + 1) there meet only atoms, the same ones (xs, ws
-    sorted by position) for every a inside the cell.
+# padded (cell, level) entries per block of `_staircase_cells`: bounds its
+# memory whatever the number of atoms a window meets
+_CELL_BLOCK = 1 << 16
+
+
+def _staircase_cells(xs, ws, cells):
+    """[(max, argmax) of N(a) over each cell [a1, a2]] of a real measure whose
+    windows (a - 1, a + 1) meet only atoms inside each cell, the same ones
+    (xs, ws sorted by position) for every a of that cell.
 
     phi is then a staircase whose level lengths are affine in a: the first
     shrinks and the last grows at unit rate.  A median is a level, so each
     level c_k gives an affine f_k(a) = int |phi - c_k| and N = min_k f_k is
     concave and piecewise linear: its maximum is at a cell end or where two
-    f_k cross, a vertex of the lower envelope.
+    f_k cross, a vertex of the lower envelope (`_envelope_max`, per cell).
+
+    The level distances f_k at both cell ends come from one NumPy pass over
+    blocks of cells, levels padded with zero weights to the largest window.
+    The sums over the gaps between atoms run in level order, one gap at a
+    time, so every f_k has the bits of the sequential sum.
     """
-    m = 0.5 * (a1 + a2)
-    i0, i1 = bisect_right(xs, m - 1.0), bisect_left(xs, m + 1.0)
-    if i0 == i1:
-        return 0.0, a1
-    levels = [0.0]
-    for w in ws[i0:i1]:
-        levels.append(levels[-1] + w)
-    gaps = [x1 - x0 for x0, x1 in zip(xs[i0:i1 - 1], xs[i0 + 1:i1])]
-    inner = [sum(abs(v - c) * g for v, g in zip(levels[1:-1], gaps)) for c in levels]
-    at_ends = []
-    for a in (a1, a2):
-        first = max(xs[i0] - (a - 1.0), 0.0)
-        last = max(a + 1.0 - xs[i1 - 1], 0.0)
-        at_ends.append([f + abs(levels[0] - c) * first + abs(levels[-1] - c) * last
-                        for f, c in zip(inner, levels)])
-    t, value = _envelope_max(*at_ends)
-    return value, min(a1 + t * (a2 - a1), a2)
+    xs, ws = np.asarray(xs, dtype=float), np.asarray(ws, dtype=float)
+    ends = np.asarray(cells, dtype=float).reshape(-1, 2).T
+    m = 0.5 * (ends[0] + ends[1])
+    i0 = np.searchsorted(xs, m - 1.0, "right")
+    counts = np.searchsorted(xs, m + 1.0, "left") - i0
+    kmax = int(counts.max(initial=0))
+    block = max(1, _CELL_BLOCK // (kmax + 1))
+    out = []
+    for s in range(0, len(m), block):
+        part = slice(s, s + block)
+        at_a1, at_a2 = _level_distances(xs, ws, i0[part], counts[part], kmax,
+                                        ends[:, part]).tolist()
+        for k, a1, a2, fa, fb in zip(counts[part].tolist(), *ends[:, part].tolist(),
+                                     at_a1, at_a2):
+            if k == 0:
+                out.append((0.0, a1))
+                continue
+            t, value = _envelope_max(fa[:k + 1], fb[:k + 1])
+            out.append((value, min(a1 + t * (a2 - a1), a2)))
+    return out
+
+
+def _level_distances(xs, ws, i0, counts, kmax, ends):
+    """f_k at the two ends (first axis) of each cell (second axis) for each
+    level k (last axis); a cell with K atoms uses levels 0..K, the rest is
+    padding."""
+    if kmax == 0:
+        return np.zeros((2, len(i0), 1))
+    # rows: atoms (levels) of the windows, columns: cells
+    j = np.arange(kmax)[:, None]
+    idx = i0 + j
+    inside = j < counts
+    levels = np.zeros((kmax + 1, len(i0)))
+    np.cumsum(np.where(inside, ws.take(idx, mode="clip"), 0.0), axis=0, out=levels[1:])
+    xl = xs.take(idx, mode="clip")
+    inner = np.zeros_like(levels)
+    for level, gap in zip(levels[1:-1], np.where(inside[1:], xl[1:] - xl[:-1], 0.0)):
+        inner += np.abs(level - levels) * gap
+    first = np.maximum(xl[0] - (ends - 1.0), 0.0)[:, None]
+    last = np.maximum(ends + 1.0 - xs.take(i0 + counts - 1, mode="clip"), 0.0)[:, None]
+    return (inner + np.abs(levels[0] - levels) * first
+            + np.abs(levels[-1] - levels) * last).transpose(0, 2, 1)
 
 
 class _PieceOracle:
@@ -451,7 +488,8 @@ def interval_seminorm(
     One sweep over the cells of a in [lo+1, hi-1] between events: the ends
     and every a with a - 1 or a + 1 on a breakpoint of mu.
     - A cell of a real measure whose windows meet no density is exact: its
-      maximum comes in closed form from `_staircase_max`.
+      maximum comes in closed form from `_staircase_cells`, which
+      evaluates all exact cells together.
     - Every other cell (one touching a density, or any cell of a complex
       measure) is a root node of a branch-and-bound refinement.  A node
       [a1, a2] is bounded by the Lipschitz constant |mu|((a1-1, a2+1]),
@@ -497,14 +535,16 @@ def interval_seminorm(
     real_measure = mu.is_real()
     staircase = sorted((x, w.real) for x, w in mu.atoms)
     xs, ws = [x for x, _ in staircase], [w for _, w in staircase]
-    exact_best, exact_a, refined = -math.inf, a_lo, []
+    exact, refined = [], []
     for a1, a2 in zip(events[:-1], events[1:]):
         if real_measure and next(abs_oracle._meeting(a1 - 1.0, a2 + 1.0), None) is None:
-            v, a = _staircase_max(xs, ws, a1, a2)
-            if v > exact_best:
-                exact_best, exact_a = v, a
+            exact.append((a1, a2))
         else:
             refined.append((a1, a2))
+    exact_best, exact_a = -math.inf, a_lo
+    for v, a in _staircase_cells(xs, ws, exact):
+        if v > exact_best:
+            exact_best, exact_a = v, a
     # the refinement also starts from the windows centred on breakpoints
     refined = [(x1, x2) for a1, a2 in refined for x1, x2 in pairwise(
         [a1] + breakpoints[bisect_right(breakpoints, a1):bisect_left(breakpoints, a2)] + [a2])]

@@ -216,3 +216,16 @@ def test_csv_rows_match_the_cell_formatter(tmp_path):
         ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows
     ) + "k,1\n"
     assert path.read_text() == expected
+
+
+def test_csv_blocks_keep_mixed_rows(tmp_path):
+    # rows of three kinds, in runs that straddle the block boundaries
+    kinds = [lambda k: (k, k / 7.0), lambda k: ("x", complex(k, -k / 3.0)), lambda k: (float(k),)]
+    n = 2 * cli._CSV_BLOCK + 5
+    rows = [kinds[(k // 3) % 3](k) for k in range(n)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["h"], iter(rows), ["k,1"])
+    expected = "h\n" + "".join(
+        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows
+    ) + "k,1\n"
+    assert path.read_text() == expected

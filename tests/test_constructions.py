@@ -257,6 +257,37 @@ class TestSharpnessReport:
         assert us[np.argmin(np.abs(ts))] == pytest.approx(1.0)
         assert np.all(us > 0)
 
+    @staticmethod
+    def _check_trace(S, win, step=0.01):
+        """The trace has the bits of `S.state_at`, or raises where it does."""
+        ts = np.arange(win[0], win[1] + step / 2, step).tolist()
+        try:
+            ref = [S.state_at(t)[0] for t in ts]
+        except DomainError:
+            with pytest.raises(DomainError):
+                cons.eigenfunction_trace(S, win, step)
+            return
+        got_ts, us = cons.eigenfunction_trace(S, win, step)
+        assert got_ts.tolist() == ts and repr(us.tolist()) == repr(ref)
+
+    @pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+    def test_trace_matches_state_at(self, m_max):
+        S = cons.sharpness_construction(m_max)
+        p = S.periods[0]
+        # windows from, to and between support points
+        for win in ((-p, p), (S.support[1], S.support[2]), (S.support[0] + 0.3, S.support[2])):
+            for step in (0.05, 0.01, 0.37):
+                self._check_trace(S, win, step)
+        if m_max >= 2:
+            # the plot window of the CLI
+            self._check_trace(S, (-2.0 * S.periods[1], 2.0 * S.periods[1]))
+
+    def test_trace_outside_the_support(self):
+        S = cons.sharpness_construction(2)
+        for win in ((S.support[0] - 0.5, 0.0), (0.0, S.support[-1] + 0.5)):
+            with pytest.raises(DomainError):
+                cons.eigenfunction_trace(S, win, 0.25)
+
     def test_propagation_reproduces_first_level(self):
         # one short leg 0 -> p_1 is well conditioned (amplification e^{p_1});
         # longer legs are verified by the re-anchored residual instead

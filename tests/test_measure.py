@@ -341,3 +341,36 @@ class TestPeriodic:
         mat = me.materialize_periodic(P, (-2, 2))
         F = me.fold_into_period(me.restrict(mat, (0.0, 1.0)), 1.0)
         assert F.base.atoms == ((0.25, 1.0 + 0j),)
+
+
+def _constructed_measures(seed):
+    """One measure from each LocalMeasure constructor, built from atoms
+    given out of order."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-3.5, 3.5, 12)
+    atoms = [(float(x), float(w)) for x, w in zip(xs, rng.uniform(-1.0, 1.0, 12))]
+    mu = me.make_measure(atoms[::-1], ((-1.0, 0.5, (0.3, -0.2)),), (-4, 4))
+    nu = me.make_measure(atoms[::2] + [(0.7, 0.4), (-2.2, -0.9)], (), (-4, 4))
+    psi = me.PiecewiseAffine((-3.0, -1.0, 2.0), (0.0, 1.0, 0.0))
+    P = me.PeriodicMeasure(me.make_measure([(1.5, 1.0), (0.25, -0.5), (1.0, 0.2)], (), (0, 2)), 2.0)
+    return {
+        "make_measure": mu,
+        "restrict": me.restrict(mu, (-2.0, 3.0)),
+        "translate": me.translate(mu, 1.3),
+        "scale": me.scale(mu, 0.7),
+        "negate": me.negate(mu),
+        "add_measures": me.add_measures(mu, nu),
+        "multiply_lipschitz": me.multiply_lipschitz(mu, psi),
+        "materialize_periodic": me.materialize_periodic(P, (-5.0, 5.0)),
+        "fold_into_period": me.fold_into_period(mu, 1.5).base,
+        "mollify": me.mollify(mu, 4),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_constructors_sort_atoms_by_position(seed):
+    # the propagation walk takes the atoms of a span by bisection
+    for name, m in _constructed_measures(seed).items():
+        xs = [x for x, _ in m.atoms]
+        assert xs == sorted(xs), name
+        assert name == "mollify" or xs, name

@@ -3,12 +3,17 @@
 `_bnb_interval_seminorm` is a copy of the branch-and-bound the event sweep
 replaced, kept here only as the oracle: breakpoint candidates, then
 refinement pruned by the global Lipschitz constant |mu|(I), the sliding
-unit-mass bound and the sliding sup of |phi - c|.
+unit-mass bound and the sliding sup of |phi - c|.  `_staircase_max` is
+the per-cell form of the exact staircase cells, kept as the oracle of the
+batched `_staircase_cells`.
 """
 
 import heapq
 import math
+import tracemalloc
+from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,6 +397,118 @@ class TestEventEdges:
         r = _check_exact(mu, (-2.0, 7.0))
         assert r.lower == pytest.approx(0.9, abs=1e-15)
         assert sn.window_seminorm(mu, 2.5).upper == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched staircase kernel against the per-cell form it replaced
+
+
+def _staircase_max(xs, ws, a1, a2):
+    """(max, argmax) of N(a) over one exact cell, one level at a time."""
+    m = 0.5 * (a1 + a2)
+    i0, i1 = bisect_right(xs, m - 1.0), bisect_left(xs, m + 1.0)
+    if i0 == i1:
+        return 0.0, a1
+    levels = [0.0]
+    for w in ws[i0:i1]:
+        levels.append(levels[-1] + w)
+    gaps = [x1 - x0 for x0, x1 in zip(xs[i0:i1 - 1], xs[i0 + 1:i1])]
+    inner = [sum(abs(v - c) * g for v, g in zip(levels[1:-1], gaps)) for c in levels]
+    at_ends = []
+    for a in (a1, a2):
+        first = max(xs[i0] - (a - 1.0), 0.0)
+        last = max(a + 1.0 - xs[i1 - 1], 0.0)
+        at_ends.append([f + abs(levels[0] - c) * first + abs(levels[-1] - c) * last
+                        for f, c in zip(inner, levels)])
+    t, value = sn._envelope_max(*at_ends)
+    return value, min(a1 + t * (a2 - a1), a2)
+
+
+def _event_cells(xs, lo, hi):
+    """The cells of a in [lo + 1, hi - 1] between events a +- 1 = atom."""
+    events = sorted({lo + 1.0, hi - 1.0} | {a for x in xs for a in (x - 1.0, x + 1.0)
+                                            if lo + 1.0 <= a <= hi - 1.0})
+    return list(zip(events[:-1], events[1:]))
+
+
+def _assert_matches_oracle(xs, ws, cells):
+    got = sn._staircase_cells(xs, ws, cells)
+    assert repr(got) == repr([_staircase_max(xs, ws, a1, a2) for a1, a2 in cells])
+
+
+@st.composite
+def staircase_cases(draw):
+    """Atoms on (-4, 4): none, one, or up to 400 (K up to ~200 in a
+    window), a dense cluster next to sparse ones so K is mixed within one
+    call; positions on a grid of step 1/4 (atoms at a +- 1 on cell ends)
+    or anywhere; weights +-1 (tied levels, zero-net windows) or any.  The
+    cells are the event cells of an interval, at most 24 of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 5, 12, 40, 400]))
+    spread = rng.uniform(-4.0, 4.0, n)
+    cluster = rng.uniform(-0.5, 0.5, n) + draw(st.sampled_from([-2.0, 0.0, 1.75]))
+    xs = np.where(rng.random(n) < 0.5, spread, cluster)
+    xs = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), np.round(4.0 * xs) / 4.0, xs)
+    if draw(st.booleans()):
+        ws = rng.choice([-1.0, 1.0], n)
+    else:
+        ws = rng.uniform(-1.5, 1.5, n)
+    mu = me.make_measure(list(zip(xs.tolist(), ws.tolist())), (), (-4, 4))
+    xs = [x for x, _ in mu.atoms]
+    ws = [w.real for _, w in mu.atoms]
+    lo = draw(st.sampled_from([-4.0, -3.0, -2.75]))
+    cells = _event_cells(xs, lo, draw(st.sampled_from([4.0, 2.5, lo + 2.5])))
+    if len(cells) > 24:
+        cells = [cells[k] for k in sorted(rng.choice(len(cells), 24, replace=False))]
+    return xs, ws, cells
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(staircase_cases())
+def test_staircase_cells_match_the_per_cell_form(case):
+    _assert_matches_oracle(*case)
+
+
+class TestStaircaseCells:
+    def test_named_cells(self):
+        # no atoms; one atom; atoms at a +- 1 on the cell ends; tied levels
+        # 0, 1, 0, 1, 0; a dipole with zero net mass; a zero-length cell
+        tied = ([0.0, 0.5, 1.0, 1.5], [1.0, -1.0, 1.0, -1.0])
+        for xs, ws in (([], []), ([0.3], [0.8]), ([-1.0, 0.5, 1.0, 3.0], [0.7, -1.1, 0.4, 0.9]),
+                       tied, ([0.0, 0.5], [1.0, -1.0])):
+            cells = _event_cells(xs, -3.0, 4.0) + [(0.25, 0.25)]
+            _assert_matches_oracle(xs, ws, cells)
+        assert sn._staircase_cells([], [], [(0.0, 1.0)]) == [(0.0, 0.0)]
+        assert sn._staircase_cells([0.0], [1.0], []) == []
+
+    def test_blocks_split_cells(self, monkeypatch):
+        # mixed K across block boundaries: blocks of one to three cells
+        rng = np.random.default_rng(7)
+        xs = sorted(np.concatenate([rng.uniform(-4, 4, 10), rng.uniform(0, 0.4, 30)]).tolist())
+        ws = rng.uniform(-1, 1, 40).tolist()
+        cells = _event_cells(xs, -4.0, 4.0)
+        for block in (1, 40, 100):
+            monkeypatch.setattr(sn, "_CELL_BLOCK", block)
+            _assert_matches_oracle(xs, ws, cells)
+
+    def test_dense_windows_stay_small(self):
+        # 4,000 atoms on [0, 4]: K ~ 2,000 per window.  A (cell, level, gap)
+        # block would take gigabytes; levels summed one gap at a time keep
+        # the kernel to a few (cell, level) arrays.
+        rng = np.random.default_rng(3)
+        xs = np.sort(rng.uniform(0.0, 4.0, 4000)).tolist()
+        ws = rng.uniform(-1.0, 1.0, 4000).tolist()
+        cells = [c for c in _event_cells(xs, 0.0, 4.0) if 1.9 < c[0] < 2.1][:20]
+        tracemalloc.start()
+        try:
+            got = sn._staircase_cells(xs, ws, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 20
+        assert peak <= 16 * 2**20, peak
+        for k in (0, 19):
+            assert repr(got[k]) == repr(_staircase_max(xs, ws, *cells[k]))
 
 
 # ---------------------------------------------------------------------------
