@@ -266,11 +266,8 @@ def sharpness_construction(m_max: int, gap_factor: int = GAP_FACTOR) -> Sharpnes
             us[i], us[i - 1], xs[i] - xs[i - 1]
         )
         masses.append(m_val)
-    atoms = [
-        (float(x), m_val) for x, m_val in zip(xs[1:-1], masses) if m_val != 0.0
-    ]
     window = (float(xs[0]), float(xs[-1]))
-    measure = me.make_measure(atoms, (), window)
+    measure = me.make_measure(zip(xs[1:-1], masses), (), window)
 
     # s_m = (m-1) * p_{m-1} with p_0 = 0
     s_list = []

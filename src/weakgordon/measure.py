@@ -1,8 +1,11 @@
 """Finite representation of complex local measures on a working window.
 
 A measure is a list of atoms (position, complex weight) plus piecewise
-polynomial density segments of degree <= 3.  All interval restrictions use
-the half-open convention (lo, hi], which keeps the primitive
+polynomial density segments of degree <= 3, in one canonical form that
+every operation returns: atoms at strictly increasing positions with
+nonzero weights, segments sorted, disjoint and nonzero.  So what meets a
+span is found by bisection (`atoms_in`, `segments_meeting`).  All interval
+restrictions use the half-open convention (lo, hi], which keeps the primitive
 phi(t) = mu((0, t]) and restriction exactly consistent.  A real |density|
 is split into nonnegative pieces by `poly.abs_pieces` (`_abs_segments`); a
 complex one is integrated by `poly.integral_abs`, whose Gauss rule is exact
@@ -13,9 +16,11 @@ Everything here is immutable and pure; values can be shared freely.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter, le, lt
 
 from . import poly
 from .errors import DomainError, RepresentationError, ValidationError
@@ -24,6 +29,15 @@ MAX_DEGREE = 3
 
 # normalisation of the bump (1 - x^2)^3 on (-1, 1):  integral = 32/35
 MOLLIFIER_NORM = 35.0 / 32.0
+
+_POS, _WEIGHT = itemgetter(0), itemgetter(1)
+_START, _END, _COEFFS = attrgetter("start"), attrgetter("end"), attrgetter("coeffs")
+
+
+def segments_overlap(end, start):
+    """Whether a segment from `start` overlaps one ending at `end` by more
+    than the slack 1e-15 * max(1, |end|); overlaps within it are summed."""
+    return start < end - 1e-15 * max(1.0, abs(end))
 
 
 @dataclass(frozen=True)
@@ -62,13 +76,42 @@ class Segment:
 
 @dataclass(frozen=True)
 class LocalMeasure:
-    """Atoms + polynomial density segments, authoritative on `window`."""
+    """Atoms + polynomial density segments, authoritative on `window`.
+
+    The one place that makes the canonical form: atoms at one position are
+    summed, overlapping segments too, and zeros dropped.  Canonical input
+    passes C-level checks and is kept as given.
+    """
 
     atoms: tuple
     segments: tuple
     window: tuple
     # norm_unif by r, filled by norm_unif; not part of the value
     _norm_unif: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atoms, segs = self.atoms, self.segments
+        xs = list(map(_POS, atoms))
+        if not all(map(lt, xs, xs[1:])) or not all(map(_WEIGHT, atoms)):
+            merged = {}
+            for x, w in sorted(atoms, key=_POS):
+                merged[x] = merged.get(x, 0j) + w
+            object.__setattr__(self, "atoms", tuple(filter(_WEIGHT, merged.items())))
+        if not all(map(le, map(_END, segs), map(_START, segs[1:]))) or not all(
+            map(any, map(_COEFFS, segs))
+        ):
+            object.__setattr__(self, "segments", _overlay_segments(segs))
+
+    def atoms_in(self, a, b):
+        """The atoms with position in (a, b]."""
+        atoms = self.atoms
+        return atoms[bisect_right(atoms, a, key=_POS):bisect_right(atoms, b, key=_POS)]
+
+    def segments_meeting(self, a, b):
+        """The segments with end > a and start < b: those meeting (a, b),
+        or for a == b the one holding a in its interior."""
+        segs = self.segments
+        return segs[bisect_right(segs, a, key=_END):bisect_left(segs, b, key=_START)]
 
     @property
     def lo(self):
@@ -101,10 +144,10 @@ class LocalMeasure:
 
 
 def make_measure(atoms=(), segments=(), window=None) -> LocalMeasure:
-    """Validate, sort and canonicalise a measure.
+    """Validate a measure and return it in canonical form.
 
-    Coincident atoms merge by weight addition; exact zero weights and zero
-    polynomials are dropped.  Overlapping segments are a validation error.
+    Overlapping segments are a validation error, up to the slack of
+    `segments_overlap`, within which they are summed.
     """
     if window is None:
         raise ValidationError("window is required")
@@ -112,20 +155,15 @@ def make_measure(atoms=(), segments=(), window=None) -> LocalMeasure:
     if not lo < hi or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"invalid window [{lo}, {hi}]")
 
-    merged = {}
+    atom_list = []
     for x, w in atoms:
         x = float(x)
         w = complex(w)
-        if not math.isfinite(x) or not (
-            math.isfinite(w.real) and math.isfinite(w.imag)
-        ):
+        if not (math.isfinite(x) and cmath.isfinite(w)):
             raise ValidationError("atom with non-finite position or weight")
         if not lo <= x <= hi:
             raise ValidationError(f"atom at {x} outside window [{lo}, {hi}]")
-        merged[x] = merged.get(x, 0j) + w
-    atom_list = tuple(
-        (x, merged[x]) for x in sorted(merged) if merged[x] != 0
-    )
+        atom_list.append((x, w))
 
     seg_list = []
     for s in segments:
@@ -138,18 +176,17 @@ def make_measure(atoms=(), segments=(), window=None) -> LocalMeasure:
             raise ValidationError(
                 f"segment [{seg.start}, {seg.end}] outside window [{lo}, {hi}]"
             )
-        for c in seg.coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValidationError("segment with non-finite coefficient")
+        if not all(map(cmath.isfinite, seg.coeffs)):
+            raise ValidationError("segment with non-finite coefficient")
         if any(c != 0 for c in seg.coeffs):
             seg_list.append(seg)
-    seg_list.sort(key=lambda s: s.start)
+    seg_list.sort(key=_START)
     for a, b in zip(seg_list[:-1], seg_list[1:]):
-        if b.start < a.end - 1e-15 * max(1.0, abs(a.end)):
+        if segments_overlap(a.end, b.start):
             raise ValidationError(
                 f"segments [{a.start}, {a.end}] and [{b.start}, {b.end}] overlap"
             )
-    return LocalMeasure(atom_list, tuple(seg_list), (lo, hi))
+    return LocalMeasure(tuple(atom_list), tuple(seg_list), (lo, hi))
 
 
 def zero_measure(window) -> LocalMeasure:
@@ -172,19 +209,11 @@ def dirac(x, weight=1.0, window=None) -> LocalMeasure:
 # elementary operations
 
 
-def _atom_sum(mu, a, b):
-    """Sum of atom weights with position in (a, b]."""
-    total = 0j
-    for x, w in mu.atoms:
-        if a < x <= b:
-            total += w
-    return total
-
-
-def _density_integral(mu, a, b):
-    if b <= a:
-        return 0j
-    return sum((s.integral_over(a, b) for s in mu.segments), 0j)
+def _mass(mu, a, b):
+    """mu((a, b])."""
+    return sum((w for _, w in mu.atoms_in(a, b)), 0j) + sum(
+        (s.integral_over(a, b) for s in mu.segments_meeting(a, b)), 0j
+    )
 
 
 def phi(mu: LocalMeasure, t: float) -> complex:
@@ -195,8 +224,8 @@ def phi(mu: LocalMeasure, t: float) -> complex:
     if not (lo <= 0.0 <= hi):
         raise DomainError("phi requires 0 in the window")
     if t >= 0:
-        return _atom_sum(mu, 0.0, t) + _density_integral(mu, 0.0, t)
-    return -(_atom_sum(mu, t, 0.0) + _density_integral(mu, t, 0.0))
+        return _mass(mu, 0.0, t)
+    return -_mass(mu, t, 0.0)
 
 
 def restrict(mu: LocalMeasure, interval) -> LocalMeasure:
@@ -204,13 +233,12 @@ def restrict(mu: LocalMeasure, interval) -> LocalMeasure:
     a, b = float(interval[0]), float(interval[1])
     if a < mu.lo or b > mu.hi:
         raise DomainError(f"restriction {interval} not inside window {mu.window}")
-    atoms = [(x, w) for x, w in mu.atoms if a < x <= b]
     segs = []
-    for s in mu.segments:
+    for s in mu.segments_meeting(a, b):
         s0, s1 = max(s.start, a), min(s.end, b)
         if s1 > s0:
             segs.append(Segment(s0, s1, poly.shift_origin(s.coeffs, s0 - s.start)))
-    return LocalMeasure(tuple(atoms), tuple(segs), mu.window)
+    return LocalMeasure(mu.atoms_in(a, b), tuple(segs), mu.window)
 
 
 def translate(mu: LocalMeasure, p: float) -> LocalMeasure:
@@ -243,11 +271,13 @@ def negate(mu: LocalMeasure) -> LocalMeasure:
 
 
 def _overlay_segments(segments):
-    """Sum an arbitrary collection of possibly overlapping segments."""
-    if not segments:
-        return ()
+    """Nonzero segments sorted by start; where any overlap, the sum of all
+    of them (in the given order), cut at every start and end."""
+    segments = [s for s in segments if any(s.coeffs)]
+    ordered = sorted(segments, key=_START)
+    if all(map(le, map(_END, ordered), map(_START, ordered[1:]))):
+        return tuple(ordered)
     cuts = sorted({s.start for s in segments} | {s.end for s in segments})
-    starts = [s.start for s in segments]
     out = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         total = None
@@ -265,17 +295,15 @@ def add_measures(m1: LocalMeasure, m2: LocalMeasure) -> LocalMeasure:
     lo, hi = max(m1.lo, m2.lo), min(m1.hi, m2.hi)
     if not lo < hi:
         raise DomainError("measure windows do not overlap")
-    merged = {}
-    for x, w in list(m1.atoms) + list(m2.atoms):
-        if lo <= x <= hi:
-            merged[x] = merged.get(x, 0j) + w
-    atoms = tuple((x, merged[x]) for x in sorted(merged) if merged[x] != 0)
+    atoms = ()
     segs = []
-    for s in list(m1.segments) + list(m2.segments):
-        a, b = max(s.start, lo), min(s.end, hi)
-        if b > a:
+    for m in (m1, m2):
+        # atoms on the closed window [lo, hi]
+        atoms += m.atoms[bisect_left(m.atoms, lo, key=_POS):bisect_right(m.atoms, hi, key=_POS)]
+        for s in m.segments_meeting(lo, hi):
+            a, b = max(s.start, lo), min(s.end, hi)
             segs.append(Segment(a, b, poly.shift_origin(s.coeffs, a - s.start)))
-    return LocalMeasure(atoms, _overlay_segments(segs), (lo, hi))
+    return LocalMeasure(atoms, tuple(segs), (lo, hi))
 
 
 def subtract(m1: LocalMeasure, m2: LocalMeasure) -> LocalMeasure:
@@ -294,8 +322,8 @@ def total_variation(mu: LocalMeasure, interval=None) -> float:
         a, b = float(interval[0]), float(interval[1])
         if a < mu.lo or b > mu.hi:
             raise DomainError(f"interval {interval} not inside window {mu.window}")
-    total = sum(abs(w) for x, w in mu.atoms if a < x <= b)
-    total += sum(s.abs_integral_over(a, b) for s in mu.segments)
+    total = sum(abs(w) for _, w in mu.atoms_in(a, b))
+    total += sum(s.abs_integral_over(a, b) for s in mu.segments_meeting(a, b))
     return float(total)
 
 
@@ -303,12 +331,13 @@ def total_variation(mu: LocalMeasure, interval=None) -> float:
 # absolute-value decomposition and sliding-window mass suprema
 
 
-def _abs_segments(mu):
-    """|density| as nonnegative, non-overlapping poly.abs_pieces.  A complex
-    density gives |Re rho| + |Im rho|, which bounds |rho| above: one
-    polynomial on each piece between the cuts of |Re rho| and |Im rho|."""
+def _abs_segments(segments):
+    """|density| of the segments as nonnegative, non-overlapping
+    poly.abs_pieces.  A complex density gives |Re rho| + |Im rho|, which
+    bounds |rho| above: one polynomial on each piece between the cuts of
+    |Re rho| and |Im rho|."""
     out = []
-    for s in mu.segments:
+    for s in segments:
         if poly.is_real(s.coeffs):
             out.extend(poly.abs_pieces(poly.to_real(s.coeffs), s.start, s.end))
             continue
@@ -331,7 +360,8 @@ def _sliding_sup(atom_items, segs, lo, hi, width, modulus=False):
     """Exact sup over a in [lo, hi - width] of `mass((a, a + width])` for a
     nonnegative measure given by atoms (pos, mass>=0) and segments: nonneg
     polynomial pieces or, with `modulus`, complex densities rho of which
-    |rho| is integrated (exact up to the quadrature of `poly.integral_abs`)."""
+    |rho| is integrated (exact up to the quadrature of `poly.integral_abs`).
+    Both come sorted by position, the segments disjoint."""
     span = hi - lo
     if width > span + 1e-12:
         raise DomainError(f"width {width} exceeds window span {span}")
@@ -339,13 +369,12 @@ def _sliding_sup(atom_items, segs, lo, hi, width, modulus=False):
     mass = poly.integral_abs if modulus else lambda c, x0, x1: poly.integral(c, x0, x1).real
 
     # half-open convention: an atom exactly at lo can never fall in (a, a+w]
-    atom_items = sorted((x, m) for x, m in atom_items if lo < x <= hi)
+    atom_items = [(x, m) for x, m in atom_items if lo < x <= hi]
     jump_pos = [x for x, _ in atom_items]
     jump_prefix = [0.0]
     for _, m in atom_items:
         jump_prefix.append(jump_prefix[-1] + m)
 
-    segs = sorted(segs, key=lambda s: s.start)
     seg_start = [s.start for s in segs]
     seg_prefix = [0.0]
     for s in segs:
@@ -435,7 +464,7 @@ def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     if r not in mu._norm_unif:
         atoms = [(x, abs(w)) for x, w in mu.atoms]
         if mu.has_real_density():
-            value = _sliding_sup(atoms, _abs_segments(mu), lo, hi, r) / r
+            value = _sliding_sup(atoms, _abs_segments(mu.segments), lo, hi, r) / r
         else:
             value = _sliding_sup(atoms, mu.segments, lo, hi, r, modulus=True) / r
         mu._norm_unif[r] = value
@@ -454,31 +483,24 @@ def cumulative_pieces(mu: LocalMeasure, wlo: float, whi: float):
     """
     if wlo < mu.lo - 1e-12 or whi > mu.hi + 1e-12:
         raise DomainError(f"[{wlo}, {whi}] not inside window {mu.window}")
-    bps = {wlo, whi}
-    for x, _ in mu.atoms:
-        if wlo < x < whi:
-            bps.add(x)
-    for s in mu.segments:
-        if s.end > wlo and s.start < whi:
-            bps.add(min(max(s.start, wlo), whi))
-            bps.add(min(max(s.end, wlo), whi))
-    cuts = sorted(bps)
-    atom_map = {x: w for x, w in mu.atoms}
+    atom_map = dict(mu.atoms_in(wlo, whi))
+    segs = mu.segments_meeting(wlo, whi)
+    cuts = sorted({wlo, whi} | atom_map.keys() | {max(s.start, wlo) for s in segs}
+                  | {min(s.end, whi) for s in segs})
     pieces = []
     cum = 0j
+    k = 0
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t0 in atom_map and t0 > wlo:
+        if t0 in atom_map:
             cum += atom_map[t0]
-        density = None
-        for s in mu.segments:
-            if s.start <= t0 and t1 <= s.end:
-                density = poly.shift_origin(s.coeffs, t0 - s.start)
-                break
-        if density is None:
+        # segment ends are cuts: the covering segment is the first not ended
+        while k < len(segs) and segs[k].end <= t0:
+            k += 1
+        if k == len(segs) or segs[k].start > t0:
             coeffs = (cum,)
         else:
-            F = poly.antiderivative(density)
-            coeffs = poly.add((cum,), F)
+            density = poly.shift_origin(segs[k].coeffs, t0 - segs[k].start)
+            coeffs = poly.add((cum,), poly.antiderivative(density))
         pieces.append((t0, t1, poly.trim(coeffs)))
         cum = poly.evaluate(coeffs, t1 - t0)
     return pieces
@@ -537,14 +559,10 @@ def multiply_lipschitz(mu: LocalMeasure, psi: PiecewiseAffine) -> LocalMeasure:
     multiplied by the affine pieces (degree bump +1); degree-4 products are
     re-approximated by subdivided Hermite cubics at 1e-12 relative accuracy.
     """
-    atoms = []
-    for x, w in mu.atoms:
-        v = psi(x) * w
-        if v != 0:
-            atoms.append((x, v))
+    atoms = tuple((x, psi(x) * w) for x, w in mu.atoms)
     segs = []
     cuts_psi = list(psi.xs)
-    for s in mu.segments:
+    for s in mu.segments_meeting(psi.xs[0], psi.xs[-1]):
         cuts = sorted({s.start, s.end} | {c for c in cuts_psi if s.start < c < s.end})
         for a, b in zip(cuts[:-1], cuts[1:]):
             mid = 0.5 * (a + b)
@@ -557,13 +575,11 @@ def multiply_lipschitz(mu: LocalMeasure, psi: PiecewiseAffine) -> LocalMeasure:
             base = poly.shift_origin(s.coeffs, a - s.start)
             affine = (y0 + slope * (a - x0), slope)
             prod = poly.trim(poly.multiply(base, affine))
-            if all(v == 0 for v in prod):
-                continue
             if len(prod) <= MAX_DEGREE + 1:
                 segs.append(Segment(a, b, prod))
             else:
                 segs.extend(_cubic_resample(a, b, prod))
-    return LocalMeasure(tuple(atoms), _overlay_segments(segs), mu.window)
+    return LocalMeasure(atoms, tuple(segs), mu.window)
 
 
 def _cubic_resample(a, b, coeffs, rel_tol=1e-12, budget=16384):
@@ -613,15 +629,14 @@ def _mollified_value_and_slope(mu, n, x, kern, kern_d):
     half = 1.0 / n
     f = 0j
     df = 0j
-    for p, w in mu.atoms:
+    # the exact test is on v; the wider span only has to hold those atoms
+    for p, w in mu.atoms_in(x - 2.0 * half, x + 2.0 * half):
         v = x - p
         if -half < v < half:
             f += w * poly.evaluate(kern, v)
             df += w * poly.evaluate(kern_d, v)
-    for s in mu.segments:
+    for s in mu.segments_meeting(x - half, x + half):
         ya, yb = max(s.start, x - half), min(s.end, x + half)
-        if yb <= ya:
-            continue
         # psi_n(x - y) = psi_n(v) (even), psi_n'(x - y) = -psi_n'(v)
         rho_x = poly.shift_origin(s.coeffs, x - s.start)  # rho(x + v) in v
         f += poly.integral(poly.multiply(kern, rho_x), ya - x, yb - x)
@@ -655,13 +670,7 @@ def mollify_with_error(mu: LocalMeasure, n: int):
     kern = _kernel_coeffs(n)
     kern_d = poly.derivative(kern)
 
-    bps = {lo, hi}
-    for p, _ in mu.atoms:
-        bps.add(p - half)
-        bps.add(p + half)
-    for s in mu.segments:
-        for b in (s.start - half, s.start + half, s.end - half, s.end + half):
-            bps.add(b)
+    bps = {lo, hi} | {x + d for x in mu.breakpoints() for d in (-half, half)}
     cuts = sorted(b for b in bps if lo <= b <= hi)
 
     h_interp = 0.018684 / n
@@ -671,20 +680,12 @@ def mollify_with_error(mu: LocalMeasure, n: int):
         if x1 - x0 <= 1e-15:
             continue
         z0, z1 = x0 - half, x1 + half
-        zone_atoms = [a for a in mu.atoms if z0 < a[0] < z1]
-        cover = None
-        for s in mu.segments:
-            if s.start <= z0 and z1 <= s.end:
-                cover = s
-                break
-        touches = bool(zone_atoms) or any(
-            s.end > z0 and s.start < z1 for s in mu.segments
-        )
-        if not touches:
+        zone_atoms = [a for a in mu.atoms_in(z0, z1) if a[0] < z1]
+        zone_segs = mu.segments_meeting(z0, z1)
+        if not zone_atoms and not zone_segs:
             continue
-        if cover is not None and not zone_atoms and not any(
-            s is not cover and s.end > z0 and s.start < z1 for s in mu.segments
-        ):
+        cover = zone_segs[0] if len(zone_segs) == 1 and not zone_atoms else None
+        if cover is not None and cover.start <= z0 and z1 <= cover.end:
             # fully interior: psi_n * rho = rho + rho'' / (18 n^2), exact cubic
             local = poly.shift_origin(cover.coeffs, x0 - cover.start)
             corr = poly.scale_coeffs(
@@ -693,24 +694,18 @@ def mollify_with_error(mu: LocalMeasure, n: int):
             segs.append(Segment(x0, x1, poly.trim(poly.add(local, corr))))
             continue
         zone_tv = sum(abs(w) for _, w in zone_atoms) + sum(
-            s.abs_integral_over(z0, z1) for s in mu.segments
+            s.abs_integral_over(z0, z1) for s in zone_segs
         )
         m = max(1, int(math.ceil((x1 - x0) / h_interp)))
         cell_h = (x1 - x0) / m
         err_bound = max(
             err_bound, (cell_h**4) / 384.0 * 315.0 * (float(n) ** 5) * zone_tv
         )
-        vals = []
-        for k in range(m + 1):
-            vals.append(_mollified_value_and_slope(mu, n, x0 + cell_h * k, kern, kern_d))
-        for k in range(m):
-            a = x0 + cell_h * k
-            b = x0 + cell_h * (k + 1)
-            f0, d0 = vals[k]
-            f1, d1 = vals[k + 1]
-            cub = poly.trim(poly.hermite_cubic(a, b, f0, d0, f1, d1))
-            if any(v != 0 for v in cub):
-                segs.append(Segment(a, b, cub))
+        # the last node is x1 itself, so the cell's pieces end where the next begins
+        nodes = [x0 + cell_h * k for k in range(m)] + [x1]
+        vals = [_mollified_value_and_slope(mu, n, x, kern, kern_d) for x in nodes]
+        for a, b, (f0, d0), (f1, d1) in zip(nodes, nodes[1:], vals, vals[1:]):
+            segs.append(Segment(a, b, poly.trim(poly.hermite_cubic(a, b, f0, d0, f1, d1))))
     return LocalMeasure((), tuple(segs), (lo, hi)), err_bound
 
 
@@ -747,20 +742,19 @@ def materialize_periodic(P: PeriodicMeasure, window) -> LocalMeasure:
     p = P.period
     k0 = int(math.floor((lo - p) / p)) - 1
     k1 = int(math.ceil(hi / p)) + 1
-    merged = {}
+    atoms = []
     segs = []
     for k in range(k0, k1 + 1):
         off = k * p
         for x, w in P.base.atoms:
             y = x + off
             if lo < y <= hi:
-                merged[y] = merged.get(y, 0j) + w
+                atoms.append((y, w))
         for s in P.base.segments:
             a, b = max(s.start + off, lo), min(s.end + off, hi)
             if b > a:
                 segs.append(Segment(a, b, poly.shift_origin(s.coeffs, a - (s.start + off))))
-    atoms = tuple((x, merged[x]) for x in sorted(merged) if merged[x] != 0)
-    return LocalMeasure(atoms, _overlay_segments(segs), (lo, hi))
+    return LocalMeasure(tuple(atoms), tuple(segs), (lo, hi))
 
 
 def fold_into_period(mu: LocalMeasure, p: float) -> PeriodicMeasure:
@@ -780,13 +774,13 @@ def fold_into_period(mu: LocalMeasure, p: float) -> PeriodicMeasure:
         if y >= p:  # floating wrap
             y -= p
         folded.append((y, w))
-    folded.sort(key=lambda t: t[0])
-    merged = {}
+    folded.sort(key=_POS)
+    atoms = []
     cluster_rep = None
     for y, w in folded:
         if cluster_rep is None or y - cluster_rep > tol:
             cluster_rep = y
-        merged[cluster_rep] = merged.get(cluster_rep, 0j) + w
+        atoms.append((cluster_rep, w))
     segs = []
     for s in mu.segments:
         k0 = int(math.floor(s.start / p))
@@ -796,6 +790,5 @@ def fold_into_period(mu: LocalMeasure, p: float) -> PeriodicMeasure:
             if b > a:
                 shifted = poly.shift_origin(s.coeffs, a - s.start)
                 segs.append(Segment(a - k * p, min(b - k * p, p), shifted))
-    atoms = tuple((x, merged[x]) for x in sorted(merged) if merged[x] != 0)
-    base = LocalMeasure(atoms, _overlay_segments(segs), (0.0, p))
+    base = LocalMeasure(tuple(atoms), tuple(segs), (0.0, p))
     return PeriodicMeasure(base, p)

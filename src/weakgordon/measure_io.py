@@ -150,10 +150,10 @@ def parse_measure(text: str):
             _err(f"segments[{i}]: need a < b, got [{a}, {b}]", line)
         segments.append((a, b, tuple(parsed)))
 
-    # overlap check with line anchors before handing to make_measure
+    # make_measure's overlap rule, checked here to anchor the message to a line
     order = sorted(range(len(segments)), key=lambda i: segments[i][0])
     for i, j in zip(order[:-1], order[1:]):
-        if segments[j][0] < segments[i][1] - 1e-15:
+        if me.segments_overlap(segments[i][1], segments[j][0]):
             _err(
                 f"segments[{i}] and segments[{j}] overlap",
                 _line_of_element(text, "segments", j),

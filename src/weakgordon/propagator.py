@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -147,40 +145,25 @@ def _magnus_factors(runs, z):
 
 
 def _factor_events(mu, z, a, b, markers=()):
-    """Ordered events from a up to b: ('span', x0, x1, covering),
-    ('atom', x, w), ('sample', x).  `covering` lists the segments that
-    contain the span, found by one merge over the segments sorted by start.
-    Atoms in (a, b] are applied; a sample at x sees the state (u(x), u'(x+))."""
-    cuts = {a, b}
-    segments = []
-    for s in mu.segments:
-        if s.end > a and s.start < b:
-            cuts.add(min(max(s.start, a), b))
-            cuts.add(min(max(s.end, a), b))
-            segments.append(s)
-    segments.sort(key=lambda s: s.start)
-    # atoms are sorted by position (every LocalMeasure constructor sorts them)
-    atom_map = dict(mu.atoms[bisect_right(mu.atoms, a, key=itemgetter(0)):
-                             bisect_right(mu.atoms, b, key=itemgetter(0))])
-    cuts.update(atom_map)
-    marker_set = set()
-    for x in markers:
-        if a <= x <= b:
-            cuts.add(x)
-            marker_set.add(x)
-    cut = sorted(cuts)
+    """Ordered events from a up to b: ('span', x0, x1, segment),
+    ('atom', x, w), ('sample', x).  `segment` is the segment covering the
+    span, or None.  Atoms in (a, b] are applied; a sample at x sees the
+    state (u(x), u'(x+))."""
+    segments = mu.segments_meeting(a, b)
+    atom_map = dict(mu.atoms_in(a, b))
+    marker_set = {x for x in markers if a <= x <= b}
+    cut = sorted({a, b} | {max(s.start, a) for s in segments} | {min(s.end, b) for s in segments}
+                 | atom_map.keys() | marker_set)
     events = []
     if cut[0] in marker_set and cut[0] not in atom_map:
         events.append(("sample", cut[0]))
-    nxt, live = 0, []
+    k = 0
     for x0, x1 in zip(cut[:-1], cut[1:]):
-        if x1 > x0:
-            # live: the segments started by x0 that reach past it
-            while nxt < len(segments) and segments[nxt].start <= x0:
-                live.append(segments[nxt])
-                nxt += 1
-            live = [s for s in live if s.end > x0]
-            events.append(("span", x0, x1, [s for s in live if x1 <= s.end]))
+        # segment ends are cuts: the covering segment is the first not ended
+        while k < len(segments) and segments[k].end <= x0:
+            k += 1
+        covering = k < len(segments) and segments[k].start <= x0
+        events.append(("span", x0, x1, segments[k] if covering else None))
         if x1 in atom_map:
             events.append(("atom", x1, atom_map[x1]))
         if x1 in marker_set:
@@ -188,21 +171,19 @@ def _factor_events(mu, z, a, b, markers=()):
     return events
 
 
-def _span_factors(z, x0, x1, covering, tol, runs):
+def _span_factors(z, x0, x1, segment, tol, runs):
     """Factors for the atom-free stretch (x0, x1), in walking order, from
-    the segments covering it.  A Magnus step is left as None and its run
-    appended to `runs`."""
-    out = []
-    for s in covering:
-        c = poly.trim(s.coeffs)
-        if len(c) == 1:
-            out.append(_const_factor(c[0] - z, x1 - x0))
-            continue
-        step = min(x1 - x0, tol**0.25)
-        n = max(1, int(math.ceil((x1 - x0) / step)))
-        runs.append((s.coeffs, x0 - s.start, (x1 - x0) / n, n))
-        out.extend([None] * n)
-    return out or [_const_factor(-z, x1 - x0)]
+    the segment covering it (or none).  A Magnus step is left as None and
+    its run appended to `runs`."""
+    if segment is None:
+        return [_const_factor(-z, x1 - x0)]
+    c = poly.trim(segment.coeffs)
+    if len(c) == 1:
+        return [_const_factor(c[0] - z, x1 - x0)]
+    step = min(x1 - x0, tol**0.25)
+    n = max(1, int(math.ceil((x1 - x0) / step)))
+    runs.append((segment.coeffs, x0 - segment.start, (x1 - x0) / n, n))
+    return [None] * n
 
 
 def _det_defect_of(F):
@@ -595,7 +576,7 @@ def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionT
 
     xs, ws = _quad_nodes(a, b, nu.breakpoints())
     node_list = sorted(set(xs.tolist()) | {float(a), float(b)} |
-                       {x for x, _ in nu.atoms if a < x <= b})
+                       {x for x, _ in nu.atoms_in(a, b)})
     tmats = _transfer_along(mu1, z, 0.0, node_list + [t, 0.0], tol)[0]
     prop_nodes = np.array(sorted(set(node_list) | {float(tr2.grid[0])}))
     tr2n = propagate(mu2, z, tr2.grid[0], (tr2.u[0], tr2.du[0]), prop_nodes, tol)
@@ -606,14 +587,12 @@ def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionT
         t00, t01, _, _ = tmats[r]
         return -(t00 * Tt_inv[1] + t01 * Tt_inv[3])
 
-    for x, w in nu.atoms:
-        if a < x <= b:
-            total += sign * w * uD_t_r(x) * u2v[x]
+    for x, w in nu.atoms_in(a, b):
+        total += sign * w * uD_t_r(x) * u2v[x]
     dens = 0j
     for x, w in zip(xs, ws):
-        rho = sum(
-            seg.density_at(x) for seg in nu.segments if seg.start <= x <= seg.end
-        )
+        # Gauss nodes lie inside the panels, so at most one segment holds x
+        rho = sum(seg.density_at(x) for seg in nu.segments_meeting(x, x))
         if rho != 0:
             dens += w * rho * uD_t_r(x) * u2v[x]
     total += sign * dens

@@ -447,11 +447,11 @@ class _PieceOracle:
     sliding-window mass suprema over subspans (the prunes)."""
 
     def __init__(self, atoms, pieces):
-        self.atoms = sorted(atoms)
-        self._xs = [x for x, _ in self.atoms]
-        # the pieces do not overlap, so their ends are sorted too
-        self.pieces = sorted(pieces, key=lambda s: s.start)
-        self._ends = [s.end for s in self.pieces]
+        # both come sorted from a canonical measure; the pieces do not
+        # overlap, so their ends are sorted too
+        self.atoms, self.pieces = atoms, pieces
+        self._xs = [x for x, _ in atoms]
+        self._ends = [s.end for s in pieces]
 
     def _meeting(self, lo, hi):
         """(piece, a, b) for each piece meeting (lo, hi), clipped to [a, b]."""
@@ -470,7 +470,7 @@ class _PieceOracle:
             poly.integral(s.coeffs, a - s.start, b - s.start) for s, a, b in self._meeting(lo, hi))
 
     def sliding_sup(self, lo, hi, width):
-        atoms = [a for a in self.atoms if lo <= a[0] <= hi]
+        atoms = self.atoms[bisect_left(self._xs, lo):bisect_right(self._xs, hi)]
         subset = [poly.Piece(a, b, poly.shift_origin(s.coeffs, a - s.start))
                   for s, a, b in self._meeting(lo, hi)]
         return me._sliding_sup(atoms, subset, lo, hi, width)
@@ -518,8 +518,9 @@ def interval_seminorm(
         )
 
     a_lo, a_hi = lo + 1.0, hi - 1.0
-    atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
-    pieces = [p for p in me._abs_segments(mu) if p.end > lo and p.start < hi]
+    atoms = [(x, abs(w)) for x, w in mu.atoms_in(lo, hi)]
+    pieces = [p for p in me._abs_segments(mu.segments_meeting(lo, hi))
+              if p.end > lo and p.start < hi]
     abs_oracle = _PieceOracle(atoms, pieces)
     # quadrature |rho| is an estimate; |Re rho| + |Im rho| >= |rho| bounds
     K = me.total_variation(mu, (lo, hi)) if mu.has_real_density() else abs_oracle.mass(lo, hi)
@@ -533,8 +534,7 @@ def interval_seminorm(
     events = sorted(events)
 
     real_measure = mu.is_real()
-    staircase = sorted((x, w.real) for x, w in mu.atoms)
-    xs, ws = [x for x, _ in staircase], [w for _, w in staircase]
+    xs, ws = [x for x, _ in mu.atoms], [w.real for _, w in mu.atoms]
     exact, refined = [], []
     for a1, a2 in zip(events[:-1], events[1:]):
         if real_measure and next(abs_oracle._meeting(a1 - 1.0, a2 + 1.0), None) is None:
@@ -652,7 +652,7 @@ def test_functional(mu: me.LocalMeasure, u: me.PiecewiseAffine) -> complex:
     total = 0j
     for x, w in mu.atoms:
         total += w * u(x)
-    for s in mu.segments:
+    for s in mu.segments_meeting(slo, shi):
         for x0, x1, y0, slope in u.pieces():
             a, b = max(s.start, x0), min(s.end, x1)
             if b <= a:

@@ -160,6 +160,17 @@ class TestParser:
             mio.parse_measure(text)
         assert "overlap" in str(ei.value) and "line 3" in str(ei.value)
 
+    def test_slack_overlap_round_trip(self, tmp_path):
+        # the reader allows the overlap that make_measure allows
+        segs = [(0, 100.00000000000003, (1,)), (100, 200, (2,))]
+        mu = me.make_measure([], segs, (0, 200))
+        text = json.dumps({"window": [0, 200], "segments": [
+            {"a": a, "b": b, "coeffs": [[c, 0] for c in cs]} for a, b, cs in segs]})
+        assert mio.parse_measure(text) == mu
+        path = tmp_path / "m.json"
+        mio.dump_measure(mu, path)
+        assert mio.load_measure(path) == mu
+
     def test_malformed_json_line(self):
         with pytest.raises(ValidationError) as ei:
             mio.parse_measure('{"window": [0, 1],\n "atoms": }')

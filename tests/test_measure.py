@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weakgordon import measure as me
 from weakgordon import poly
 from weakgordon import propagator as pr
+from weakgordon import seminorm as sn
 from weakgordon.errors import DomainError, ToleranceError, ValidationError
 
 from conftest import random_measure
@@ -59,7 +60,7 @@ class TestPhi:
         for _ in range(20):
             mu = random_measure(rng)
             s, t = sorted(rng.uniform(-5.5, 5.5, 2))
-            direct = me._atom_sum(mu, s, t) + me._density_integral(mu, s, t)
+            direct = me._mass(mu, s, t)
             assert me.phi(mu, t) - me.phi(mu, s) == pytest.approx(
                 complex(direct), abs=1e-12
             )
@@ -79,6 +80,18 @@ class TestRestrictTranslateScale:
         t = me.translate(lam, 2.0)
         assert t.segments[0].coeffs == (1.0 + 0j,)
         assert t.window == (-7.0, 3.0)
+
+    def test_translate_merges_colliding_atoms(self):
+        # 0 and the smallest normal double both land on -1.0: one atom of
+        # weight -2, read as make_measure builds it by every later layer
+        mu = me.make_measure([(0.0, -1.0), (1.1754943508222875e-38, -1.0)], (), (-3, 3))
+        t = me.translate(mu, 1.0)
+        ref = me.make_measure([(-1.0, -2.0)], (), (-4, 2))
+        assert t.atoms == ((-1.0, -2.0 + 0j),) == ref.atoms
+        assert sn.window_seminorm(t, -0.25).upper == 0.5
+        T = pr.transfer_matrix(t, 0.5, -2.0, 0.0).entries
+        assert T[1, 1] == -1.2409683025078424
+        assert T.tobytes() == pr.transfer_matrix(ref, 0.5, -2.0, 0.0).entries.tobytes()
 
     def test_scale_dirac(self):
         s = me.scale(me.dirac(1.0), 2.0)
@@ -343,9 +356,24 @@ class TestPeriodic:
         assert F.base.atoms == ((0.25, 1.0 + 0j),)
 
 
+def test_slack_overlap_reads_as_one_density():
+    # make_measure accepts an overlap of one ulp and stores the sum there;
+    # the primitive and the propagation walk read the same density 3
+    mu = me.make_measure([], [(0, 1.0000000000000002, (1,)), (1, 2, (2,))], (-1, 3))
+    assert [(s.start, s.end, s.coeffs) for s in mu.segments] == [
+        (0.0, 1.0, (1,)), (1.0, 1.0000000000000002, (3,)), (1.0000000000000002, 2.0, (2,))]
+    slopes = {t0: coeffs[1] if len(coeffs) > 1 else 0j
+              for t0, _, coeffs in me.cumulative_pieces(mu, -1.0, 3.0)}
+    spans = [ev for ev in pr._factor_events(mu, 0.0, -1.0, 3.0) if ev[0] == "span"]
+    assert len(spans) == len(slopes) == 5
+    for _, x0, _, segment in spans:
+        assert slopes[x0] == (0 if segment is None else poly.trim(segment.coeffs)[0])
+    assert slopes[1.0] == 3
+
+
 def _constructed_measures(seed):
     """One measure from each LocalMeasure constructor, built from atoms
-    given out of order."""
+    given out of order, and a translate whose atoms collide."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-3.5, 3.5, 12)
     atoms = [(float(x), float(w)) for x, w in zip(xs, rng.uniform(-1.0, 1.0, 12))]
@@ -357,6 +385,9 @@ def _constructed_measures(seed):
         "make_measure": mu,
         "restrict": me.restrict(mu, (-2.0, 3.0)),
         "translate": me.translate(mu, 1.3),
+        "colliding translate": me.translate(
+            me.make_measure([(0.0, -1.0), (1.1754943508222875e-38, -1.0), (2.0, 0.5)], (), (-3, 3)),
+            1.0),
         "scale": me.scale(mu, 0.7),
         "negate": me.negate(mu),
         "add_measures": me.add_measures(mu, nu),
@@ -369,8 +400,12 @@ def _constructed_measures(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_constructors_sort_atoms_by_position(seed):
-    # the propagation walk takes the atoms of a span by bisection
+    # every operation returns the canonical form, which atoms_in and
+    # segments_meeting search by bisection
     for name, m in _constructed_measures(seed).items():
         xs = [x for x, _ in m.atoms]
-        assert xs == sorted(xs), name
+        assert all(x < y for x, y in zip(xs, xs[1:])), name
+        assert all(w != 0 for _, w in m.atoms), name
+        assert all(any(s.coeffs) for s in m.segments), name
+        assert all(s.end <= t.start for s, t in zip(m.segments, m.segments[1:])), name
         assert name == "mollify" or xs, name

@@ -398,9 +398,9 @@ def test_even_funcs_series_is_the_factorial_division(w2):
 
 
 def test_span_events_carry_their_covering_segments():
-    # the merge in _factor_events against a scan of every segment, on a
-    # mollified measure (many adjacent segments) and on spans that start
-    # and end inside, between and on segment ends
+    # the one segment _factor_events gives a span against a scan of every
+    # segment, on a mollified measure (many adjacent segments) and on spans
+    # that start and end inside, between and on segment ends
     mu = me.make_measure([(0.3, 1.0), (1.0, -0.5)],
                          ((-2.0, -1.0, (1.0,)), (-1.0, 0.5, (0.5, 1.0)), (1.5, 2.5, (0.2,))),
                          (-3, 3))
@@ -408,8 +408,9 @@ def test_span_events_carry_their_covering_segments():
         for a, b in ((-3.0, 3.0), (-1.5, 2.0), (-1.0, 0.5), (0.7, 0.9), (2.6, 3.0)):
             spans = [ev for ev in pr._factor_events(m, 1.0, a, b) if ev[0] == "span"]
             assert spans
-            for _, x0, x1, covering in spans:
-                assert covering == [s for s in m.segments if s.start <= x0 and x1 <= s.end]
+            for _, x0, x1, segment in spans:
+                scan = [s for s in m.segments if s.start <= x0 and x1 <= s.end]
+                assert scan == ([] if segment is None else [segment])
 
 
 def scalar_magnus_factor(coeffs, x0, h, z):

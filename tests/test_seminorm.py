@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
@@ -233,7 +233,7 @@ def _bnb_interval_seminorm(mu, interval, tol, max_nodes=60000):
     lo, hi = float(interval[0]), float(interval[1])
     a_lo, a_hi = lo + 1.0, hi - 1.0
     atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
-    pieces = [p for p in me._abs_segments(mu) if p.end > lo and p.start < hi]
+    pieces = [p for p in me._abs_segments(mu.segments) if p.end > lo and p.start < hi]
     abs_oracle = sn._PieceOracle(atoms, pieces)
     K = me.total_variation(mu, (lo, hi))
     cands = {a_lo, a_hi}
@@ -517,6 +517,9 @@ class TestStaircaseCells:
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(atom_measures(), st.floats(-3.0, 3.0))
+# translated by 1, both atoms land on -1.0 and must merge into one
+@example((me.make_measure([(0.0, -1.0), (1.1754943508222875e-38, -1.0)], (), (-3, 3)),
+          (-3.0, 3.0)), 1.0)
 def test_interval_seminorm_translation_covariance(case, s):
     mu, (lo, hi) = case
     r = sn.interval_seminorm(mu, (lo, hi))
@@ -541,7 +544,7 @@ def test_complex_abs_pieces_do_not_overlap():
     # rho = 1 + i (t - 1) on (0, 4]: |Re rho| + |Im rho| comes as one piece
     # on each side of t = 1, so the oracle's sliding sup sees both parts
     mu = me.make_measure((), ((0.0, 4.0, (1 - 1j, 1j)),), (0, 4))
-    pieces = me._abs_segments(mu)
+    pieces = me._abs_segments(mu.segments)
     assert [(p.start, p.end) for p in pieces] == [(0.0, 1.0), (1.0, 4.0)]
     oracle = sn._PieceOracle([], pieces)
     assert oracle.mass(2.0, 4.0) == pytest.approx(2.0 + 4.0, rel=1e-14)
