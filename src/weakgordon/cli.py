@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import islice
+from dataclasses import asdict
+from itertools import chain, repeat
 
 import click
 import numpy as np
@@ -41,12 +42,15 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _row_format(kinds):
-    """One %-format for a row whose cells have these types: text as is,
-    numbers as `_fmt` prints them, complex ones as two numbers."""
-    cells = ["%s" if issubclass(k, str) else "%.17g %.17g" if issubclass(k, complex) else "%.17g"
-             for k in kinds]
-    return ",".join(cells) + "\n"
+def _column(cells):
+    """The %-format of a CSV column and its cell lists: text as is, numbers
+    as `_fmt` prints them, a column with complex cells as two numbers."""
+    cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+    if all(map(isinstance, cells, repeat(str))):
+        return "%s", [cells]
+    if any(map(isinstance, cells, repeat(complex))):
+        return "%.17g %.17g", [[v.real for v in cells], [v.imag for v in cells]]
+    return "%.17g", [cells]
 
 
 # rows formatted by one %-format at a time: large enough to pay for the
@@ -54,30 +58,24 @@ def _row_format(kinds):
 _CSV_BLOCK = 4096
 
 
-def _write_csv(path, header, rows, footer_lines=()):
-    formats = {}
-    rows = iter(rows)
+def _write_csv(path, header, columns, footer_lines=()):
+    """A CSV table given by its columns: the format is chosen once per
+    column, and each block of rows interleaves the cells of the columns."""
+    fmts, cells = [], []
+    for fmt, parts in map(_column, columns):
+        fmts.append(fmt)
+        cells.extend(parts)
+    row = ",".join(fmts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(islice(rows, _CSV_BLOCK)):
-            fmts, cells = [], []
-            for row in block:
-                kinds = tuple(map(type, row))
-                if kinds not in formats:
-                    formats[kinds] = (_row_format(kinds), any(issubclass(k, complex) for k in kinds))
-                fmt, split = formats[kinds]
-                fmts.append(fmt)
-                if split:
-                    cells.extend(p for v in row
-                                 for p in ((v.real, v.imag) if isinstance(v, complex) else (v,)))
-                else:
-                    cells.extend(row)
-            fh.write("".join(fmts) % tuple(cells))
+        for i in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK):
+            block = tuple(chain.from_iterable(zip(*(c[i:i + _CSV_BLOCK] for c in cells))))
+            fh.write(row * (len(block) // len(cells)) % block)
         for line in footer_lines:
             fh.write(line + "\n")
 
 
-def _write_meta(ctx, subcommand, params, certificates):
+def _write_meta(ctx, subcommand, params, certificates, stats=None):
     path = ctx.obj.get("meta") or "meta.json"
     doc = {
         "tool": "weakgordon",
@@ -86,6 +84,8 @@ def _write_meta(ctx, subcommand, params, certificates):
         "parameters": params,
         "certificates": certificates,
     }
+    if stats is not None:
+        doc["stats"] = stats
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -150,7 +150,6 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
         f"{_fmt(res.minimizer_c.imag)} {_fmt(witness_a)}"
     )
     if csv_path:
-        rows = []
         if b - a > 2.0:
             centers = sorted(
                 set(np.linspace(a + 1.0, b - 1.0, 201).tolist())
@@ -159,10 +158,10 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
             )
         else:
             centers = [0.5 * (a + b)]
-        for c in centers:
-            w = window_seminorm(mu, c) if b - a > 2.0 else interval_seminorm(mu, (a, b), tol)
-            rows.append((c, w.lower, w.upper))
-        _write_csv(csv_path, ["a", "N_lower", "N_upper"], rows)
+        ws = [window_seminorm(mu, c) if b - a > 2.0 else interval_seminorm(mu, (a, b), tol)
+              for c in centers]
+        _write_csv(csv_path, ["a", "N_lower", "N_upper"],
+                   [centers, [w.lower for w in ws], [w.upper for w in ws]])
     _write_meta(
         ctx,
         "seminorm",
@@ -202,20 +201,15 @@ def propagate_cmd(ctx, measure_path, z, s_from, init, grid, tol, out):
         mu, complex(zr, zi), s_from, (complex(parts[0], parts[1]), complex(parts[2], parts[3])),
         pts, tol,
     )
-    _write_csv(
-        out,
-        ["t", "u_re", "u_im", "du_re", "du_im"],
-        [
-            (t, u.real, u.imag, du.real, du.imag)
-            for t, u, du in zip(tr.grid.tolist(), tr.u.tolist(), tr.du.tolist())
-        ],
-    )
+    _write_csv(out, ["t", "u_re", "u_im", "du_re", "du_im"],
+               [tr.grid, tr.u.real, tr.u.imag, tr.du.real, tr.du.imag])
     _write_meta(
         ctx,
         "propagate",
         {"measure": str(measure_path), "z": [zr, zi], "from": s_from,
          "init": parts, "grid": [ga, gb, gs], "tol": tol, "out": str(out)},
         {"jumps": len(tr.jump_log)},
+        asdict(tr.stats),
     )
 
 
@@ -243,7 +237,7 @@ def gordon_scan_cmd(ctx, measure_path, periods, weight, r_grid, tol, out):
     _write_csv(
         out,
         ["p", "defect_lo", "defect_hi", "ratio", "log_rate"],
-        rep.row_table(),
+        zip(*rep.row_table()),
         footer,
     )
     _write_meta(
@@ -293,7 +287,7 @@ def quasiperiodic_cmd(ctx, levels, base1, base2, m_level, tol, out):
         f"defect_bound,{_fmt(bound)}",
         f"dominates,{1 if defect.upper <= bound + defect.width + 1e-12 else 0}",
     ]
-    _write_csv(out, ["m", "p", "q", "certificate", "cert_ok"], rows, footer)
+    _write_csv(out, ["m", "p", "q", "certificate", "cert_ok"], zip(*rows), footer)
     _write_meta(
         ctx,
         "quasiperiodic",
@@ -340,7 +334,7 @@ def sharpness_cmd(ctx, m_max, weight, tol, out, plot_path):
         out,
         ["m", "l", "p", "log_defect", "log_paper_bound", "log_weighted_ratio",
          "defect_lo", "defect_hi", "mass_diff_measured", "mass_diff_closed"],
-        rows,
+        zip(*rows),
         footer,
     )
     if plot_path:
@@ -350,7 +344,7 @@ def sharpness_cmd(ctx, m_max, weight, tol, out, plot_path):
             else (-S.periods[0], S.periods[0])
         )
         ts, us = cons.eigenfunction_trace(S, win, step=0.01)
-        _write_csv(plot_path, ["t", "u"], zip(ts.tolist(), us.tolist()))
+        _write_csv(plot_path, ["t", "u"], [ts, us])
     _write_meta(
         ctx,
         "sharpness",

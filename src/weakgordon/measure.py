@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, le, lt
 
@@ -272,19 +272,28 @@ def negate(mu: LocalMeasure) -> LocalMeasure:
 
 def _overlay_segments(segments):
     """Nonzero segments sorted by start; where any overlap, the sum of all
-    of them (in the given order), cut at every start and end."""
+    of them (in the given order), cut at every start and end.
+
+    One sweep over the cuts: a segment is active from its start to its end,
+    so the active ones are exactly those covering the cell after a cut.
+    """
     segments = [s for s in segments if any(s.coeffs)]
-    ordered = sorted(segments, key=_START)
+    by_start = sorted(range(len(segments)), key=lambda i: segments[i].start)
+    ordered = [segments[i] for i in by_start]
     if all(map(le, map(_END, ordered), map(_START, ordered[1:]))):
         return tuple(ordered)
     cuts = sorted({s.start for s in segments} | {s.end for s in segments})
-    out = []
+    out, active, k = [], [], 0
     for a, b in zip(cuts[:-1], cuts[1:]):
+        active = [i for i in active if segments[i].end > a]
+        while k < len(by_start) and ordered[k].start <= a:
+            insort(active, by_start[k])
+            k += 1
         total = None
-        for s in segments:
-            if s.start <= a and b <= s.end:
-                c = poly.shift_origin(s.coeffs, a - s.start)
-                total = c if total is None else poly.add(total, c)
+        for i in active:  # in the given order
+            s = segments[i]
+            c = poly.shift_origin(s.coeffs, a - s.start)
+            total = c if total is None else poly.add(total, c)
         if total is not None and any(v != 0 for v in total):
             out.append(Segment(a, b, poly.trim(total)))
     return tuple(out)
@@ -597,9 +606,9 @@ def _cubic_resample(a, b, coeffs, rel_tol=1e-12, budget=16384):
         )
     d = poly.derivative(coeffs)
     out = []
-    for k in range(n):
-        x0 = a + (b - a) * k / n
-        x1 = a + (b - a) * (k + 1) / n
+    # the last node is b itself, so the pieces end where the next segment begins
+    nodes = [a + (b - a) * k / n for k in range(n)] + [b]
+    for x0, x1 in zip(nodes, nodes[1:]):
         f0 = poly.evaluate(coeffs, x0 - a)
         f1 = poly.evaluate(coeffs, x1 - a)
         d0 = poly.evaluate(d, x0 - a)

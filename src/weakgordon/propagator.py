@@ -8,21 +8,26 @@ polynomial pieces use a two-point Gauss Magnus step (4th order).  All factors
 are traceless-exponentials or exact unipotents, so the Wronskian certificate
 accumulates only factor-level rounding.
 
-One walker, `_walk`, lists the factors, atoms and sample points between two
-points, to the right or (inverted, in reverse order) to the left.  It
-evaluates every Magnus step of the walk in one NumPy pass
-(`_magnus_factors`); atom and constant factors are scalar closed forms.  A
-factor is a 4-tuple (F00, F01, F10, F11) of Python complex numbers, and the
-folds are scalar arithmetic: `_transfer_along` folds the walk into matrices,
-`transfer_matrix` included; `propagate` folds it into a state vector and
-logs the atom jumps.
+One walker, `_walk`, turns the stretch between two points into a flat list
+of span factors plus a short list of marks: the atoms and the sample points,
+each with the number of factors that precede it.  To the left the factors
+are inverted and reversed.  Atom and constant factors are scalar closed
+forms; only a walk with Magnus steps touches NumPy, evaluating all of them
+in one pass (`_magnus_factors`).  A factor is a 4-tuple (F00, F01, F10, F11)
+of Python complex numbers, and the grid enters as Python floats, so the
+folds between marks are scalar arithmetic: `_transfer_along` folds the walk
+into matrices, `transfer_matrix` included; `propagate` folds it into a
+state vector and logs the atom jumps.  Both count what the walks applied
+(`WalkStats`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,11 +43,26 @@ _FACTORIALS = tuple(float(math.factorial(n)) for n in range(14))
 
 
 @dataclass(frozen=True)
+class WalkStats:
+    """The factors a walk applied: atom jumps, closed-form constant pieces
+    and Magnus steps.  Deterministic counts, no timings."""
+
+    atoms: int = 0
+    constant: int = 0
+    magnus: int = 0
+
+    def __add__(self, other):
+        return WalkStats(self.atoms + other.atoms, self.constant + other.constant,
+                         self.magnus + other.magnus)
+
+
+@dataclass(frozen=True)
 class TransferMatrix:
     entries: np.ndarray
     source: float
     target: float
     det_defect: float
+    stats: WalkStats = WalkStats()
 
     def __matmul__(self, other):
         if abs(other.target - self.source) > 1e-12:
@@ -52,6 +72,7 @@ class TransferMatrix:
             other.source,
             self.target,
             self.det_defect + other.det_defect,
+            self.stats + other.stats,
         )
 
 
@@ -61,6 +82,7 @@ class SolutionTrace:
     u: np.ndarray
     du: np.ndarray
     jump_log: tuple
+    stats: WalkStats = WalkStats()
 
 
 def spectral_shift(mu: me.LocalMeasure, z: complex) -> me.LocalMeasure:
@@ -111,21 +133,19 @@ def _const_factor(q, h):
     return (c, h * s, q * h * s, c)
 
 
-def _magnus_factors(runs, z):
+def _magnus_factors(segments, runs, z):
     """4th-order Magnus steps across density pieces, all in one NumPy pass.
 
-    Each run (coeffs, x0, h, n) is n steps of length h across one segment:
-    coeffs are in the segment's local variable and x0 is the local offset of
-    the first step.  Returns one factor per step, in order.
+    A run (i, k, x0, h, n) is n steps of length h on segments[k], the first
+    from the local offset x0 in that segment's variable (i is where the
+    walk puts them).  Returns one factor per step, in order.
     """
-    if not runs:
-        return []
-    counts = np.array([n for _, _, _, n in runs])
-    h = np.repeat([run[2] for run in runs], counts)
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    x0 = np.repeat([run[1] for run in runs], counts) + k * h  # step k of its run
-    padded = [tuple(c) + (0j,) * (me.MAX_DEGREE + 1 - len(c)) for c, _, _, _ in runs]
-    coeffs = np.repeat(np.array(padded, dtype=complex), counts, axis=0)
+    _, seg, x0, h, n = (np.array(v) for v in zip(*runs))
+    step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # step of its run
+    h = np.repeat(h, n)
+    x0 = np.repeat(x0, n) + step * h
+    padded = [tuple(s.coeffs) + (0j,) * (me.MAX_DEGREE + 1 - len(s.coeffs)) for s in segments]
+    coeffs = np.array(padded, dtype=complex)[np.repeat(seg, n)]
 
     def q_at(t):
         acc = coeffs[:, -1]
@@ -144,52 +164,6 @@ def _magnus_factors(runs, z):
     return list(zip((c + sd).tolist(), sh.tolist(), (sh * qbar).tolist(), (c - sd).tolist()))
 
 
-def _factor_events(mu, z, a, b, markers=()):
-    """Ordered events from a up to b: ('span', x0, x1, segment),
-    ('atom', x, w), ('sample', x).  `segment` is the segment covering the
-    span, or None.  Atoms in (a, b] are applied; a sample at x sees the
-    state (u(x), u'(x+))."""
-    segments = mu.segments_meeting(a, b)
-    atom_map = dict(mu.atoms_in(a, b))
-    marker_set = {x for x in markers if a <= x <= b}
-    cut = sorted({a, b} | {max(s.start, a) for s in segments} | {min(s.end, b) for s in segments}
-                 | atom_map.keys() | marker_set)
-    events = []
-    if cut[0] in marker_set and cut[0] not in atom_map:
-        events.append(("sample", cut[0]))
-    k = 0
-    for x0, x1 in zip(cut[:-1], cut[1:]):
-        # segment ends are cuts: the covering segment is the first not ended
-        while k < len(segments) and segments[k].end <= x0:
-            k += 1
-        covering = k < len(segments) and segments[k].start <= x0
-        events.append(("span", x0, x1, segments[k] if covering else None))
-        if x1 in atom_map:
-            events.append(("atom", x1, atom_map[x1]))
-        if x1 in marker_set:
-            events.append(("sample", x1))
-    return events
-
-
-def _span_factors(z, x0, x1, segment, tol, runs):
-    """Factors for the atom-free stretch (x0, x1), in walking order, from
-    the segment covering it (or none).  A Magnus step is left as None and
-    its run appended to `runs`."""
-    if segment is None:
-        return [_const_factor(-z, x1 - x0)]
-    c = poly.trim(segment.coeffs)
-    if len(c) == 1:
-        return [_const_factor(c[0] - z, x1 - x0)]
-    step = min(x1 - x0, tol**0.25)
-    n = max(1, int(math.ceil((x1 - x0) / step)))
-    runs.append((segment.coeffs, x0 - segment.start, (x1 - x0) / n, n))
-    return [None] * n
-
-
-def _det_defect_of(F):
-    return abs(F[0] * F[3] - F[1] * F[2] - 1.0)
-
-
 def _inv_unimodular(F):
     return (F[3], -F[1], -F[2], F[0])
 
@@ -198,24 +172,51 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     """The one factor walk over [a, b], from a up to b or, with `backward`,
     from b down to a.
 
-    Lists ('factor', F) for each span factor, ('atom', x, w) for each atom
-    in (a, b] and ('sample', x) at each marker.  Walking left reverses the
-    span factors and inverts them, so a consumer always applies F on the
-    left.  A sample at an atom sees (u(x), u'(x+)) in both directions.
+    Returns the span factors in walking order, the marks (i, x, w) and the
+    walk's `WalkStats`.  A mark comes after the first i factors: an atom of
+    weight w at x in (a, b], or a marker x with w None.  Walking left
+    reverses the factors and inverts them, so a consumer always applies F
+    on the left, and a marker at an atom sees (u(x), u'(x+)) both ways.
     """
-    runs = []
-    walk = []
-    for ev in _factor_events(mu, z, a, b, markers):
-        if ev[0] == "span":
-            walk.extend(("factor", F) for F in _span_factors(z, *ev[1:], tol, runs))
+    segments = mu.segments_meeting(a, b)
+    atoms = dict(mu.atoms_in(a, b))
+    samples = {x for x in markers if a <= x <= b}
+    cut = sorted({a, b} | {max(s.start, a) for s in segments} | {min(s.end, b) for s in segments}
+                 | atoms.keys() | samples)
+    # a segment's constant density, or None where it needs Magnus steps
+    consts = [c[0] if len(c) == 1 else None for c in (poly.trim(s.coeffs) for s in segments)]
+    factors, marks = [], [(0, a, None)] if a in samples else []
+    runs = []  # Magnus steps, as runs (first factor, segment, offset, step, count)
+    k, last, root = 0, len(segments), tol**0.25
+    for x0, x1 in zip(cut, cut[1:]):
+        # segment ends are cuts: the covering segment is the first not ended
+        while k < last and segments[k].end <= x0:
+            k += 1
+        h = x1 - x0
+        if k == last or segments[k].start > x0:
+            factors.append(_const_factor(-z, h))
+        elif (q := consts[k]) is not None:
+            factors.append(_const_factor(q - z, h))
         else:
-            walk.append(ev)
-    magnus = iter(_magnus_factors(runs, z))
-    walk = [("factor", next(magnus)) if ev[1] is None else ev for ev in walk]
-    if not backward:
-        return walk
-    return [("factor", _inv_unimodular(ev[1])) if ev[0] == "factor" else ev
-            for ev in reversed(walk)]
+            n = math.ceil(h / root) if h > root else 1
+            runs.append((len(factors), k, x0 - segments[k].start, h / n, n))
+            factors.extend(repeat(None, n))
+        if x1 in atoms:
+            marks.append((len(factors), x1, atoms[x1]))
+        if x1 in samples:
+            marks.append((len(factors), x1, None))
+    steps = 0
+    if runs:
+        magnus = _magnus_factors(segments, runs, z)
+        for i, _, _, _, n in runs:
+            factors[i:i + n] = magnus[steps:steps + n]
+            steps += n
+    stats = WalkStats(len(atoms), len(factors) - steps, steps)
+    if backward:
+        n = len(factors)
+        factors = list(map(_inv_unimodular, reversed(factors)))
+        marks = [(n - i, x, w) for i, x, w in reversed(marks)]
+    return factors, marks, stats
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
@@ -230,9 +231,9 @@ def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     lo, hi = min(s, t), max(s, t)
     if lo < mu.lo - 1e-12 or hi > mu.hi + 1e-12:
         raise DomainError(f"path [{lo}, {hi}] outside window {mu.window}")
-    tmats, defect = _transfer_along(mu, z, s, [t], tol)
+    tmats, defect, stats = _transfer_along(mu, z, s, [t], tol)
     a, b, c, d = tmats[t]
-    return TransferMatrix(np.array([[a, b], [c, d]]), s, t, defect)
+    return TransferMatrix(np.array([[a, b], [c, d]]), s, t, defect, stats)
 
 
 def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
@@ -240,41 +241,42 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
 
     The grid must lie inside the window; s need not be a grid point.
     """
-    grid = np.asarray(sorted(float(g) for g in grid), dtype=float)
-    if grid.size == 0:
+    grid = np.sort(np.asarray(grid, dtype=float), kind="stable")
+    xs = grid.tolist()
+    if not xs:
         raise DomainError("empty grid")
-    if grid[0] < mu.lo - 1e-12 or grid[-1] > mu.hi + 1e-12:
+    if xs[0] < mu.lo - 1e-12 or xs[-1] > mu.hi + 1e-12:
         raise DomainError("grid not inside measure window")
-    if not (grid[0] <= s <= grid[-1]):
+    if not (xs[0] <= s <= xs[-1]):
         raise DomainError("s must lie in the grid range")
+    s = float(s)
     state0 = (complex(initial[0]), complex(initial[1]))
-    u = np.zeros(grid.size, dtype=complex)
-    du = np.zeros(grid.size, dtype=complex)
-    jumps = []
-    right = [i for i in range(grid.size) if grid[i] >= s]
-    left = [i for i in range(grid.size) if grid[i] < s]
-    for side, backward in ((right, False), (left[::-1], True)):
+    u, du = [0j] * len(xs), [0j] * len(xs)
+    jumps, stats = [], WalkStats()
+    k = bisect_left(xs, s)
+    for side, backward in ((range(k, len(xs)), False), (range(k - 1, -1, -1), True)):
         if not side:
             continue
+        markers = [xs[i] for i in side]
+        factors, marks, walk_stats = _walk(mu, z, *sorted((s, markers[-1])), tol, markers, backward)
+        stats += walk_stats
         v, dv = state0
-        a, b = sorted((s, grid[side[-1]]))
-        idx = 0
-        for ev in _walk(mu, z, a, b, tol, [grid[i] for i in side], backward):
-            if ev[0] == "factor":
-                f00, f01, f10, f11 = ev[1]
+        done = idx = 0
+        for i, x, w in marks:
+            for f00, f01, f10, f11 in factors[done:i]:
                 v, dv = f00 * v + f01 * dv, f10 * v + f11 * dv
-            elif ev[0] == "atom":
+            done = i
+            if w is not None:
                 # walking left removes the jump; u'(x-) = u'(x+) - w u(x)
-                jump = ev[2] * v
-                jumps.append((ev[1], ev[2], jump))
+                jump = w * v
+                jumps.append((x, w, jump))
                 dv = dv - jump if backward else dv + jump
-            else:  # sample
-                while idx < len(side) and abs(grid[side[idx]] - ev[1]) <= 1e-12:
-                    u[side[idx]] = v
-                    du[side[idx]] = dv
-                    idx += 1
+                continue
+            while idx < len(markers) and abs(markers[idx] - x) <= 1e-12:
+                u[side[idx]], du[side[idx]] = v, dv
+                idx += 1
     jumps.sort(key=lambda j: j[0])
-    return SolutionTrace(grid, u, du, tuple(jumps))
+    return SolutionTrace(grid, np.array(u), np.array(du), tuple(jumps), stats)
 
 
 def dirichlet_neumann(mu, z, s, t, tol: float = 1e-8):
@@ -423,32 +425,31 @@ class SolutionDifference:
 
 def _transfer_along(mu, z, base, points, tol):
     """T(x, base) for every x in sorted(points), one walk each direction,
-    and the summed |det F - 1| over the factors applied."""
+    the summed |det F - 1| over the factors applied and the walks' stats."""
     points = sorted(set(float(p) for p in points) | {float(base)})
     out = {base: _EYE}
-    defect = 0.0
-    right = [p for p in points if p > base]
-    left = [p for p in points if p < base]
-    for side, backward in ((right, False), (left[::-1], True)):
+    defect, stats = 0.0, WalkStats()
+    k = bisect_left(points, base)
+    for side, backward in ((points[k + 1:], False), (points[:k][::-1], True)):
         if not side:
             continue
+        factors, marks, walk_stats = _walk(mu, z, *sorted((float(base), side[-1])), tol, side,
+                                           backward)
+        stats += walk_stats
         t00, t01, t10, t11 = _EYE
-        a, b = sorted((base, side[-1]))
-        for ev in _walk(mu, z, a, b, tol, side, backward):
-            if ev[0] == "sample":
-                out[ev[1]] = (t00, t01, t10, t11)
-                continue
-            if ev[0] == "factor":
-                F = ev[1]
-            else:
-                F = (1 + 0j, 0j, complex(ev[2]), 1 + 0j)
-                if backward:
-                    F = _inv_unimodular(F)
-            f00, f01, f10, f11 = F
-            t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
-                                  f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
-            defect += _det_defect_of(F)
-    return out, defect
+        done = 0
+        for i, x, w in marks:
+            run, done = factors[done:i], i
+            if w is not None:
+                F = (1 + 0j, 0j, complex(w), 1 + 0j)
+                run.append(_inv_unimodular(F) if backward else F)
+            for f00, f01, f10, f11 in run:
+                t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
+                                      f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
+                defect += abs(f00 * f11 - f01 * f10 - 1.0)
+            if w is None:
+                out[x] = (t00, t01, t10, t11)
+    return out, defect, stats
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)

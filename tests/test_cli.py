@@ -7,6 +7,8 @@ from weakgordon import measure as me
 from weakgordon import measure_io as mio
 from weakgordon.errors import RepresentationError, ValidationError
 
+from walk_oracle import write_csv_rows
+
 
 DIRAC = """{"window": [-1, 1],
  "atoms": [{"x": 0.0, "re": 1.0, "im": 0.0}],
@@ -59,6 +61,19 @@ class TestPropagateCommand:
         lines = (workdir / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,u_re,u_im,du_re,du_im"
         assert len(lines) == 6
+
+    def test_meta_stats(self, workdir):
+        # the walks' factor counts go to meta.json, as on the trace
+        from weakgordon import propagator as pr
+
+        args = ["propagate", "--measure", "dirac.json", "--z", "0,0", "--from", "0",
+                "--init", "1,0,0,0", "--grid", "-0.5:0.5:0.25", "--out", "trace.csv"]
+        assert cli.run(args) == 0
+        meta = json.loads((workdir / "meta.json").read_text())
+        tr = pr.propagate(mio.load_measure("dirac.json"), 0j, 0.0, (1, 0),
+                          [-0.5, -0.25, 0.0, 0.25, 0.5])
+        assert meta["stats"] == {"atoms": 1, "constant": 4, "magnus": 0}
+        assert tr.stats == pr.WalkStats(**meta["stats"])
 
     def test_bad_grid_exit_2(self, workdir):
         rc = cli.run(
@@ -211,32 +226,88 @@ class TestParser:
         assert again.base.atoms == P.base.atoms
 
 
+def _cell_rows(columns):
+    # the table as `_fmt` prints it cell by cell, row by row
+    return "".join(
+        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
+        for row in zip(*columns))
+
+
 def test_csv_rows_match_the_cell_formatter(tmp_path):
-    # one %-format per row gives the bytes of `_fmt` per cell: text as is,
-    # complex as "re im", NumPy scalars, booleans, -0, inf and nan
+    # one %-format per column gives the bytes of `_fmt` per cell, and of the
+    # row-wise writer: text as is, complex as "re im", NumPy scalars and
+    # arrays, booleans, -0, inf and nan
     import numpy as np
 
-    rows = [
-        (1, 2.5, -0.0, float("inf"), "1", np.float64(0.1), np.int64(7), True, float("nan")),
-        (0.1 + 0.2j, np.complex128(-1e-300 + 3j), "x", 1e300),
-        [np.float64(-2.0) / 3.0, 5],
+    columns = [
+        [1, 2.5, np.float64(-2.0) / 3.0],
+        (0.1 + 0.2j, np.complex128(-1e-300 + 3j), 5j),
+        np.array([-0.0, float("inf"), float("nan")]),
+        ["1", "x", "y"],
+        [np.float64(0.1), np.int64(7), True],
+        np.array([1e300, -1e-300j, 2.0 + 0j]),
     ]
-    path = tmp_path / "t.csv"
-    cli._write_csv(path, ["h"], rows, ["k,1"])
-    expected = "h\n" + "".join(
-        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows
-    ) + "k,1\n"
-    assert path.read_text() == expected
+    path, oracle = tmp_path / "t.csv", tmp_path / "o.csv"
+    cli._write_csv(path, ["h"], columns, ["k,1"])
+    assert path.read_text() == "h\n" + _cell_rows(columns) + "k,1\n"
+    write_csv_rows(oracle, ["h"], zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                       for c in columns)), ["k,1"])
+    assert path.read_bytes() == oracle.read_bytes()
 
 
 def test_csv_blocks_keep_mixed_rows(tmp_path):
-    # rows of three kinds, in runs that straddle the block boundaries
-    kinds = [lambda k: (k, k / 7.0), lambda k: ("x", complex(k, -k / 3.0)), lambda k: (float(k),)]
+    # text, complex and float columns over rows that straddle the blocks
     n = 2 * cli._CSV_BLOCK + 5
-    rows = [kinds[(k // 3) % 3](k) for k in range(n)]
-    path = tmp_path / "t.csv"
-    cli._write_csv(path, ["h"], iter(rows), ["k,1"])
-    expected = "h\n" + "".join(
-        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows
-    ) + "k,1\n"
-    assert path.read_text() == expected
+    columns = [["x%d" % k for k in range(n)], [complex(k, -k / 3.0) for k in range(n)],
+               (k / 7.0 for k in range(n)), range(n)]
+    columns = [list(c) for c in columns]
+    path, oracle = tmp_path / "t.csv", tmp_path / "o.csv"
+    cli._write_csv(path, ["h"], iter(columns), ["k,1"])
+    assert path.read_text() == "h\n" + _cell_rows(columns) + "k,1\n"
+    write_csv_rows(oracle, ["h"], zip(*columns), ["k,1"])
+    assert path.read_bytes() == oracle.read_bytes()
+    cli._write_csv(path, ["h"], [[], []])
+    assert path.read_text() == "h\n"
+
+
+# a real measure for the seminorm scans, a complex one for the trace
+SPIKY = """{"window": [-3, 3],
+ "atoms": [{"x": -1.0, "re": 0.5, "im": 0.0}, {"x": 0.5, "re": -0.25, "im": 0.0}],
+ "segments": [{"a": -2.5, "b": -1.0, "coeffs": [[0.3, 0], [0.1, 0], [-0.2, 0]]},
+              {"a": 0.0, "b": 1.25, "coeffs": [[0.7, 0]]}]}
+"""
+COMPLEX = """{"window": [-3, 3],
+ "atoms": [{"x": -1.0, "re": 0.5, "im": 0.0}, {"x": 0.5, "re": -0.25, "im": 0.1}],
+ "segments": [{"a": -2.5, "b": -1.0, "coeffs": [[0.3, 0], [0.1, 0.2], [-0.2, 0], [0.05, 0]]},
+              {"a": 0.0, "b": 1.25, "coeffs": [[0.7, 0]]}]}
+"""
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["seminorm", "--measure", "spiky.json", "--interval", "-2,2", "--tol", "1e-6",
+      "--csv", "scan.csv"], ["scan.csv"]),
+    (["seminorm", "--measure", "spiky.json", "--interval", "-1,1", "--csv", "scan.csv"],
+     ["scan.csv"]),
+    (["propagate", "--measure", "complex.json", "--z", "0.5,0.25", "--from", "0.3",
+      "--init", "1,0,0.5,-1", "--grid", "-2.5:2.5:0.05", "--out", "trace.csv"], ["trace.csv"]),
+    (["gordon-scan", "--measure", "comb.json", "--periods", "1,2", "--r-grid", "1,2",
+      "--out", "scan.csv"], ["scan.csv"]),
+    (["quasiperiodic", "--alpha-levels", "4", "--base1", "comb.json", "--base2", "comb.json",
+      "--m", "2", "--out", "q.csv"], ["q.csv"]),
+    (["sharpness", "--m-max", "2", "--C", "0.5", "--out", "rep.csv", "--plot", "plot.csv"],
+     ["rep.csv", "plot.csv"]),
+])
+def test_csv_bytes_match_the_row_writer(workdir, monkeypatch, argv, outputs):
+    # every CSV a command writes, against the row-wise writer fed the same cells
+    (workdir / "spiky.json").write_text(SPIKY)
+    (workdir / "complex.json").write_text(COMPLEX)
+    assert cli.run(argv) == 0
+    got = [(workdir / name).read_bytes() for name in outputs]
+
+    def row_writer(path, header, columns, footer_lines=()):
+        columns = [c.tolist() if hasattr(c, "tolist") else list(c) for c in columns]
+        write_csv_rows(path, header, zip(*columns), footer_lines)
+
+    monkeypatch.setattr(cli, "_write_csv", row_writer)
+    assert cli.run(argv) == 0
+    assert got == [(workdir / name).read_bytes() for name in outputs]

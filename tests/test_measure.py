@@ -324,6 +324,73 @@ class TestMultiplyLipschitz:
         assert abs(got - truth) < 1e-10
 
 
+    def test_resampled_pieces_tile_their_cell(self, monkeypatch):
+        # the last Hermite piece ends at b itself: a + (b - a) * n / n misses
+        # b by an ulp in some cells, and the products of adjacent cubics then
+        # overlapped (summed by the overlay) or left a gap
+        rng = np.random.default_rng(8)
+        missed = 0
+        for _ in range(200):
+            a = float(rng.uniform(-3.0, 3.0))
+            b = a + float(rng.uniform(0.01, 2.0))
+            pieces = me._cubic_resample(a, b, tuple(complex(v) for v in rng.uniform(-1, 1, 5)))
+            n = len(pieces)
+            missed += a + (b - a) * n / n != b
+            assert pieces[0].start == a and pieces[-1].end == b
+            assert all(p.end == q.start for p, q in zip(pieces, pieces[1:]))
+        assert missed
+        monkeypatch.setattr(me, "_overlay_segments", None)  # canonical input skips it
+        for _ in range(20):
+            ends = np.sort(rng.uniform(-1.0, 1.0, 4)).tolist()
+            segs = [(x0, x1, tuple(rng.uniform(-1, 1, 4))) for x0, x1 in zip(ends, ends[1:])]
+            out = me.multiply_lipschitz(me.make_measure((), segs, (-1, 1)),
+                                        me.PiecewiseAffine((-1.0, 1.0), (0.5, 3.0)))
+            assert [s.start for s in out.segments][1:] == [s.end for s in out.segments][:-1]
+
+
+def overlay_segments_scan(segments):
+    """The former overlay: a scan of every segment for every cell."""
+    segments = [s for s in segments if any(s.coeffs)]
+    ordered = sorted(segments, key=lambda s: s.start)
+    if all(p.end <= q.start for p, q in zip(ordered, ordered[1:])):
+        return tuple(ordered)
+    cuts = sorted({s.start for s in segments} | {s.end for s in segments})
+    out = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        total = None
+        for s in segments:
+            if s.start <= a and b <= s.end:
+                c = poly.shift_origin(s.coeffs, a - s.start)
+                total = c if total is None else poly.add(total, c)
+        if total is not None and any(v != 0 for v in total):
+            out.append(me.Segment(a, b, poly.trim(total)))
+    return tuple(out)
+
+
+@st.composite
+def overlapping_segments(draw):
+    """Segments with shared, nested and chained ends, zero and cancelling
+    pieces and up to four layers, in any order."""
+    ends = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]), st.floats(-1.0, 1.0))
+    coeff = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0),
+                      st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    segs = []
+    for _ in range(draw(st.integers(1, 8))):
+        a, b = sorted((draw(ends), draw(ends)))
+        if b > a:
+            coeffs = tuple(draw(st.lists(coeff, min_size=1, max_size=4)))
+            segs.append(me.Segment(a, b, coeffs))
+            if draw(st.integers(0, 4)) == 0:
+                segs.append(me.Segment(a, b, poly.negate(coeffs)))
+    return segs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(overlapping_segments())
+def test_overlay_sweep_matches_the_scan(segments):
+    assert repr(me._overlay_segments(segments)) == repr(overlay_segments_scan(segments))
+
+
 class TestPeriodic:
     def test_materialize_dirac_comb(self):
         P = me.PeriodicMeasure(me.make_measure([(0.0, 1.0)], (), (0, 1)), 1.0)
@@ -364,10 +431,11 @@ def test_slack_overlap_reads_as_one_density():
         (0.0, 1.0, (1,)), (1.0, 1.0000000000000002, (3,)), (1.0000000000000002, 2.0, (2,))]
     slopes = {t0: coeffs[1] if len(coeffs) > 1 else 0j
               for t0, _, coeffs in me.cumulative_pieces(mu, -1.0, 3.0)}
-    spans = [ev for ev in pr._factor_events(mu, 0.0, -1.0, 3.0) if ev[0] == "span"]
-    assert len(spans) == len(slopes) == 5
-    for _, x0, _, segment in spans:
-        assert slopes[x0] == (0 if segment is None else poly.trim(segment.coeffs)[0])
+    pieces = sorted(slopes)
+    factors, marks, _ = pr._walk(mu, 0.0, -1.0, 3.0, 1e-8)
+    assert len(factors) == len(slopes) == 5 and not marks
+    for F, x0, x1 in zip(factors, pieces, pieces[1:] + [3.0]):
+        assert F == pr._const_factor(slopes[x0], x1 - x0)
     assert slopes[1.0] == 3
 
 

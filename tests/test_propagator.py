@@ -11,6 +11,7 @@ from weakgordon import poly
 from weakgordon import propagator as pr
 from weakgordon.errors import DomainError
 
+import walk_oracle as wo
 from conftest import random_measure
 
 
@@ -398,19 +399,28 @@ def test_even_funcs_series_is_the_factorial_division(w2):
 
 
 def test_span_events_carry_their_covering_segments():
-    # the one segment _factor_events gives a span against a scan of every
-    # segment, on a mollified measure (many adjacent segments) and on spans
-    # that start and end inside, between and on segment ends
+    # each span of the walk takes its factors from the one segment that a
+    # scan of every segment finds covering it (or from none), on a
+    # mollified measure (many adjacent segments) and on spans that start
+    # and end inside, between and on segment ends
     mu = me.make_measure([(0.3, 1.0), (1.0, -0.5)],
                          ((-2.0, -1.0, (1.0,)), (-1.0, 0.5, (0.5, 1.0)), (1.5, 2.5, (0.2,))),
                          (-3, 3))
     for m in (mu, me.mollify(mu, 8)):
         for a, b in ((-3.0, 3.0), (-1.5, 2.0), (-1.0, 0.5), (0.7, 0.9), (2.6, 3.0)):
-            spans = [ev for ev in pr._factor_events(m, 1.0, a, b) if ev[0] == "span"]
-            assert spans
-            for _, x0, x1, segment in spans:
+            cut = sorted({a, b} | {min(max(x, a), b) for s in m.segments for x in (s.start, s.end)}
+                         | {x for x, _ in m.atoms_in(a, b)})
+            runs, expected = [], []
+            for x0, x1 in zip(cut, cut[1:]):
                 scan = [s for s in m.segments if s.start <= x0 and x1 <= s.end]
-                assert scan == ([] if segment is None else [segment])
+                assert len(scan) <= 1
+                expected += wo.span_factors(1.0, x0, x1, scan[0] if scan else None, 1e-8, runs)
+            magnus = iter(wo.magnus_factors(runs, 1.0))
+            expected = [next(magnus) if F is None else F for F in expected]
+            factors, marks, stats = pr._walk(m, 1.0, a, b, 1e-8)
+            assert expected and repr(factors) == repr(expected)
+            assert [(x, w) for _, x, w in marks] == list(m.atoms_in(a, b))
+            assert stats.magnus == sum(n for *_, n in runs)
 
 
 def scalar_magnus_factor(coeffs, x0, h, z):
@@ -448,7 +458,7 @@ def scalar_transfer(mu, z, s, t, tol):
     adjugate of the walk from t up to s."""
     a, b = sorted((s, t))
     T = np.eye(2, dtype=complex)
-    for ev in pr._factor_events(mu, z, a, b):
+    for ev in wo.factor_events(mu, z, a, b):
         if ev[0] == "atom":
             T = np.array([[1, 0], [ev[2], 1]], dtype=complex) @ T
         elif ev[0] == "span":
@@ -484,7 +494,9 @@ def magnus_runs(draw):
 @given(magnus_runs())
 def test_batched_magnus_matches_scalar_steps(case):
     runs, z = case
-    got = iter(pr._magnus_factors(runs, z))
+    segments = [me.Segment(0.0, 1.0, coeffs) for coeffs, _, _, _ in runs]
+    got = iter(pr._magnus_factors(
+        segments, [(None, k, x0, h, n) for k, (_, x0, h, n) in enumerate(runs)], z))
     for coeffs, x0, h, n in runs:
         for k in range(n):
             ref = scalar_magnus_factor(coeffs, x0 + k * h, h, z)
@@ -524,7 +536,7 @@ def python_fold(mu, z, s, t):
     the closed-form factors of an atom-only measure."""
     a, b = sorted((s, t))
     factors = []
-    for ev in pr._factor_events(mu, z, a, b):
+    for ev in wo.factor_events(mu, z, a, b):
         if ev[0] == "atom":
             factors.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
         elif ev[0] == "span":
@@ -550,3 +562,136 @@ def test_atom_only_transfer_is_the_scalar_fold(atoms, s, t, z):
     ref, defect = python_fold(mu, z, s, t)
     assert T.entries.ravel().tolist() == list(ref)
     assert T.det_defect == defect
+
+
+# ---------------------------------------------------------------------------
+# the flat walk against the event-tuple walk it replaced (tests/walk_oracle.py)
+
+
+@st.composite
+def edge_walks(draw):
+    """A measure on (-3, 3), a grid, s, z and tol with the edge cases of the
+    walk: atoms on grid points, at s and at the grid ends; s off the grid or
+    at either end (so walks go both ways); grid points duplicated within
+    1e-12; segment ends on grid points; degree-0 and complex density
+    pieces; tol 1e-12, which gives hundreds of Magnus steps per span."""
+    lattice = [round(-2.5 + 0.25 * k, 12) for k in range(21)]
+    grid = sorted(set(draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=8))))
+    grid += [g + draw(st.sampled_from([1e-13, -4e-13, 9e-13]))
+             for g in draw(st.lists(st.sampled_from(grid), max_size=2))]
+    s = draw(st.one_of(st.sampled_from([min(grid), max(grid)]), st.sampled_from(grid),
+                       st.floats(min(grid), max(grid))))
+    ends = sorted(set(draw(st.lists(st.one_of(st.sampled_from(lattice), st.floats(-2.9, 2.9)),
+                                    min_size=2, max_size=6))))
+    coeff = st.one_of(st.floats(-1.0, 1.0), complex_unit)
+    segments = [(a, b, tuple(draw(st.lists(coeff, min_size=1, max_size=4))))
+                for a, b in zip(ends[0::2], ends[1::2]) if b - a > 1e-6]
+    special = grid + [s] + [x for a, b, _ in segments for x in (a, b)]
+    position = st.one_of(st.sampled_from(special), st.floats(-2.9, 2.9))
+    atoms = draw(st.lists(st.tuples(position, complex_unit), max_size=6))
+    z = draw(st.one_of(st.floats(-2.0, 2.0), complex_unit))
+    tol = draw(st.sampled_from([1e-4, 1e-8, 1e-12]))
+    t = draw(st.one_of(st.sampled_from(special), st.floats(-2.9, 2.9)))
+    return me.make_measure(atoms, segments, (-3, 3)), z, s, t, np.array(grid), tol
+
+
+def _reprs(values):
+    return [repr(complex(v)) for v in values]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edge_walks())
+def test_propagate_matches_the_event_walk(case):
+    mu, z, s, _t, grid, tol = case
+    tr = pr.propagate(mu, z, s, (1.0 - 0.5j, 0.25), grid, tol)
+    ref_grid, u, du, jumps = wo.propagate(mu, z, s, (1.0 - 0.5j, 0.25), grid, tol)
+    assert tr.grid.tobytes() == ref_grid.tobytes()
+    assert tr.u.tobytes() == u.tobytes() and tr.du.tobytes() == du.tobytes()
+    assert [_reprs(j) for j in tr.jump_log] == [_reprs(j) for j in jumps]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edge_walks())
+def test_transfer_matches_the_event_walk(case):
+    mu, z, s, t, grid, tol = case
+    T = pr.transfer_matrix(mu, z, s, t, tol)
+    entries, defect = wo.transfer_matrix(mu, z, s, t, tol)
+    assert T.entries.tobytes() == entries.tobytes() and T.det_defect == defect
+    points = [*grid.tolist(), t]
+    tmats, defect, _ = pr._transfer_along(mu, z, s, points, tol)
+    ref, ref_defect = wo.transfer_along(mu, z, s, points, tol)
+    assert tmats.keys() == ref.keys() and defect == ref_defect
+    assert all(_reprs(tmats[x]) == _reprs(ref[x]) for x in ref)
+
+
+def _edge_measure():
+    return me.make_measure([(-1.0, 0.5 - 0.25j), (0.5, -0.3), (1.5, 0.2)],
+                           [(-2.0, -0.5, (0.2, 0.1j, -0.3)), (0.0, 1.0, (0.7,))], (-3, 3))
+
+
+def test_walk_state_and_jumps_are_python_scalars(monkeypatch):
+    # a grid of NumPy floats, as the CLI makes it, reaches neither the
+    # factors nor the state: everything the folds touch is float or complex
+    walks = []
+
+    def spy(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    walk = pr._walk
+    monkeypatch.setattr(pr, "_walk", spy)
+    mu, grid = _edge_measure(), np.arange(-2.5, 2.5 + 0.0625, 0.125)
+    tr = pr.propagate(mu, 0.5 + 0.25j, np.float64(0.3), (1.0, 0.5j), grid)
+    assert tr.jump_log and all(tuple(map(type, j)) == (float, complex, complex)
+                               for j in tr.jump_log)
+    tmats, defect, _ = pr._transfer_along(mu, 0.5 + 0.25j, np.float64(0.3), grid, 1e-8)
+    assert all(type(v) is complex for T in tmats.values() for v in T) and type(defect) is float
+    assert len(walks) == 4
+    for factors, marks, _ in walks:
+        assert all(type(v) is complex for F in factors for v in F)
+        assert all(type(x) is float for _, x, _ in marks)
+
+
+def test_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
+    # atoms and constant pieces are scalar closed forms: neither the Magnus
+    # kernel nor any other NumPy function runs
+    def fail(*_args):
+        raise AssertionError("NumPy called")
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            fail()
+
+    monkeypatch.setattr(pr, "_magnus_factors", fail)
+    monkeypatch.setattr(pr, "np", NoNumpy())
+    mu = me.make_measure([(-1.0, 0.5), (0.5, -0.3 + 0.1j)], [(0.0, 1.0, (0.7,))], (-3, 3))
+    tmats, _, stats = pr._transfer_along(mu, 0.3 - 0.1j, -0.2, [2.5, -2.5, 0.7], 1e-8)
+    assert set(tmats) == {-0.2, 2.5, -2.5, 0.7}
+    assert stats == pr.WalkStats(atoms=2, constant=7, magnus=0)
+
+
+def _oracle_stats(mu, z, a, b, tol, markers=()):
+    runs, atoms, constant = [], 0, 0
+    for ev in wo.factor_events(mu, z, a, b, markers):
+        if ev[0] == "atom":
+            atoms += 1
+        elif ev[0] == "span":
+            constant += sum(F is not None for F in wo.span_factors(z, *ev[1:], tol, runs))
+    return pr.WalkStats(atoms, constant, sum(n for *_, n in runs))
+
+
+def test_walk_stats_count_the_factors_applied():
+    mu, z, tol = _edge_measure(), 0.5 + 0.25j, 1e-6
+    Tf = pr.transfer_matrix(mu, z, -2.5, 0.25, tol)
+    Tb = pr.transfer_matrix(mu, z, 2.5, 0.25, tol)
+    assert Tf.stats == _oracle_stats(mu, z, -2.5, 0.25, tol, [0.25])
+    assert Tb.stats == _oracle_stats(mu, z, 0.25, 2.5, tol, [0.25])
+    assert Tf.stats.atoms == 1 and Tf.stats.magnus > 0 and Tb.stats.constant > 0
+    # summed by @, as the defects are
+    T = pr.transfer_matrix(mu, z, 0.25, 2.5, tol) @ Tf
+    assert T.stats == Tf.stats + _oracle_stats(mu, z, 0.25, 2.5, tol, [2.5])
+    grid = np.linspace(-2.5, 2.5, 11)
+    tr = pr.propagate(mu, z, 0.3, (1.0, 0.0), grid, tol)
+    right, left = grid[grid >= 0.3].tolist(), grid[grid < 0.3].tolist()
+    assert tr.stats == (_oracle_stats(mu, z, 0.3, right[-1], tol, right)
+                        + _oracle_stats(mu, z, left[0], 0.3, tol, left))
