@@ -86,9 +86,9 @@ def _write_meta(ctx, subcommand, params, certificates, stats=None):
     }
     if stats is not None:
         doc["stats"] = stats
+    # one write: json.dump would hand the file one call per token
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _load_local(path, window=None):
@@ -149,6 +149,7 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
         f"{_fmt(res.lower)} {_fmt(res.upper)} {_fmt(res.minimizer_c.real)} "
         f"{_fmt(res.minimizer_c.imag)} {_fmt(witness_a)}"
     )
+    stats = res.stats
     if csv_path:
         if b - a > 2.0:
             centers = sorted(
@@ -162,6 +163,7 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
               for c in centers]
         _write_csv(csv_path, ["a", "N_lower", "N_upper"],
                    [centers, [w.lower for w in ws], [w.upper for w in ws]])
+        stats = sum((w.stats for w in ws), stats)
     _write_meta(
         ctx,
         "seminorm",
@@ -171,6 +173,7 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
          "grid_step": res.certificate.grid_step,
          "lipschitz": res.certificate.lipschitz,
          "error_bound": res.certificate.error_bound},
+        asdict(stats),
     )
 
 

@@ -190,9 +190,10 @@ def abs_pieces(coeffs, t0, t1):
 def integral_abs(coeffs, x0, x1):
     """Integral of |p(x)| over [x0, x1].
 
-    Real coefficients: exact root splitting.  Complex coefficients:
-    `gauss_integral` of |p| to 1e-13 relative; raises ToleranceError when
-    it is still open after _MAX_PANELS bisections.
+    Real coefficients: exact root splitting.  Complex coefficients: a
+    constant in closed form, else `gauss_integral` of |p| to 1e-13
+    relative; raises ToleranceError when it is still open after
+    _MAX_PANELS bisections.
     """
     if x1 <= x0:
         return 0.0
@@ -206,6 +207,9 @@ def integral_abs(coeffs, x0, x1):
                 continue
             total += abs(integral(cr, a, b))
         return total
+    if len(c) == 1:
+        # the Gauss panels of a stretch of subnormal length never agree
+        return float(abs(c[0])) * (x1 - x0)
     val, converged = gauss_integral(c, x0, x1, np.abs, _MAX_PANELS)
     if not converged:
         raise ToleranceError(f"integral_abs: open after {_MAX_PANELS} panel bisections")
@@ -227,11 +231,15 @@ def abs_critical_points(coeffs, x0, x1):
 
 def _gauss(coeffs, fn, a, b):
     h = 0.5 * (b - a)
-    return h * np.dot(_GL_W, fn(evaluate(coeffs, h * _GL_X + (a + h))))
+    return h * np.dot(_GL_W, fn(evaluate(coeffs, h * _GL_X + (a + h))).T)
 
 
 def gauss_integral(coeffs, x0, x1, fn, max_panels):
     """(integral of fn(p(x)) over [x0, x1], converged) for a vectorised fn.
+
+    fn maps the node values to one value per node, or to an array with one
+    row per integrand (then the integral is an array and every entry must
+    pass the test below).
 
     Splits at `abs_critical_points` and applies the 24-point Gauss-Legendre
     rule to each stretch in its own local variable: node rounding then scales
@@ -253,7 +261,7 @@ def gauss_integral(coeffs, x0, x1, fn, max_panels):
         q, a, b, whole = todo.pop()
         m = 0.5 * (a + b)
         left, right = _gauss(q, fn, a, m), _gauss(q, fn, m, b)
-        if abs(left + right - whole) <= tol * (b - a) or not a < m < b:
+        if np.all(abs(left + right - whole) <= tol * (b - a)) or not a < m < b:
             total += left + right
         elif splits == max_panels:
             return total + whole + sum(t[-1] for t in todo), False

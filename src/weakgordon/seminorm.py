@@ -3,9 +3,15 @@
 For a real measure on a window [a-1, a+1] the seminorm equals
 min_c int |phi_mu - c| dt, with any Lebesgue median of phi_mu as minimiser;
 the tie-break is the smallest median.  For complex measures only the
-two-sided bracket [M/2, M] is available, where M = min over complex c.  M
-is the better of the componentwise median and Weiszfeld iterations from
-it; every reported M is a converged `poly.integral_abs` of |phi - c|.
+two-sided bracket [M/2, M] is available, where M = min over complex c, the
+geometric median of the curve phi.  M comes from damped Newton steps
+started at the componentwise median c_med (`_geometric_median`): constant
+pieces of phi are point terms in closed form, the others are steered by
+one unchecked Gauss pass for the gradient and Hessian.  The solver stops
+when the Newton decrement reaches the rounding level of M, or at a point
+term that passes the subgradient test.  Every reported M is a converged
+`poly.integral_abs` of |phi - c| at the reported c, and M/2 is a lower
+bound because c_med alone proves it, however far the solver got.
 
 The smallest median comes from one sweep: each polynomial piece of phi is
 split once, at its critical points, into monotone branches and constant
@@ -55,12 +61,28 @@ class SeminormCertificate:
 
 
 @dataclass(frozen=True)
+class MedianStats:
+    """Work of the complex geometric-median solver, summed over windows:
+    accepted Newton steps and converged L1 scores of |phi - c| (the score
+    at the componentwise median included).  Deterministic counts, no
+    timings; 0 for real measures."""
+
+    median_steps: int = 0
+    l1_evaluations: int = 0
+
+    def __add__(self, other):
+        return MedianStats(self.median_steps + other.median_steps,
+                           self.l1_evaluations + other.l1_evaluations)
+
+
+@dataclass(frozen=True)
 class SeminormResult:
     lower: float
     upper: float
     minimizer_c: complex
     witness_window: tuple
     certificate: SeminormCertificate
+    stats: MedianStats = MedianStats()
 
     @property
     def width(self):
@@ -263,10 +285,6 @@ def _smallest_median(pieces, half):
 # complex case: geometric median of phi
 
 
-def _inv_abs(v):
-    return 1.0 / np.maximum(np.abs(v), 1e-300)
-
-
 def _l1_complex(pieces, c):
     return sum(
         poly.integral_abs(poly.add(coeffs, (-c,)), 0.0, t1 - t0)
@@ -274,30 +292,230 @@ def _l1_complex(pieces, c):
     )
 
 
-def _weiszfeld(pieces, c0, iters=120):
-    c = complex(c0)
-    best_c, best_v = c, _l1_complex(pieces, c)
-    scale_ref = max(1.0, abs(c0))
-    for _ in range(iters):
-        num = 0j
-        den = 0.0
-        # the weights only steer c and every candidate is scored by a
-        # converged _l1_complex, so 64 unchecked panel bisections will do
-        for t0, t1, coeffs in pieces:
-            q, L = poly.add(coeffs, (-c,)), t1 - t0
-            num += poly.gauss_integral(q, 0.0, L, lambda v: (v + c) * _inv_abs(v), 64)[0]
-            den += float(poly.gauss_integral(q, 0.0, L, _inv_abs, 64)[0])
-        if den <= 0:
+# panel bisections of the unchecked Gauss pass that steers the Newton
+# solver, and the cap on its steps
+_STEER_PANELS = 64
+_MAX_NEWTON = 100
+_EPS = math.ulp(1.0)
+
+
+# The rows of the steering integrands are shifted to lie between one and
+# three times a positive weight (1 or 1/|v|): each row then has the size of
+# its weight's integral, and the relative test of `gauss_integral`, applied
+# row by row, needs no row to resolve a cancellation.
+
+
+def _unit(v):
+    """Rows 2 + u_x, 2 + u_y of u = v / |v| at the nodes (u = 0 where v is)."""
+    inv = 1.0 / np.maximum(np.abs(v), 1e-300)
+    return np.array([2.0 + v.real * inv, 2.0 + v.imag * inv])
+
+
+def _unit_and_curvature(v):
+    """The rows of `_unit`, then 1 / |v|, (1 + u_y^2) / |v| and
+    (1 + u_x u_y) / |v|: the trace, h_xx and -h_xy of (I - u u^T) / |v|
+    each shifted by the trace."""
+    inv = 1.0 / np.maximum(np.abs(v), 1e-300)
+    ux, uy = v.real * inv, v.imag * inv
+    return np.array([2.0 + ux, 2.0 + uy, inv, (1.0 + uy * uy) * inv, (1.0 + ux * uy) * inv])
+
+
+def _steer_integral(q, fn, max_panels):
+    """int_0^1 fn(q(x)) dx by `gauss_integral` on halves of the stretches
+    between the critical points of |q|^2, each half in a variable that starts
+    at its critical point.  Next to a point of the curve close to c, u turns
+    at a rate up to |q'| / |q|; nodes rounded to the spacing of floats at the
+    far end of a stretch would put noise above the relative test into every
+    panel there."""
+    total = 0.0
+    for a, b in pairwise(poly.abs_critical_points(q, 0.0, 1.0)):
+        m = 0.5 * (a + b)
+        if m > a:
+            total = total + poly.gauss_integral(
+                poly.shift_origin(q, a), 0.0, m - a, fn, max_panels)[0]
+        if b > m:
+            flip = tuple(v if k % 2 == 0 else -v for k, v in enumerate(poly.shift_origin(q, b)))
+            total = total + poly.gauss_integral(flip, 0.0, b - m, fn, max_panels)[0]
+    return total
+
+
+def _newton_terms(points, curves, c, fn, max_panels):
+    """(gradient, Hessian (h_xx, h_xy, h_yy), w) of
+    F(c) = sum_k w_k |y_k - c| + sum L int_0^1 |q - c| at c, the gradient
+    as a complex number; w is the weight of a point term at c itself, which
+    is left out of both.  The curves (q, L) are taken on [0, 1] and the
+    integrals are `_steer_integral` passes of fn (`_unit`: the gradient
+    only) with at most max_panels bisections."""
+    g, h, w_at = 0j, [0.0, 0.0, 0.0], 0.0
+    for y, w in points.items():
+        d = y - c
+        if d == 0:
+            w_at = w
+            continue
+        r = max(abs(d), 1e-300)
+        ux, uy = d.real / r, d.imag / r
+        g -= w * complex(ux, uy)
+        h[0] += w * uy * uy / r
+        h[1] -= w * ux * uy / r
+        h[2] += w * ux * ux / r
+    for q, L in curves:
+        v = (L * _steer_integral(poly.add(q, (-c,)), fn, max_panels)).tolist()
+        g -= complex(v[0] - 2.0 * L, v[1] - 2.0 * L)
+        if len(v) > 2:
+            trace, hxx = v[2], v[3] - v[2]
+            h[0] += hxx
+            h[1] += trace - v[4]
+            h[2] += trace - hxx
+    return g, h, w_at
+
+
+def _directions(g, h, w_at, reach):
+    """[(step, decrease)] from c, each step at most `reach` long, with the
+    decrease of F to first order along it, -g.step - w_at |step|.
+
+    The Newton step comes first, then the Weiszfeld step -g / tr H.  Along
+    -g instead, where the cone of a point term of weight w_at (one that
+    fails the subgradient test) cuts the slope to |g| - w_at, or where the
+    Hessian is singular: the Newton step on the curvature along -g, then
+    the whole reach.  A curve through c makes int 1 / |q - c| diverge
+    across it and leaves out the curvature along it, so there the Newton
+    step can be far too short or undefined, and the line search backtracks
+    from the reach.  The Hessian is normalised by its trace before it is
+    inverted, so its 2x2 determinant cannot overflow."""
+    s = h[0] + h[2]
+    if not 0.0 < s < math.inf or g == 0:
+        return []
+    a, b, d = h[0] / s, h[1] / s, h[2] / s
+    det = a * d - b * b
+    if w_at or det <= 1e-14:
+        e = -g / abs(g)
+        curv = s * (a * e.real * e.real + 2.0 * b * e.real * e.imag + d * e.imag * e.imag)
+        steps = [e * ((abs(g) - w_at) / curv)] if curv > 0.0 else []
+        steps.append(e * reach)
+    else:
+        steps = [complex(b * g.imag - d * g.real, b * g.real - a * g.imag) / (s * det), -g / s]
+    out = []
+    for x in steps:
+        if abs(x) > reach:
+            x *= reach / abs(x)
+        out.append((x, -(g.real * x.real + g.imag * x.imag) - w_at * abs(x)))
+    return out
+
+
+def _geometric_median(pieces, c, f):
+    """(c, F(c), steps, scores): a minimiser of F(c) = int |phi - c| over
+    the window by damped Newton from (c, f), f = F(c) converged.
+
+    Constant pieces of phi are point terms y_k, their lengths summed per
+    level, taken in closed form; the other pieces give their gradient and
+    Hessian from one `gauss_integral` pass of _STEER_PANELS unchecked
+    bisections, since those values only steer.
+    - Every candidate is scored by the converged `_l1_complex`, and a score
+      that raises ToleranceError reads as no decrease, so the F returned is
+      a converged integral at the c returned.
+    - A step is accepted on a strict decrease.  The steps of `_directions`
+      (Newton first) backtrack in turn; when all fail, the gradient is
+      recomputed converged, and from then on the solver steers by converged
+      gradients, since next to the curve the unchecked one can point the
+      wrong way.  When that fails too, the solver stops.
+    - A point term within reach of the Newton step is scored as a
+      candidate first, once per point term: Newton only creeps up on a cone.
+    - It stops when the Newton decrement reaches the rounding level of F,
+      at a point term of weight w whose rest passes the subgradient test
+      |grad| <= w (Vardi and Zhang, PNAS 97, 2000), or after _MAX_NEWTON
+      steps.
+    `steps` counts accepted steps, `scores` converged L1 scores.
+    """
+    points, curves = {}, []
+    for t0, t1, coeffs in pieces:
+        q = poly.trim(coeffs)
+        if len(q) == 1:
+            y = complex(q[0])
+            points[y] = points.get(y, 0.0) + (t1 - t0)
+        else:
+            curves.append((q, t1 - t0))
+    size = max([abs(y - c) for y in points]
+               + [poly.sup_abs_on(poly.add(q, (-c,)), 0.0, L) for q, L in curves])
+    if not size > 0.0:
+        return c, f, 0, 0
+    # steer in units of the data's distance from c, a power of two, and
+    # each curve on [0, 1]: 1e-308-sized values then neither under- nor
+    # overflow u and 1 / |q - c|, nor a long coefficient over a 1e-179
+    # stretch |q|^2.  The minimiser lies in the hull of phi, within 2 size
+    # of every point of it.
+    unit = math.ldexp(1.0, math.frexp(size)[1])
+    steer_points = {y / unit: w for y, w in points.items()}
+    steer_curves = [(tuple(v * L**k / unit for k, v in enumerate(q)), L) for q, L in curves]
+
+    def terms(fn, max_panels):
+        return _newton_terms(steer_points, steer_curves, c / unit, fn, max_panels)
+
+    def directions(g, h, w_at):
+        return [(unit * x, unit * decrease)
+                for x, decrease in _directions(g, h, w_at, 2.0 * size / unit)]
+
+    tried = set()
+    steps = scores = 0
+
+    def score(x):
+        nonlocal scores
+        scores += 1
+        try:
+            return _l1_complex(pieces, x)
+        except ToleranceError:
+            return math.inf
+
+    def search(step, decrease):
+        # backtrack until F decreases or the decrease expected falls below
+        # the rounding level of F: to the minimiser of the parabola through
+        # f, the slope and F at the step, kept within [0.1, 0.5] of the step
+        t = 1.0
+        while t * decrease > 4.0 * _EPS * f:
+            x = c + t * step
+            if x == c:
+                return None
+            fx = score(x)
+            if fx < f:
+                return x, fx
+            t *= max(0.1, 0.5 * t * decrease / (fx - f + t * decrease))
+        return None
+
+    def descend(moves):
+        for step, decrease in moves:
+            found = search(step, decrease)
+            if found:
+                return found
+        return None
+
+    exact = False
+    for _ in range(_MAX_NEWTON):
+        g, h, w_at = terms(_unit_and_curvature, _STEER_PANELS)
+        if exact:
+            g = terms(_unit, poly._MAX_PANELS)[0]
+        if w_at and abs(g) <= w_at:
             break
-        c_new = num / den
-        v_new = _l1_complex(pieces, c_new)
-        if v_new < best_v:
-            best_c, best_v = c_new, v_new
-        if abs(c_new - c) <= 1e-12 * scale_ref:
-            c = c_new
+        moves = directions(g, h, w_at)
+        if not moves or not w_at and 0.5 * moves[0][1] <= 4.0 * _EPS * f:
             break
-        c = c_new
-    return best_c, best_v
+        found = None
+        near = min(points, key=lambda y: abs(y - c), default=None)
+        if near is not None and near not in tried and abs(near - c) <= abs(moves[0][0]):
+            tried.add(near)
+            fy = score(near)
+            if fy < f:
+                found = near, fy
+        found = found or descend(moves)
+        if not found and not exact:
+            # next to the curve the unchecked gradient can point the wrong
+            # way: from here on steer by the converged one
+            exact = True
+            g = terms(_unit, poly._MAX_PANELS)[0]
+            found = descend(directions(g, h, w_at))
+        if not found:
+            break
+        c, f = found
+        steps += 1
+    return c, f, steps, scores
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +525,12 @@ def _weiszfeld(pieces, c0, iters=120):
 def _window_value(mu, wlo, whi):
     """Seminorm of mu on the window [wlo, whi] (length <= 2).
 
-    Returns (lower, upper, minimizer_c_phi).  Real measures: exact value.
-    Complex: bracket [M/2, M].
+    Returns (lower, upper, minimizer_c_phi, MedianStats).  Real measures:
+    exact value.  Complex: bracket [M/2, M].
     """
     pieces = me.cumulative_pieces(mu, wlo, whi)
     if not pieces:
-        return 0.0, 0.0, 0j
+        return 0.0, 0.0, 0j, MedianStats()
     offset = _phi_offset(mu, wlo)
     half = 0.5 * (whi - wlo)
     real = all(poly.is_real(c, 0.0) for _, _, c in pieces)
@@ -320,7 +538,7 @@ def _window_value(mu, wlo, whi):
         rp = _real_pieces(pieces)
         c = _smallest_median(rp, half)
         val = _l1_real(rp, c)
-        return val, val, complex(c) + offset
+        return val, val, complex(c) + offset, MedianStats()
     re_pieces = [(t0, t1, tuple(v.real for v in c)) for t0, t1, c in pieces]
     im_pieces = [(t0, t1, tuple(v.imag for v in c)) for t0, t1, c in pieces]
     c_med = complex(
@@ -328,15 +546,11 @@ def _window_value(mu, wlo, whi):
         _smallest_median(_real_pieces(im_pieces), half),
     )
     m_med = _l1_complex(pieces, c_med)
-    c_w, m_w = _weiszfeld(pieces, c_med)
-    if m_w < m_med:
-        c_best, m_best = c_w, m_w
-    else:
-        c_best, m_best = c_med, m_med
-    # M/2 is a lower bound whether or not Weiszfeld converged: c_med takes
-    # the exact medians S of Re phi and Im phi, so
+    c_best, m_best, steps, scores = _geometric_median(pieces, c_med, m_med)
+    # M/2 is a lower bound however far the solver got: c_med takes the
+    # exact medians S of Re phi and Im phi, so
     # M <= int |phi - c_med| <= S(Re mu) + S(Im mu) <= 2 min_c int |phi - c|
-    return 0.5 * m_best, m_best, c_best + offset
+    return 0.5 * m_best, m_best, complex(c_best + offset), MedianStats(steps, scores + 1)
 
 
 def window_seminorm(mu: me.LocalMeasure, a: float) -> SeminormResult:
@@ -344,9 +558,9 @@ def window_seminorm(mu: me.LocalMeasure, a: float) -> SeminormResult:
     wlo, whi = a - 1.0, a + 1.0
     if wlo < mu.lo - 1e-12 or whi > mu.hi + 1e-12:
         raise DomainError(f"window [{wlo}, {whi}] not inside {mu.window}")
-    lo, up, c = _window_value(mu, wlo, whi)
+    lo, up, c, stats = _window_value(mu, wlo, whi)
     cert = SeminormCertificate(0.0, 0.0, up - lo)
-    return SeminormResult(lo, up, c, (wlo, whi), cert)
+    return SeminormResult(lo, up, c, (wlo, whi), cert, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +726,9 @@ def interval_seminorm(
     if mu.is_zero():
         return SeminormResult(0.0, 0.0, 0j, (lo, hi), SeminormCertificate(0, 0, 0))
     if length <= 2.0 + 1e-14:
-        vlo, vup, c = _window_value(mu, lo, hi)
+        vlo, vup, c, stats = _window_value(mu, lo, hi)
         return SeminormResult(
-            vlo, vup, c, (lo, hi), SeminormCertificate(0.0, 0.0, vup - vlo)
+            vlo, vup, c, (lo, hi), SeminormCertificate(0.0, 0.0, vup - vlo), stats
         )
 
     a_lo, a_hi = lo + 1.0, hi - 1.0
@@ -562,7 +776,7 @@ def interval_seminorm(
     if exact_best > -math.inf:
         points.add(exact_a)
     for a in sorted(points):
-        vlo, vup, _ = evaluate(a)
+        vlo = evaluate(a)[0]
         if vlo > best_lower:
             best_lower, best_a = vlo, a
 
@@ -621,7 +835,7 @@ def interval_seminorm(
                 f"after {max_nodes} refinement nodes"
             )
         mid = 0.5 * (a1 + a2)
-        vlo, vup, _ = evaluate(mid)
+        vlo = evaluate(mid)[0]
         if vlo > best_lower:
             best_lower, best_a = vlo, mid
         for x1, x2 in ((a1, mid), (mid, a2)):
@@ -633,11 +847,12 @@ def interval_seminorm(
             heapq.heappush(heap, (-b, counter, x1, x2))
             counter += 1
 
-    vlo, vup, c = evaluate(best_a)
+    vlo, vup, c, _ = evaluate(best_a)
     upper = max(vup, settled_bound, best_lower, exact_best)
     grid_step = min_h if refined else 0.0
     cert = SeminormCertificate(grid_step, K, upper - vlo)
-    return SeminormResult(vlo, upper, c, (best_a - 1.0, best_a + 1.0), cert)
+    stats = sum((v[3] for v in evals.values()), MedianStats())
+    return SeminormResult(vlo, upper, c, (best_a - 1.0, best_a + 1.0), cert, stats)
 
 
 # ---------------------------------------------------------------------------

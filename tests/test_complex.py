@@ -88,6 +88,27 @@ def test_integral_abs_matches_reference(case):
     assert abs(got - ref) <= 1e-12 * max(ref, 1e-300) + 1e-15 * scale
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(complex_polys())
+def test_gauss_integral_rows_match_scalar_calls(case):
+    # an array-valued fn integrates each row as its own scalar call does,
+    # with every row held to the relative test
+    coeffs, L = case
+    rows, ok = poly.gauss_integral(coeffs, 0.0, L, lambda v: np.array([np.abs(v), 1.0 + v.real]),
+                                   poly._MAX_PANELS)
+    assert ok
+    for row, fn in zip(rows, (np.abs, lambda v: 1.0 + v.real)):
+        ref, ok = poly.gauss_integral(coeffs, 0.0, L, fn, poly._MAX_PANELS)
+        assert ok and row == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+def test_constant_closed_form_on_a_subnormal_stretch():
+    # the Gauss panels of a 2.2e-311-long stretch never agree
+    h = 2.225073858507e-311
+    assert poly.integral_abs((3 - 4j,), 0.0, h) == 5.0 * h
+    assert poly.integral_abs((0.5 + 1j, 0.0), 1.0, 3.0) == abs(0.5 + 1j) * 2.0
+
+
 def test_near_zero_closed_form():
     # int_0^2 sqrt((x - 1)^2 + e^2) dx = sqrt(1 + e^2) + e^2 asinh(1 / e)
     e = 1e-6

@@ -288,7 +288,7 @@ def _bnb_interval_seminorm(mu, interval, tol, max_nodes=60000):
                 continue
             heapq.heappush(heap, (-node_bound(x1, x2, best_lower + tol), counter, x1, x2))
             counter += 1
-    vlo, vup, _ = evaluate(best_a)
+    vlo, vup, *_ = evaluate(best_a)
     return vlo, max(vup, settled, best_lower)
 
 
