@@ -13,11 +13,12 @@ of span factors plus a short list of marks: the atoms and the sample points,
 each with the number of factors that precede it.  To the left the factors
 are inverted and reversed.  Atom and constant factors are scalar closed
 forms; only a walk with Magnus steps touches NumPy, evaluating all of them
-in one pass (`_magnus_factors`).  A factor is a 4-tuple (F00, F01, F10, F11)
-of Python complex numbers, and the grid enters as Python floats, so the
-folds between marks are scalar arithmetic: `_transfer_along` folds the walk
-into matrices, `transfer_matrix` included; `propagate` folds it into a
-state vector and logs the atom jumps.  Both count what the walks applied
+in one pass and folding each span's steps into one factor
+(`_magnus_factors`).  A factor is a 4-tuple (F00, F01, F10, F11) of Python
+complex numbers, and the grid enters as Python floats, so the folds between
+marks are scalar arithmetic: `_transfer_along` folds the walk into
+matrices, `transfer_matrix` included; `propagate` folds it into a state
+vector and logs the atom jumps.  Both count what the walks applied
 (`WalkStats`).
 """
 
@@ -27,7 +28,6 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -44,16 +44,17 @@ _FACTORIALS = tuple(float(math.factorial(n)) for n in range(14))
 
 @dataclass(frozen=True)
 class WalkStats:
-    """The factors a walk applied: atom jumps, closed-form constant pieces
-    and Magnus steps.  Deterministic counts, no timings."""
+    """The factors a walk applied: atom jumps, closed-form constant pieces,
+    Magnus steps and the runs they were folded into.  Deterministic counts."""
 
     atoms: int = 0
     constant: int = 0
     magnus: int = 0
+    runs: int = 0
 
     def __add__(self, other):
         return WalkStats(self.atoms + other.atoms, self.constant + other.constant,
-                         self.magnus + other.magnus)
+                         self.magnus + other.magnus, self.runs + other.runs)
 
 
 @dataclass(frozen=True)
@@ -133,24 +134,15 @@ def _const_factor(q, h):
     return (c, h * s, q * h * s, c)
 
 
-def _magnus_factors(segments, runs, z):
-    """4th-order Magnus steps across density pieces, all in one NumPy pass.
-
-    A run (i, k, x0, h, n) is n steps of length h on segments[k], the first
-    from the local offset x0 in that segment's variable (i is where the
-    walk puts them).  Returns one factor per step, in order.
-    """
-    _, seg, x0, h, n = (np.array(v) for v in zip(*runs))
-    step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # step of its run
-    h = np.repeat(h, n)
-    x0 = np.repeat(x0, n) + step * h
-    padded = [tuple(s.coeffs) + (0j,) * (me.MAX_DEGREE + 1 - len(s.coeffs)) for s in segments]
-    coeffs = np.array(padded, dtype=complex)[np.repeat(seg, n)]
+def _magnus_steps(coeffs, piece, x0, h, z):
+    """The entry arrays of 4th-order Magnus steps of length h from the
+    offsets x0 on the pieces coeffs[piece], all in one NumPy pass (its
+    temporaries are freed before the product tree starts)."""
 
     def q_at(t):
-        acc = coeffs[:, -1]
+        acc = coeffs[piece, -1]
         for k in range(me.MAX_DEGREE - 1, -1, -1):
-            acc = acc * t + coeffs[:, k]
+            acc = acc * t + coeffs[piece, k]
         return acc - z
 
     q1 = q_at(x0 + (0.5 - _SQRT3 / 6.0) * h)
@@ -161,7 +153,53 @@ def _magnus_factors(segments, runs, z):
     w2 = delta * delta + h * h * qbar
     c, s = _even_funcs_array(w2)
     sh, sd = s * h, s * delta
-    return list(zip((c + sd).tolist(), sh.tolist(), (sh * qbar).tolist(), (c - sd).tolist()))
+    return c + sd, sh, sh * qbar, c - sd
+
+
+def _magnus_factors(segments, runs, z):
+    """The Magnus steps of each run, folded into one factor F_n ... F_1.
+
+    A run (i, k, x0, h, n) is n steps of length h on segments[k], the first
+    from the local offset x0 in that segment's variable (i is where the
+    walk puts them).  The product tree pads each run with identities to its
+    own power of two; every run goes up one level per pass.  Returns one
+    factor per run, in order, and the summed |det F - 1| of its steps.
+    """
+    _, seg, x0, h, n = (np.array(v) for v in zip(*runs))
+    first = np.cumsum(n) - n
+    step = np.arange(n.sum()) - np.repeat(first, n)  # step of its run
+    h = np.repeat(h, n)
+    padded = [tuple(s.coeffs) + (0j,) * (me.MAX_DEGREE + 1 - len(s.coeffs)) for s in segments]
+    F = _magnus_steps(np.array(padded, dtype=complex), np.repeat(seg, n),
+                      np.repeat(x0, n) + step * h, h, z)
+    defects = np.add.reduceat(np.abs(F[0] * F[3] - F[1] * F[2] - 1.0), first)
+    # the largest padded size first, so each run starts at a multiple of its size
+    size = 1 << np.frexp(n - 1)[1]
+    order = np.argsort(-size, kind="stable")
+    size, ends = size[order], np.cumsum(size[order])
+    start = np.empty_like(ends)
+    start[order] = ends - size
+    pos = np.repeat(start, n) + step
+    level = [np.full(ends[-1], pad, dtype=complex) for pad in (1, 0, 0, 1)]
+    for entries, f in zip(level, F):
+        entries[pos] = f
+    down, ends = (-size).tolist(), ends.tolist()
+    out = [np.empty(len(runs), dtype=complex) for _ in range(4)]
+    done, width = len(runs), 1
+    while True:
+        # the runs of padded size width are down to their product, at the end
+        live = bisect_left(down, -width)
+        cut = ends[live - 1] // width if live else 0
+        if live < done:
+            for product, entries in zip(out, level):
+                product[order[live:done]] = entries[cut:]
+        if not live:
+            return list(zip(*(product.tolist() for product in out))), defects.tolist()
+        # each pair: the later factor b times the earlier a
+        (a00, b00), (a01, b01), (a10, b10), (a11, b11) = ((e[0:cut:2], e[1:cut:2]) for e in level)
+        level = [b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+                 b10 * a00 + b11 * a10, b10 * a01 + b11 * a11]
+        done, width = live, 2 * width
 
 
 def _inv_unimodular(F):
@@ -172,11 +210,13 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     """The one factor walk over [a, b], from a up to b or, with `backward`,
     from b down to a.
 
-    Returns the span factors in walking order, the marks (i, x, w) and the
-    walk's `WalkStats`.  A mark comes after the first i factors: an atom of
-    weight w at x in (a, b], or a marker x with w None.  Walking left
-    reverses the factors and inverts them, so a consumer always applies F
-    on the left, and a marker at an atom sees (u(x), u'(x+)) both ways.
+    Returns the span factors in walking order, their step defects (a run's
+    summed |det F - 1|, None for other factors), the marks (i, x, w) and
+    the walk's `WalkStats`.  A mark comes after the first i factors: an
+    atom of weight w at x in (a, b], or a marker x with w None.  Walking
+    left reverses the factors and inverts them, so a consumer always
+    applies F on the left, and a marker at an atom sees (u(x), u'(x+))
+    both ways.
     """
     segments = mu.segments_meeting(a, b)
     atoms = dict(mu.atoms_in(a, b))
@@ -186,7 +226,7 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     # a segment's constant density, or None where it needs Magnus steps
     consts = [c[0] if len(c) == 1 else None for c in (poly.trim(s.coeffs) for s in segments)]
     factors, marks = [], [(0, a, None)] if a in samples else []
-    runs = []  # Magnus steps, as runs (first factor, segment, offset, step, count)
+    runs = []  # Magnus steps, as runs (factor, segment, offset, step, count)
     k, last, root = 0, len(segments), tol**0.25
     for x0, x1 in zip(cut, cut[1:]):
         # segment ends are cuts: the covering segment is the first not ended
@@ -200,31 +240,32 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
         else:
             n = math.ceil(h / root) if h > root else 1
             runs.append((len(factors), k, x0 - segments[k].start, h / n, n))
-            factors.extend(repeat(None, n))
+            factors.append(None)
         if x1 in atoms:
             marks.append((len(factors), x1, atoms[x1]))
         if x1 in samples:
             marks.append((len(factors), x1, None))
-    steps = 0
+    defects, steps = [None] * len(factors), 0
     if runs:
-        magnus = _magnus_factors(segments, runs, z)
-        for i, _, _, _, n in runs:
-            factors[i:i + n] = magnus[steps:steps + n]
+        for (i, *_, n), F, d in zip(runs, *_magnus_factors(segments, runs, z)):
+            factors[i], defects[i] = F, d
             steps += n
-    stats = WalkStats(len(atoms), len(factors) - steps, steps)
+    stats = WalkStats(len(atoms), len(factors) - len(runs), steps, len(runs))
     if backward:
         n = len(factors)
         factors = list(map(_inv_unimodular, reversed(factors)))
+        defects.reverse()
         marks = [(n - i, x, w) for i, x, w in reversed(marks)]
-    return factors, marks, stats
+    return factors, defects, marks, stats
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     """T(t, s) carrying (u(s), u'(s+)) to (u(t), u'(t+)).
 
-    det_defect accumulates |det F - 1| over the elementary factors; each
-    factor is an exact unipotent or a closed-form traceless exponential, so
-    the certificate stays at rounding level per unit length.
+    det_defect accumulates |det F - 1| over the elementary factors, each
+    Magnus step rather than the run it is folded into; each factor is an
+    exact unipotent or a closed-form traceless exponential, so the
+    certificate stays at rounding level per unit length.
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -258,8 +299,8 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
         if not side:
             continue
         markers = [xs[i] for i in side]
-        factors, marks, walk_stats = _walk(mu, z, *sorted((s, markers[-1])), tol, markers, backward)
-        stats += walk_stats
+        factors, _, marks, counts = _walk(mu, z, *sorted((s, markers[-1])), tol, markers, backward)
+        stats += counts
         v, dv = state0
         done = idx = 0
         for i, x, w in marks:
@@ -425,7 +466,7 @@ class SolutionDifference:
 
 def _transfer_along(mu, z, base, points, tol):
     """T(x, base) for every x in sorted(points), one walk each direction,
-    the summed |det F - 1| over the factors applied and the walks' stats."""
+    the summed |det F - 1| over the elementary factors and the walks' stats."""
     points = sorted(set(float(p) for p in points) | {float(base)})
     out = {base: _EYE}
     defect, stats = 0.0, WalkStats()
@@ -433,20 +474,21 @@ def _transfer_along(mu, z, base, points, tol):
     for side, backward in ((points[k + 1:], False), (points[:k][::-1], True)):
         if not side:
             continue
-        factors, marks, walk_stats = _walk(mu, z, *sorted((float(base), side[-1])), tol, side,
-                                           backward)
+        factors, defects, marks, walk_stats = _walk(mu, z, *sorted((float(base), side[-1])), tol,
+                                                    side, backward)
         stats += walk_stats
         t00, t01, t10, t11 = _EYE
         done = 0
         for i, x, w in marks:
-            run, done = factors[done:i], i
+            chunk, dets, done = factors[done:i], defects[done:i], i
             if w is not None:
                 F = (1 + 0j, 0j, complex(w), 1 + 0j)
-                run.append(_inv_unimodular(F) if backward else F)
-            for f00, f01, f10, f11 in run:
+                chunk.append(_inv_unimodular(F) if backward else F)
+                dets.append(None)
+            for (f00, f01, f10, f11), d in zip(chunk, dets):
                 t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
                                       f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
-                defect += abs(f00 * f11 - f01 * f10 - 1.0)
+                defect += abs(f00 * f11 - f01 * f10 - 1.0) if d is None else d
             if w is None:
                 out[x] = (t00, t01, t10, t11)
     return out, defect, stats

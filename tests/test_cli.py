@@ -72,7 +72,7 @@ class TestPropagateCommand:
         meta = json.loads((workdir / "meta.json").read_text())
         tr = pr.propagate(mio.load_measure("dirac.json"), 0j, 0.0, (1, 0),
                           [-0.5, -0.25, 0.0, 0.25, 0.5])
-        assert meta["stats"] == {"atoms": 1, "constant": 4, "magnus": 0}
+        assert meta["stats"] == {"atoms": 1, "constant": 4, "magnus": 0, "runs": 0}
         assert tr.stats == pr.WalkStats(**meta["stats"])
 
     def test_bad_grid_exit_2(self, workdir):

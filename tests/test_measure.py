@@ -432,7 +432,7 @@ def test_slack_overlap_reads_as_one_density():
     slopes = {t0: coeffs[1] if len(coeffs) > 1 else 0j
               for t0, _, coeffs in me.cumulative_pieces(mu, -1.0, 3.0)}
     pieces = sorted(slopes)
-    factors, marks, _ = pr._walk(mu, 0.0, -1.0, 3.0, 1e-8)
+    factors, _, marks, _ = pr._walk(mu, 0.0, -1.0, 3.0, 1e-8)
     assert len(factors) == len(slopes) == 5 and not marks
     for F, x0, x1 in zip(factors, pieces, pieces[1:] + [3.0]):
         assert F == pr._const_factor(slopes[x0], x1 - x0)

@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
@@ -366,6 +368,28 @@ _EPS = np.finfo(float).eps
 _SQRT3 = math.sqrt(3.0)
 
 
+def assert_agrees(got, ref, exact):
+    """Byte equality, or agreement within 1e-12 of the larger of 1 and the
+    largest reference entry: the bound for a different association order
+    of the Magnus run products (tests/walk_oracle.py)."""
+    got, ref = np.asarray(got, dtype=complex), np.asarray(ref, dtype=complex)
+    if exact:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+        assert float(np.max(np.abs(got - ref), initial=0.0)) <= 1e-12 * scale
+
+
+def assert_defect_agrees(defect, ref, stats):
+    """det_defect against the oracle's Python sum: the same bytes without
+    Magnus steps, else within a few ulps of 1 per step (NumPy's complex
+    products can differ from Python's in the last bit)."""
+    if stats.magnus == 0:
+        assert defect == ref
+    else:
+        assert abs(defect - ref) <= 8 * _EPS * stats.magnus
+
+
 def scalar_even_funcs(w2):
     if abs(w2) < 1e-4:
         c = 1.0 + 0j
@@ -414,13 +438,17 @@ def test_span_events_carry_their_covering_segments():
             for x0, x1 in zip(cut, cut[1:]):
                 scan = [s for s in m.segments if s.start <= x0 and x1 <= s.end]
                 assert len(scan) <= 1
-                expected += wo.span_factors(1.0, x0, x1, scan[0] if scan else None, 1e-8, runs)
-            magnus = iter(wo.magnus_factors(runs, 1.0))
-            expected = [next(magnus) if F is None else F for F in expected]
-            factors, marks, stats = pr._walk(m, 1.0, a, b, 1e-8)
-            assert expected and repr(factors) == repr(expected)
+                span = wo.span_factors(1.0, x0, x1, scan[0] if scan else None, 1e-8, runs)
+                expected.append((span[0], None, 0))  # a span's Magnus steps are one factor
+            products = iter(wo.run_products(runs, 1.0))
+            expected = [next(products) if F is None else (F, d, n) for F, d, n in expected]
+            factors, defects, marks, stats = pr._walk(m, 1.0, a, b, 1e-8)
+            assert expected and len(factors) == len(expected)
+            for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
+                assert_agrees(F, ref, n <= 1)
+                assert (d is None) == (ref_d is None)
             assert [(x, w) for _, x, w in marks] == list(m.atoms_in(a, b))
-            assert stats.magnus == sum(n for *_, n in runs)
+            assert stats.magnus == sum(n for *_, n in runs) and stats.runs == len(runs)
 
 
 def scalar_magnus_factor(coeffs, x0, h, z):
@@ -490,19 +518,111 @@ def magnus_runs(draw):
     return runs, z
 
 
+def scalar_run(coeffs, x0, h, n, z):
+    """F_n ... F_1 of the scalar steps, folded one at a time."""
+    ref = scalar_magnus_factor(coeffs, x0, h, z)
+    for k in range(1, n):
+        ref = scalar_magnus_factor(coeffs, x0 + k * h, h, z) @ ref
+    return ref
+
+
+def kernel_runs(runs, z):
+    """`_magnus_factors` on runs (coeffs, x0, h, n), one segment each."""
+    segments = [me.Segment(0.0, 1.0, coeffs) for coeffs, _, _, _ in runs]
+    return pr._magnus_factors(
+        segments, [(None, k, x0, h, n) for k, (_, x0, h, n) in enumerate(runs)], z)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(magnus_runs())
 def test_batched_magnus_matches_scalar_steps(case):
+    # a single step is the scalar step to 64 ulps; a longer run is the
+    # scalar fold within 1e-12 of its scale
     runs, z = case
-    segments = [me.Segment(0.0, 1.0, coeffs) for coeffs, _, _, _ in runs]
-    got = iter(pr._magnus_factors(
-        segments, [(None, k, x0, h, n) for k, (_, x0, h, n) in enumerate(runs)], z))
-    for coeffs, x0, h, n in runs:
-        for k in range(n):
-            ref = scalar_magnus_factor(coeffs, x0 + k * h, h, z)
-            F = np.array(next(got)).reshape(2, 2)
-            assert np.max(np.abs(F - ref)) <= 64 * _EPS * max(1.0, np.max(np.abs(ref)))
-    assert next(got, None) is None
+    products, defects = kernel_runs(runs, z)
+    assert len(products) == len(defects) == len(runs)
+    for (coeffs, x0, h, n), F in zip(runs, products):
+        ref = scalar_run(coeffs, x0, h, n, z)
+        bound = (64 * _EPS if n == 1 else 1e-12) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(np.array(F).reshape(2, 2) - ref)) <= bound
+
+
+@st.composite
+def long_magnus_runs(draw):
+    """1-6 runs of 1-300 Magnus steps in one call, on complex densities of
+    degree 1-3 over local offsets in [0, 6], each run at most 3 long, with
+    |z| <= 10."""
+    z = draw(st.builds(cmath.rect, st.floats(0.0, 10.0), st.floats(-math.pi, math.pi)))
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        deg = draw(st.integers(1, 3))
+        coeffs = tuple(draw(st.lists(complex_unit, min_size=deg + 1, max_size=deg + 1)))
+        n = draw(st.one_of(st.integers(1, 4), st.integers(1, 300)))
+        length = 10.0 ** draw(st.floats(-6.0, math.log10(3.0)))
+        runs.append((coeffs, draw(st.floats(0.0, 3.0)), length / n, n))
+    return runs, z
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(long_magnus_runs())
+def test_run_products_match_the_sequential_fold(case):
+    runs, z = case
+    with np.errstate(all="ignore"):
+        refs = [scalar_run(*run, z) for run in runs]
+    assume(all(np.all(np.isfinite(ref)) for ref in refs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        products, defects = kernel_runs(runs, z)
+    for F, ref in zip(products, refs):
+        assert_agrees(F, ref.ravel(), exact=False)
+    # each run's defect is the Python sum of its steps' |det F - 1|, taken
+    # from the same steps by the same NumPy arithmetic
+    f00, f01, f10, f11 = np.array(wo.magnus_factors(runs, z)).T
+    step_defects = iter(np.abs(f00 * f11 - f01 * f10 - 1.0).tolist())
+    for (*_, n), d in zip(runs, defects):
+        terms = [next(step_defects) for _ in range(n)]
+        assert abs(d - sum(terms)) <= n * _EPS * sum(terms)
+
+
+def test_det_defect_is_the_python_sum_of_step_defects():
+    # atoms and constant pieces add their Python |det F - 1|, each run the
+    # NumPy defects of its steps; summing per run first moves the total
+    # only by rounding
+    mu = _edge_measure()
+    z, tol = 0.5 + 0.25j, 1e-10
+    factors, runs = [], []
+    for ev in wo.factor_events(mu, z, -2.5, 2.5):
+        if ev[0] == "atom":
+            factors.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
+        elif ev[0] == "span":
+            factors += [F for F in wo.span_factors(z, *ev[1:], tol, runs) if F is not None]
+    terms = [abs(f00 * f11 - f01 * f10 - 1.0) for f00, f01, f10, f11 in factors]
+    f00, f01, f10, f11 = np.array(wo.magnus_factors(runs, z)).T
+    terms += np.abs(f00 * f11 - f01 * f10 - 1.0).tolist()
+    for s, t in ((-2.5, 2.5), (2.5, -2.5)):
+        T = pr.transfer_matrix(mu, z, s, t, tol)
+        assert T.stats.runs == len(runs) and T.stats.magnus == sum(n for *_, n in runs) > 100
+        total = sum(terms)
+        assert 0 < T.det_defect and abs(T.det_defect - total) <= len(terms) * _EPS * total
+
+
+def test_run_tree_memory_stays_near_the_step_arrays():
+    # one run of 2^14 steps beside 1,000 single steps: each run is padded
+    # to its own power of two, not to the longest run's (1,001 x 2^14)
+    segments = [me.Segment(0.0, 3.0, (0.5, 1j, -0.3, 0.2))]
+    runs = [(0, 0, 0.0, 1e-4, 2**14)] + [(k, 0, 1.0 + 1e-3 * k, 1e-4, 1) for k in range(1, 1001)]
+    steps = 2**14 + 1000
+    step_arrays = 4 * steps * np.dtype(complex).itemsize  # the four entries of every step
+    pr._magnus_factors(segments, runs, 0.5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        products, _ = pr._magnus_factors(segments, runs, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(products) == 1001 and peak <= 4 * step_arrays
 
 
 @st.composite
@@ -529,6 +649,29 @@ def test_transfer_along_matches_scalar_fold(case):
     ref = scalar_transfer(mu, z, s, t, tol)
     got = np.array(pr._transfer_along(mu, z, s, [t], tol)[0][t]).reshape(2, 2)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(density_walks())
+def test_walk_run_products_both_ways(case):
+    # at tol 1e-12 a span takes thousands of steps; walking either way, a
+    # run factor is the oracle's one-step-at-a-time fold (inverted and
+    # reversed to the left), and each run carries its steps' defects
+    mu, z, s, t, _ = case
+    a, b = sorted((s, t))
+    for backward in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            factors, defects, marks, stats = pr._walk(mu, z, a, b, 1e-12, backward=backward)
+        expected = wo.span_walk(mu, z, a, b, 1e-12, backward)
+        assert len(factors) == len(defects) == len(expected)
+        for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
+            assert_agrees(F, ref, n <= 1)
+            assert (d is None) == (ref_d is None)
+            if d is not None:
+                assert abs(d - ref_d) <= 8 * _EPS * n
+        assert stats.runs == sum(n > 0 for *_, n in expected)
+        assert stats.magnus == sum(n for *_, n in expected)
 
 
 def python_fold(mu, z, s, t):
@@ -602,26 +745,35 @@ def _reprs(values):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(edge_walks())
 def test_propagate_matches_the_event_walk(case):
+    # the same bytes where no run has more than one step, else within
+    # 1e-12 of the trace's scale (tests/walk_oracle.py)
     mu, z, s, _t, grid, tol = case
     tr = pr.propagate(mu, z, s, (1.0 - 0.5j, 0.25), grid, tol)
     ref_grid, u, du, jumps = wo.propagate(mu, z, s, (1.0 - 0.5j, 0.25), grid, tol)
+    exact = tr.stats.magnus == tr.stats.runs
     assert tr.grid.tobytes() == ref_grid.tobytes()
-    assert tr.u.tobytes() == u.tobytes() and tr.du.tobytes() == du.tobytes()
-    assert [_reprs(j) for j in tr.jump_log] == [_reprs(j) for j in jumps]
+    assert_agrees(np.concatenate([tr.u, tr.du]), np.concatenate([u, du]), exact)
+    assert [_reprs(j[:2]) for j in tr.jump_log] == [_reprs(j[:2]) for j in jumps]
+    assert_agrees([j[2] for j in tr.jump_log], [j[2] for j in jumps], exact)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(edge_walks())
 def test_transfer_matches_the_event_walk(case):
+    # the same bytes where no run has more than one step, else within
+    # 1e-12 of each matrix's scale (tests/walk_oracle.py)
     mu, z, s, t, grid, tol = case
     T = pr.transfer_matrix(mu, z, s, t, tol)
     entries, defect = wo.transfer_matrix(mu, z, s, t, tol)
-    assert T.entries.tobytes() == entries.tobytes() and T.det_defect == defect
+    assert_agrees(T.entries, entries, T.stats.magnus == T.stats.runs)
+    assert_defect_agrees(T.det_defect, defect, T.stats)
     points = [*grid.tolist(), t]
-    tmats, defect, _ = pr._transfer_along(mu, z, s, points, tol)
+    tmats, defect, stats = pr._transfer_along(mu, z, s, points, tol)
     ref, ref_defect = wo.transfer_along(mu, z, s, points, tol)
-    assert tmats.keys() == ref.keys() and defect == ref_defect
-    assert all(_reprs(tmats[x]) == _reprs(ref[x]) for x in ref)
+    assert tmats.keys() == ref.keys()
+    assert_defect_agrees(defect, ref_defect, stats)
+    for x in ref:
+        assert_agrees(tmats[x], ref[x], stats.magnus == stats.runs)
 
 
 def _edge_measure():
@@ -647,7 +799,8 @@ def test_walk_state_and_jumps_are_python_scalars(monkeypatch):
     tmats, defect, _ = pr._transfer_along(mu, 0.5 + 0.25j, np.float64(0.3), grid, 1e-8)
     assert all(type(v) is complex for T in tmats.values() for v in T) and type(defect) is float
     assert len(walks) == 4
-    for factors, marks, _ in walks:
+    assert {type(d) for _, defects, _, _ in walks for d in defects} == {float, type(None)}
+    for factors, _, marks, _ in walks:
         assert all(type(v) is complex for F in factors for v in F)
         assert all(type(x) is float for _, x, _ in marks)
 
@@ -677,7 +830,7 @@ def _oracle_stats(mu, z, a, b, tol, markers=()):
             atoms += 1
         elif ev[0] == "span":
             constant += sum(F is not None for F in wo.span_factors(z, *ev[1:], tol, runs))
-    return pr.WalkStats(atoms, constant, sum(n for *_, n in runs))
+    return pr.WalkStats(atoms, constant, sum(n for *_, n in runs), len(runs))
 
 
 def test_walk_stats_count_the_factors_applied():
@@ -686,7 +839,7 @@ def test_walk_stats_count_the_factors_applied():
     Tb = pr.transfer_matrix(mu, z, 2.5, 0.25, tol)
     assert Tf.stats == _oracle_stats(mu, z, -2.5, 0.25, tol, [0.25])
     assert Tb.stats == _oracle_stats(mu, z, 0.25, 2.5, tol, [0.25])
-    assert Tf.stats.atoms == 1 and Tf.stats.magnus > 0 and Tb.stats.constant > 0
+    assert Tf.stats.atoms == 1 and Tf.stats.magnus > Tf.stats.runs > 0 and Tb.stats.constant > 0
     # summed by @, as the defects are
     T = pr.transfer_matrix(mu, z, 0.25, 2.5, tol) @ Tf
     assert T.stats == Tf.stats + _oracle_stats(mu, z, 0.25, 2.5, tol, [2.5])

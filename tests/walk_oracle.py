@@ -1,12 +1,21 @@
 """The event-tuple factor walk, its folds and the row-wise CSV writer in
 their former form, kept as oracles for the flat walk and the column writer.
 
-`_factor_events` lists ('span', x0, x1, segment), ('atom', x, w) and
-('sample', x) events; `_span_factors` turns a span into factors with None
-placeholders for Magnus steps, which `_walk` fills from one batched kernel
+`factor_events` lists ('span', x0, x1, segment), ('atom', x, w) and
+('sample', x) events; `span_factors` turns a span into factors with None
+placeholders for Magnus steps, which `walk` fills from one batched kernel
 call over runs (coeffs, x0, h, n).  `propagate` and `transfer_along` fold
-those events exactly as the library did, so the flat walk must reproduce
-their bytes.
+those events one step at a time, as the library once did.
+
+The flat walk multiplies the steps of each run (a span's Magnus steps) into
+one factor by a product tree, so it associates the products differently:
+where no run has more than one step it must reproduce the oracle's bytes,
+otherwise it agrees within 1e-12 of the larger of 1 and the largest entry
+compared.  `run_products` gives the oracle's run products, folded one step
+at a time.  Either way det_defect sums |det F - 1| over the elementary
+factors; the flat walk takes the Magnus steps' terms from NumPy, whose
+complex products can differ from Python's in the last bit, so it matches
+the oracle's bytes only on walks without Magnus steps.
 """
 
 import math
@@ -46,6 +55,40 @@ def magnus_factors(runs, z):
     c, s = pr._even_funcs_array(w2)
     sh, sd = s * h, s * delta
     return list(zip((c + sd).tolist(), sh.tolist(), (sh * qbar).tolist(), (c - sd).tolist()))
+
+
+def run_products(runs, z):
+    """Each run's steps from `magnus_factors` folded one at a time into
+    F_n ... F_1, with the Python sum of the steps' |det F - 1|: a list of
+    (product, defect, n)."""
+    steps = iter(magnus_factors(runs, z))
+    out = []
+    for *_, n in runs:
+        P = next(steps)
+        defect = abs(P[0] * P[3] - P[1] * P[2] - 1.0)
+        for f00, f01, f10, f11 in islice(steps, n - 1):
+            p00, p01, p10, p11 = P
+            P = (f00 * p00 + f01 * p10, f00 * p01 + f01 * p11,
+                 f10 * p00 + f11 * p10, f10 * p01 + f11 * p11)
+            defect += abs(f00 * f11 - f01 * f10 - 1.0)
+        out.append((P, defect, n))
+    return out
+
+
+def span_walk(mu, z, a, b, tol, backward=False):
+    """The span factors of the flat walk over [a, b], each span's Magnus
+    steps folded by `run_products`: (F, defect, n) for a run of n steps and
+    (F, None, 0) for a constant piece; walking left, reversed and
+    inverted."""
+    runs, spans = [], []
+    for ev in factor_events(mu, z, a, b):
+        if ev[0] == "span":
+            spans.append(span_factors(z, *ev[1:], tol, runs)[0])
+    products = iter(run_products(runs, z))
+    out = [(F, None, 0) if F is not None else next(products) for F in spans]
+    if backward:
+        out = [(pr._inv_unimodular(F), d, n) for F, d, n in reversed(out)]
+    return out
 
 
 def factor_events(mu, z, a, b, markers=()):
