@@ -113,15 +113,54 @@ def integral(coeffs, x0, x1):
     return evaluate(F, x1) - evaluate(F, x0)
 
 
-def real_roots_in(coeffs, lo, hi):
-    """Real roots of a real-coefficient polynomial inside (lo, hi).
+def bracketed_newton(f, lo, hi, x):
+    """Crossing of an increasing f with f(lo) < 0 <= f(hi); f returns
+    (value, slope) and x is the first probe.
 
-    Degrees 1 and 2 are closed-form; higher degrees go through the
-    companion matrix (np.roots) with a small imaginary-part tolerance.
+    A Newton step that leaves the bracket, or is longer than half the step
+    before last, falls back to bisection.  Every probe is kept an ulp of the
+    bracket's larger end inside it, so the bracket shrinks at each step, and
+    a converged Newton iterate is followed by a probe on the other side: it
+    closes to 2 ulp of its current ends, also for a crossing far below the
+    first bracket's scale.  Returns its right end.
+    """
+    step = step_old = hi - lo
+    while hi - lo > 2.0 * (gap := math.ulp(max(abs(lo), abs(hi)))):
+        x = min(max(x, lo + gap), hi - gap)
+        v, dv = f(x)
+        if v == 0.0:
+            return x
+        if v < 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = x - v / dv if dv > 0.0 else math.nan
+        if lo <= newton <= hi and abs(2.0 * v) <= abs(step_old * dv):
+            step_old, step = step, newton - x
+            x = newton
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x = lo + step
+    return hi
+
+
+def real_roots_in(coeffs, lo, hi):
+    """Real roots of a real-coefficient polynomial inside (lo, hi), sorted.
+
+    Degrees 1 and 2 are closed form.  Above, the roots of p' (found the
+    same way) cut (lo, hi) into monotone branches; a branch whose end values
+    have opposite signs holds exactly one root, which `bracketed_newton`
+    closes.  Above degree 2, p(x) counts as zero when it is within the
+    Horner rounding bound (2n + 1) 2^-53 sum |c_k| |x|^k at x:
+    - tangency rule: a critical point where p is zero is a (double) root;
+    - end rule: roots are taken on the open interval, and an end where p
+      is zero starts or ends no sign change, so a root within rounding of
+      lo or hi is dropped.
     """
     c = to_real(trim(coeffs))
     # a leading term below the rounding of the others on the interval moves
-    # no root inside it, but can overflow the companion matrix: drop it
+    # no root inside it: drop it, so that the closed forms and the branch
+    # ends see the polynomial's numerical degree
     R = max(abs(lo), abs(hi))
     while (
         len(c) > 1
@@ -130,15 +169,42 @@ def real_roots_in(coeffs, lo, hi):
         <= 2.0**-53 * sum(abs(v) * R**k for k, v in enumerate(c[:-1]))
     ):
         c = c[:-1]
+    return _roots_in(c, lo, hi)
+
+
+def _roots_in(c, lo, hi):
+    """`real_roots_in` of a trimmed real c, recursing on p' above degree 2
+    (privately, so that only outside calls reach the public name)."""
     deg = len(c) - 1
+    if deg > 2:
+        d = derivative(c)
+        xs = [lo] + _roots_in(d, lo, hi) + [hi]
+        absc = tuple(map(abs, c))
+        vs = []
+        for x in xs:
+            v = evaluate(c, x)
+            vs.append(0.0 if abs(v) <= (2 * deg + 1) * 2.0**-53 * evaluate(absc, abs(x)) else v)
+        roots = []
+        for i, (xa, xb, va, vb) in enumerate(zip(xs, xs[1:], vs, vs[1:])):
+            if i and va == 0.0:
+                roots.append(xa)
+            if va < 0.0 < vb or vb < 0.0 < va:
+                # p rising on the branch, or -p: high order first, for Horner
+                rising = c[::-1] if vb > 0.0 else tuple(-v for v in reversed(c))
+
+                def f(y, rising=rising):
+                    v, dv = rising[0], 0.0
+                    for a in rising[1:]:
+                        v, dv = v * y + a, dv * y + v
+                    return v, dv
+
+                roots.append(bracketed_newton(f, xa, xb, xa + (xb - xa) * va / (va - vb)))
+        return roots
     if deg == 0:
-        return []
-    scale = max(abs(v) for v in c)
-    if scale == 0.0:
         return []
     if deg == 1:
         raw = [-c[0] / c[1]]
-    elif deg == 2:
+    else:
         a2, a1, a0 = c[2], c[1], c[0]
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < 0.0:
@@ -149,20 +215,7 @@ def real_roots_in(coeffs, lo, hi):
             sq = math.sqrt(disc)
             q = -0.5 * (a1 + math.copysign(sq, a1))
             raw = [q / a2, a0 / q] if q != 0.0 else [0.0, -a1 / a2]
-    else:
-        rts = np.roots(list(reversed(c)))
-        raw = [
-            float(r.real)
-            for r in rts
-            if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real))
-        ]
-    out = sorted(x for x in raw if lo < x < hi)
-    # collapse numerically coincident roots
-    dedup = []
-    for x in out:
-        if not dedup or x - dedup[-1] > 1e-13 * max(1.0, abs(x)):
-            dedup.append(x)
-    return dedup
+    return sorted({x for x in raw if lo < x < hi})
 
 
 def abs_pieces(coeffs, t0, t1):

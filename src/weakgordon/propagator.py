@@ -313,7 +313,7 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
                 jumps.append((x, w, jump))
                 dv = dv - jump if backward else dv + jump
                 continue
-            while idx < len(markers) and abs(markers[idx] - x) <= 1e-12:
+            while idx < len(markers) and markers[idx] == x:
                 u[side[idx]], du[side[idx]] = v, dv
                 idx += 1
     jumps.sort(key=lambda j: j[0])

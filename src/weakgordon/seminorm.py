@@ -113,38 +113,6 @@ def _l1_real(pieces, c):
     return total
 
 
-def _bracketed_newton(f, lo, hi, x):
-    """Crossing of an increasing f with f(lo) < 0 <= f(hi); f returns
-    (value, slope) and x is the first probe.
-
-    A Newton step that leaves the bracket, or is longer than half the step
-    before last, falls back to bisection.  Every probe is kept an ulp inside
-    the bracket, so the bracket shrinks at each step, and a converged Newton
-    iterate is followed by a probe on the other side: it closes to 2 ulp.
-    Returns its right end.
-    """
-    tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
-    gap = 0.5 * tol
-    step = step_old = hi - lo
-    while hi - lo > tol:
-        x = min(max(x, lo + gap), hi - gap)
-        v, dv = f(x)
-        if v == 0.0:
-            return x
-        if v < 0.0:
-            lo = x
-        else:
-            hi = x
-        newton = x - v / dv if dv > 0.0 else math.nan
-        if lo <= newton <= hi and abs(2.0 * v) <= abs(step_old * dv):
-            step_old, step = step, newton - x
-            x = newton
-        else:
-            step_old, step = step, 0.5 * (hi - lo)
-            x = lo + step
-    return hi
-
-
 class _Branch(namedtuple("_Branch", "coeffs deriv xa xb va vb")):
     """A piece of phi on [xa, xb] (local coordinates), strictly monotone
     there, with end values va = p(xa) and vb = p(xb)."""
@@ -168,7 +136,7 @@ class _Branch(namedtuple("_Branch", "coeffs deriv xa xb va vb")):
                 return (sign * (poly.evaluate(p, y) - c),
                         sign * poly.evaluate(self.deriv, y))
 
-            x = _bracketed_newton(
+            x = poly.bracketed_newton(
                 f, self.xa, self.xb,
                 self.xa + (self.xb - self.xa) * (c - self.va) / (self.vb - self.va),
             )
@@ -265,7 +233,7 @@ def _smallest_median(pieces, half):
                 s, ds = _sublevel(parts, y)
                 return s - half, ds
 
-            c = _bracketed_newton(excess, lo, below, x0)
+            c = poly.bracketed_newton(excess, lo, below, x0)
     # snap to a representation value when that is also a valid median
     candidates = set()
     for t0, t1, coeffs in pieces:

@@ -148,8 +148,9 @@ def test_edge_cases_match_bisection(name):
 
 @pytest.mark.parametrize("lead", [4.8e-89, 5e-324])
 def test_negligible_leading_term_keeps_the_root(lead):
-    # a cubic term below rounding on the interval once made the companion
-    # matrix lose the root (4.8e-89) or overflow into LinAlgError (5e-324)
+    # a cubic term below rounding on the interval moves no root: it is
+    # trimmed, down to a subnormal one (5e-324), and the quadratic left over
+    # keeps the root
     assert poly.real_roots_in((-0.25, 0.0, 0.5, lead), 0.0, 1.0) == [pytest.approx(math.sqrt(0.5))]
 
 
@@ -186,8 +187,8 @@ def _coeffs(draw, deg, complex_, part):
 
 
 ANY_FLOAT = st.floats(-2.0, 2.0)
-# the oracle's np.roots loses digits on a cubic whose leading coefficient is
-# many orders below the others (1e-9 against 1: 4e-11 off in its median)
+# coefficients 0 or of size 1e-3 to 2: a corpus without the ill-scaled
+# leading terms and 1e-300-scale values that ANY_FLOAT reaches
 WELL_SCALED = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
 
 
@@ -218,13 +219,13 @@ def measure_windows(draw, complex_=False, coefficient=ANY_FLOAT):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(measure_windows(coefficient=WELL_SCALED))
+@given(measure_windows())
 def test_real_measures_match_bisection(case):
     _check_against_bisection(*case)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(measure_windows(complex_=True, coefficient=WELL_SCALED))
+@given(measure_windows(complex_=True))
 def test_complex_parts_match_bisection(case):
     _check_against_bisection(*case)
 

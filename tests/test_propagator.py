@@ -757,6 +757,16 @@ def test_propagate_matches_the_event_walk(case):
     assert_agrees([j[2] for j in tr.jump_log], [j[2] for j in jumps], exact)
 
 
+@pytest.mark.parametrize("s, du", [(0.0, [0, 0, 0, 2, 2]), (2.0, [-2, -2, -2, 0, 0])])
+def test_grid_points_closer_than_1e_12_take_their_own_state(s, du):
+    # an atom of weight 2 at 1 + 5e-14 lies between the grid points 1 and
+    # 1 + 1e-13, so u' jumps between them, walking right or left; the
+    # duplicate grid point 1 shares its state
+    mu = me.make_measure([(1.0 + 5e-14, 2.0)], (), (-1, 3))
+    tr = pr.propagate(mu, 0.0, s, (1.0, 0.0), [0.0, 1.0, 1.0, 1.0 + 1e-13, 2.0])
+    assert tr.du.tolist() == du
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(edge_walks())
 def test_transfer_matches_the_event_walk(case):

@@ -171,7 +171,7 @@ def propagate(mu, z, s, initial, grid, tol=1e-8):
                 jumps.append((ev[1], ev[2], jump))
                 dv = dv - jump if backward else dv + jump
             else:
-                while idx < len(side) and abs(grid[side[idx]] - ev[1]) <= 1e-12:
+                while idx < len(side) and grid[side[idx]] == ev[1]:
                     u[side[idx]] = v
                     du[side[idx]] = dv
                     idx += 1
