@@ -44,7 +44,13 @@ def _fmt(x) -> str:
 
 def _column(cells):
     """The %-format of a CSV column and its cell lists: text as is, numbers
-    as `_fmt` prints them, a column with complex cells as two numbers."""
+    as `_fmt` prints them, a column with complex cells as two numbers.  A
+    numeric array is told by its dtype; other cells are scanned."""
+    if isinstance(cells, np.ndarray):
+        if cells.dtype.kind in "biuf":
+            return "%.17g", [cells.tolist()]
+        if cells.dtype.kind == "c":
+            return "%.17g %.17g", [cells.real.tolist(), cells.imag.tolist()]
     cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
     if all(map(isinstance, cells, repeat(str))):
         return "%s", [cells]

@@ -144,6 +144,23 @@ def bracketed_newton(f, lo, hi, x):
     return hi
 
 
+def rising_objective(coeffs, level, sign):
+    """y -> (sign (p(y) - level), sign p'(y)), value and slope from one
+    Horner loop: the objective `bracketed_newton` takes on a monotone
+    branch of p, with sign making it rise."""
+    high = [sign * v for v in reversed(coeffs)]
+    high[-1] = sign * (coeffs[0] - level)
+    lead, rest = high[0], high[1:]
+
+    def f(y):
+        v, dv = lead, 0.0
+        for a in rest:
+            v, dv = v * y + a, dv * y + v
+        return v, dv
+
+    return f
+
+
 def real_roots_in(coeffs, lo, hi):
     """Real roots of a real-coefficient polynomial inside (lo, hi), sorted.
 
@@ -189,15 +206,7 @@ def _roots_in(c, lo, hi):
             if i and va == 0.0:
                 roots.append(xa)
             if va < 0.0 < vb or vb < 0.0 < va:
-                # p rising on the branch, or -p: high order first, for Horner
-                rising = c[::-1] if vb > 0.0 else tuple(-v for v in reversed(c))
-
-                def f(y, rising=rising):
-                    v, dv = rising[0], 0.0
-                    for a in rising[1:]:
-                        v, dv = v * y + a, dv * y + v
-                    return v, dv
-
+                f = rising_objective(c, 0.0, 1.0 if vb > 0.0 else -1.0)
                 roots.append(bracketed_newton(f, xa, xb, xa + (xb - xa) * va / (va - vb)))
         return roots
     if deg == 0:

@@ -9,30 +9,29 @@ are traceless-exponentials or exact unipotents, so the Wronskian certificate
 accumulates only factor-level rounding.
 
 One walker, `_walk`, turns the stretch between two points into a flat list
-of span factors plus a short list of marks: the atoms and the sample points,
-each with the number of factors that precede it.  To the left the factors
-are inverted and reversed.  Atom and constant factors are scalar closed
-forms; only a walk with Magnus steps touches NumPy, evaluating all of them
-in one pass and folding each span's steps into one factor
-(`_magnus_factors`).  A factor is a 4-tuple (F00, F01, F10, F11) of Python
-complex numbers, and the grid enters as Python floats, so the folds between
-marks are scalar arithmetic: `_transfer_along` folds the walk into
-matrices, `transfer_matrix` included; `propagate` folds it into a state
-vector and logs the atom jumps.  Both count what the walks applied
-(`WalkStats`).
+of factors plus marks.  It loops over the measure's pieces (cut at the ends,
+segment ends and atoms), splicing in the sample points inside a piece as its
+cells, one factor each; an atom is its own unipotent factor.  Only a walk
+with Magnus steps touches NumPy (`_magnus_factors`, one pass over columns).
+To the left the factors are inverted and reversed.  A factor is a 4-tuple
+(F00, F01, F10, F11) of Python complex numbers, and the grid enters as
+Python floats, so the folds are scalar arithmetic: `_transfer_along` folds
+the walk into matrices, `transfer_matrix` included; `propagate` folds it
+once, recording the state after every factor.  Both count what the walks
+applied (`WalkStats`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import measure as me
-from . import poly
 from .errors import DomainError, ToleranceError
 from .seminorm import interval_seminorm, window_seminorm
 
@@ -135,14 +134,14 @@ def _const_factor(q, h):
 
 
 def _magnus_steps(coeffs, piece, x0, h, z):
-    """The entry arrays of 4th-order Magnus steps of length h from the
-    offsets x0 on the pieces coeffs[piece], all in one NumPy pass (its
-    temporaries are freed before the product tree starts)."""
+    """The entry arrays of 4th-order Magnus steps of length h from offsets x0
+    on the pieces whose degree-k coefficients are coeffs[k][piece], in one
+    NumPy pass (its temporaries are freed before the product tree starts)."""
 
     def q_at(t):
-        acc = coeffs[piece, -1]
+        acc = coeffs[-1][piece]
         for k in range(me.MAX_DEGREE - 1, -1, -1):
-            acc = acc * t + coeffs[piece, k]
+            acc = acc * t + coeffs[k][piece]
         return acc - z
 
     q1 = q_at(x0 + (0.5 - _SQRT3 / 6.0) * h)
@@ -156,24 +155,29 @@ def _magnus_steps(coeffs, piece, x0, h, z):
     return c + sd, sh, sh * qbar, c - sd
 
 
-def _magnus_factors(segments, runs, z):
-    """The Magnus steps of each run, folded into one factor F_n ... F_1.
+def _magnus_factors(segments, seg, x0, x1, z, root):
+    """The Magnus steps of each cell, folded into one factor F_n ... F_1.
 
-    A run (i, k, x0, h, n) is n steps of length h on segments[k], the first
-    from the local offset x0 in that segment's variable (i is where the
-    walk puts them).  The product tree pads each run with identities to its
-    own power of two; every run goes up one level per pass.  Returns one
-    factor per run, in order, and the summed |det F - 1| of its steps.
+    Cell j runs from x0[j] to x1[j] on segments[seg[j]] in n = ceil((x1 -
+    x0) / root) equal steps, at least one.  One step is its own product;
+    else a product tree pads each cell with identities to its own power of
+    two, and every cell goes up one level per pass.  Returns the factors,
+    each cell's summed |det F - 1| and the step count.
     """
-    _, seg, x0, h, n = (np.array(v) for v in zip(*runs))
-    first = np.cumsum(n) - n
-    step = np.arange(n.sum()) - np.repeat(first, n)  # step of its run
-    h = np.repeat(h, n)
+    seg, x0, length = np.array(seg), np.array(x0), np.array(x1) - x0
+    x0 = x0 - np.array([s.start for s in segments])[seg]  # local offsets
+    n = np.maximum(np.ceil(length / root), 1.0).astype(np.int64)
+    h, steps = length / n, int(n.sum())
     padded = [tuple(s.coeffs) + (0j,) * (me.MAX_DEGREE + 1 - len(s.coeffs)) for s in segments]
-    F = _magnus_steps(np.array(padded, dtype=complex), np.repeat(seg, n),
-                      np.repeat(x0, n) + step * h, h, z)
+    coeffs = np.array(padded, dtype=complex).T.copy()  # by degree: gathers from contiguous rows
+    first = np.cumsum(n) - n
+    step = np.arange(steps) - np.repeat(first, n)  # step of its cell
+    h = np.repeat(h, n)
+    F = _magnus_steps(coeffs, np.repeat(seg, n), np.repeat(x0, n) + step * h, h, z)
     defects = np.add.reduceat(np.abs(F[0] * F[3] - F[1] * F[2] - 1.0), first)
-    # the largest padded size first, so each run starts at a multiple of its size
+    if steps == len(n):
+        return list(zip(*(f.tolist() for f in F))), defects.tolist(), steps
+    # the largest padded size first, so each cell starts at a multiple of its size
     size = 1 << np.frexp(n - 1)[1]
     order = np.argsort(-size, kind="stable")
     size, ends = size[order], np.cumsum(size[order])
@@ -184,17 +188,17 @@ def _magnus_factors(segments, runs, z):
     for entries, f in zip(level, F):
         entries[pos] = f
     down, ends = (-size).tolist(), ends.tolist()
-    out = [np.empty(len(runs), dtype=complex) for _ in range(4)]
-    done, width = len(runs), 1
+    out = [np.empty(len(n), dtype=complex) for _ in range(4)]
+    done, width = len(n), 1
     while True:
-        # the runs of padded size width are down to their product, at the end
+        # the cells of padded size width are down to their product, at the end
         live = bisect_left(down, -width)
         cut = ends[live - 1] // width if live else 0
         if live < done:
             for product, entries in zip(out, level):
                 product[order[live:done]] = entries[cut:]
         if not live:
-            return list(zip(*(product.tolist() for product in out))), defects.tolist()
+            return list(zip(*(product.tolist() for product in out))), defects.tolist(), steps
         # each pair: the later factor b times the earlier a
         (a00, b00), (a01, b01), (a10, b10), (a11, b11) = ((e[0:cut:2], e[1:cut:2]) for e in level)
         level = [b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
@@ -210,52 +214,68 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     """The one factor walk over [a, b], from a up to b or, with `backward`,
     from b down to a.
 
-    Returns the span factors in walking order, their step defects (a run's
-    summed |det F - 1|, None for other factors), the marks (i, x, w) and
-    the walk's `WalkStats`.  A mark comes after the first i factors: an
-    atom of weight w at x in (a, b], or a marker x with w None.  Walking
-    left reverses the factors and inverts them, so a consumer always
-    applies F on the left, and a marker at an atom sees (u(x), u'(x+))
-    both ways.
+    The loop runs over the pieces between a, b, the segment ends and the
+    atoms; the samples (the markers in [a, b]) inside a piece cut it into
+    cells, one factor each.  Magnus cells go to `_magnus_factors` as columns
+    and come back one slice per piece.
+
+    Returns the factors in walking order, their step defects (a Magnus
+    cell's summed |det F - 1|, else None), the marks (i, x, w) and the
+    `WalkStats`.  An atom of weight w at x is the factor (1, 0, w, 1) at
+    index i; a sample x (w None) follows the first i factors, at an atom the
+    atom too.  Walking left reverses and inverts the factors, so F always
+    applies on the left and a sample sees (u(x), u'(x+)) both ways.
     """
     segments = mu.segments_meeting(a, b)
     atoms = dict(mu.atoms_in(a, b))
-    samples = {x for x in markers if a <= x <= b}
+    samples = sorted(dict.fromkeys(markers))  # linear for markers in either order
+    samples = samples[bisect_left(samples, a):bisect_right(samples, b)]
     cut = sorted({a, b} | {max(s.start, a) for s in segments} | {min(s.end, b) for s in segments}
-                 | atoms.keys() | samples)
+                 | atoms.keys())
     # a segment's constant density, or None where it needs Magnus steps
-    consts = [c[0] if len(c) == 1 else None for c in (poly.trim(s.coeffs) for s in segments)]
-    factors, marks = [], [(0, a, None)] if a in samples else []
-    runs = []  # Magnus steps, as runs (factor, segment, offset, step, count)
-    k, last, root = 0, len(segments), tol**0.25
+    consts = [None if any(s.coeffs[1:]) else s.coeffs[0] for s in segments]
+    j = 1 if samples and samples[0] == a else 0
+    factors, marks = [], [(0, a, None)] if j else []
+    pieces, seg, starts, ends = [], [], [], []  # Magnus pieces (factor, cell, count); columns
+    k, last = 0, len(segments)
     for x0, x1 in zip(cut, cut[1:]):
         # segment ends are cuts: the covering segment is the first not ended
         while k < last and segments[k].end <= x0:
             k += 1
-        h = x1 - x0
-        if k == last or segments[k].start > x0:
-            factors.append(_const_factor(-z, h))
-        elif (q := consts[k]) is not None:
-            factors.append(_const_factor(q - z, h))
+        j1, i = bisect_left(samples, x1, j), len(factors)
+        inner = samples[j:j1]  # the samples inside the piece cut it into cells
+        if inner:
+            marks += zip(range(i + 1, i + 1 + len(inner)), inner, repeat(None))
+        covered = k < last and segments[k].start <= x0
+        if covered and consts[k] is None:
+            m = len(inner) + 1
+            pieces.append((i, len(starts), m))
+            seg += [k] * m
+            starts += [x0, *inner]
+            ends += [*inner, x1]
+            factors += [None] * m
         else:
-            n = math.ceil(h / root) if h > root else 1
-            runs.append((len(factors), k, x0 - segments[k].start, h / n, n))
-            factors.append(None)
+            q = consts[k] - z if covered else -z
+            pts = [x0, *inner, x1]
+            factors += [_const_factor(q, y - x) for x, y in zip(pts, pts[1:])]
         if x1 in atoms:
             marks.append((len(factors), x1, atoms[x1]))
-        if x1 in samples:
+            factors.append((1 + 0j, 0j, complex(atoms[x1]), 1 + 0j))
+        j = j1
+        if j < len(samples) and samples[j] == x1:
             marks.append((len(factors), x1, None))
+            j += 1
     defects, steps = [None] * len(factors), 0
-    if runs:
-        for (i, *_, n), F, d in zip(runs, *_magnus_factors(segments, runs, z)):
-            factors[i], defects[i] = F, d
-            steps += n
-    stats = WalkStats(len(atoms), len(factors) - len(runs), steps, len(runs))
+    if pieces:
+        F, d, steps = _magnus_factors(segments, seg, starts, ends, z, tol**0.25)
+        for i, j, m in pieces:
+            factors[i:i + m], defects[i:i + m] = F[j:j + m], d[j:j + m]
+    stats = WalkStats(len(atoms), len(factors) - len(atoms) - len(starts), steps, len(starts))
     if backward:
         n = len(factors)
         factors = list(map(_inv_unimodular, reversed(factors)))
         defects.reverse()
-        marks = [(n - i, x, w) for i, x, w in reversed(marks)]
+        marks = [(n - i - (w is not None), x, w) for i, x, w in reversed(marks)]
     return factors, defects, marks, stats
 
 
@@ -280,7 +300,9 @@ def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
 def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     """Solution trace with u(s) = initial[0], u'(s+) = initial[1].
 
-    The grid must lie inside the window; s need not be a grid point.
+    The grid must lie inside the window; s need not be a grid point.  Each
+    side of s is one walk, folded once into the state after every factor;
+    the grid states and the atom jumps are read off by mark index.
     """
     grid = np.sort(np.asarray(grid, dtype=float), kind="stable")
     xs = grid.tolist()
@@ -292,31 +314,32 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
         raise DomainError("s must lie in the grid range")
     s = float(s)
     state0 = (complex(initial[0]), complex(initial[1]))
-    u, du = [0j] * len(xs), [0j] * len(xs)
-    jumps, stats = [], WalkStats()
+    states, jumps, stats = [], [], WalkStats()
     k = bisect_left(xs, s)
-    for side, backward in ((range(k, len(xs)), False), (range(k - 1, -1, -1), True)):
+    for side, backward in ((xs[:k][::-1], True), (xs[k:], False)):
         if not side:
             continue
-        markers = [xs[i] for i in side]
-        factors, _, marks, counts = _walk(mu, z, *sorted((s, markers[-1])), tol, markers, backward)
+        factors, _, marks, counts = _walk(mu, z, *sorted((s, side[-1])), tol, side, backward)
         stats += counts
+        # the state after every factor; an atom applies as its jump (walking
+        # left removes it), as (1, 0, w, 1) could flip the sign of a zero
         v, dv = state0
-        done = idx = 0
-        for i, x, w in marks:
+        trace, done = [state0], 0
+        for i, x, w in [m for m in marks if m[2] is not None] + [(len(factors), None, None)]:
             for f00, f01, f10, f11 in factors[done:i]:
                 v, dv = f00 * v + f01 * dv, f10 * v + f11 * dv
-            done = i
-            if w is not None:
-                # walking left removes the jump; u'(x-) = u'(x+) - w u(x)
-                jump = w * v
-                jumps.append((x, w, jump))
-                dv = dv - jump if backward else dv + jump
-                continue
-            while idx < len(markers) and markers[idx] == x:
-                u[side[idx]], du[side[idx]] = v, dv
-                idx += 1
+                trace.append((v, dv))
+            if w is None:
+                break
+            jump = w * v
+            jumps.append((x, w, jump))
+            dv = dv - jump if backward else dv + jump
+            trace.append((v, dv))
+            done = i + 1
+        at = {x: trace[i] for i, x, w in marks if w is None}
+        states += [at[x] for x in (side[::-1] if backward else side)]
     jumps.sort(key=lambda j: j[0])
+    u, du = zip(*states)
     return SolutionTrace(grid, np.array(u), np.array(du), tuple(jumps), stats)
 
 
@@ -480,17 +503,14 @@ def _transfer_along(mu, z, base, points, tol):
         t00, t01, t10, t11 = _EYE
         done = 0
         for i, x, w in marks:
-            chunk, dets, done = factors[done:i], defects[done:i], i
             if w is not None:
-                F = (1 + 0j, 0j, complex(w), 1 + 0j)
-                chunk.append(_inv_unimodular(F) if backward else F)
-                dets.append(None)
-            for (f00, f01, f10, f11), d in zip(chunk, dets):
+                continue  # atoms are factors
+            for (f00, f01, f10, f11), d in zip(factors[done:i], defects[done:i]):
                 t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
                                       f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
                 defect += abs(f00 * f11 - f01 * f10 - 1.0) if d is None else d
-            if w is None:
-                out[x] = (t00, t01, t10, t11)
+            done = i
+            out[x] = (t00, t01, t10, t11)
     return out, defect, stats
 
 

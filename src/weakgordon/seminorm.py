@@ -130,12 +130,7 @@ class _Branch(namedtuple("_Branch", "coeffs deriv xa xb va vb")):
             roots = (q / p[2], a0 / q) if q != 0.0 else (0.0,)
             x = min(roots, key=lambda r: max(self.xa - r, r - self.xb))
         else:
-            sign = 1.0 if self.vb > self.va else -1.0
-
-            def f(y):
-                return (sign * (poly.evaluate(p, y) - c),
-                        sign * poly.evaluate(self.deriv, y))
-
+            f = poly.rising_objective(p, c, 1.0 if self.vb > self.va else -1.0)
             x = poly.bracketed_newton(
                 f, self.xa, self.xb,
                 self.xa + (self.xb - self.xa) * (c - self.va) / (self.vb - self.va),

@@ -236,7 +236,7 @@ def _cell_rows(columns):
 def test_csv_rows_match_the_cell_formatter(tmp_path):
     # one %-format per column gives the bytes of `_fmt` per cell, and of the
     # row-wise writer: text as is, complex as "re im", NumPy scalars and
-    # arrays, booleans, -0, inf and nan
+    # arrays (float, complex, int, bool and text), booleans, -0, inf and nan
     import numpy as np
 
     columns = [
@@ -246,6 +246,9 @@ def test_csv_rows_match_the_cell_formatter(tmp_path):
         ["1", "x", "y"],
         [np.float64(0.1), np.int64(7), True],
         np.array([1e300, -1e-300j, 2.0 + 0j]),
+        np.array([3, -4, 0]),
+        np.array([True, False, True]),
+        np.array(["a", "b", "c"]),
     ]
     path, oracle = tmp_path / "t.csv", tmp_path / "o.csv"
     cli._write_csv(path, ["h"], columns, ["k,1"])
@@ -311,3 +314,46 @@ def test_csv_bytes_match_the_row_writer(workdir, monkeypatch, argv, outputs):
     monkeypatch.setattr(cli, "_write_csv", row_writer)
     assert cli.run(argv) == 0
     assert got == [(workdir / name).read_bytes() for name in outputs]
+
+
+# a 1001-point trace: cubic pieces (one ending where the next starts, both
+# ends on grid points), a constant piece ending on a grid point, and atoms,
+# one on the grid point next to 0 and one on a grid point inside a cubic
+GRID = """{"window": [-6, 6],
+ "atoms": [{"x": -4.5, "re": 0.2, "im": 0.0},
+           {"x": -1.6300000000000718, "re": -0.3, "im": 0.1},
+           {"x": -1.0658141036401503e-13, "re": 0.5, "im": 0.0},
+           {"x": 2.3456789, "re": 0.4, "im": -0.2}],
+ "segments": [{"a": -4.000000000000021, "b": -1.5000000000000746,
+               "coeffs": [[0.3, 0], [0.1, 0.2], [-0.2, 0], [0.05, 0]]},
+              {"a": -1.5000000000000746, "b": 0.75,
+               "coeffs": [[0.2, 0], [-0.1, 0], [0.3, 0], [0.02, 0]]},
+              {"a": 1.0, "b": 3.0999999999998273, "coeffs": [[0.7, 0]]},
+              {"a": 3.3, "b": 4.8, "coeffs": [[-0.4, 0.1], [0.5, 0], [0.0, -0.3], [0.1, 0]]}]}
+"""
+
+
+@pytest.mark.parametrize("s, z, tol, digest, stats", [
+    ("0", "0.5,0.25", "1e-8", "e3ba109bfa2bdcdbdad5ffda6d7a8f256e3f9fb30d2b20e86aa7d1fa8f4a1d39",
+     {"atoms": 4, "constant": 379, "magnus": 628, "runs": 628}),
+    ("0.123456789", "-1,0.1", "1e-8",
+     "1560d2c026e05f039b7df8d146c7a0899f893a36cc706a7fa226353ea333939f",
+     {"atoms": 4, "constant": 379, "magnus": 628, "runs": 628}),
+    # tol^(1/4) = 1e-3: each cell of the cubics takes a run of about ten steps
+    ("1.7", "2,-0.5", "1e-12", "6a08d99fcde7f74ebc71aeceeb18f654797e0833c2820aa6734a19a140c98429",
+     {"atoms": 4, "constant": 380, "magnus": 6252, "runs": 627}),
+])
+def test_grid_trace_bytes_are_pinned(workdir, s, z, tol, digest, stats):
+    # the CSV bytes and walk counts of the event walk these traces were
+    # first written by, from s = 0 (next to an atom on a grid point) and
+    # from points off the grid, so both walk directions are pinned
+    import hashlib
+
+    (workdir / "grid.json").write_text(GRID)
+    argv = ["propagate", "--measure", "grid.json", "--z", z, "--from", s, "--init", "1,0,0.5,-1",
+            "--grid", "-5:5:0.01", "--tol", tol, "--out", "trace.csv"]
+    assert cli.run(argv) == 0
+    data = (workdir / "trace.csv").read_bytes()
+    assert data.count(b"\n") == 1002
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert json.loads((workdir / "meta.json").read_text())["stats"] == stats

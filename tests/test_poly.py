@@ -201,3 +201,16 @@ def test_double_root_is_one_root_and_end_roots_are_dropped():
         coeffs = poly.multiply(coeffs, (-r, 1.0))
     got = poly.real_roots_in(coeffs, 0.0, 1.0)
     assert got == [pytest.approx(1.0 / 3.0, abs=1e-7), pytest.approx(0.75, rel=1e-15)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rising_objective_is_the_shifted_value_and_slope(sign):
+    # the Newton objective of root isolation (level 0) and of the median's
+    # branch crossings: sign (p - level) and sign p' from one Horner loop
+    c, level = (0.3, -1.2, 0.5, 2.0, -0.7), 0.25
+    f = poly.rising_objective(c, level, sign)
+    assert f(0.0) == (sign * (c[0] - level), sign * c[1])
+    for y in (-1.5, 0.3, 2.0):
+        v, dv = f(y)
+        assert v == pytest.approx(sign * (poly.evaluate(c, y) - level), rel=1e-14)
+        assert dv == pytest.approx(sign * poly.evaluate(poly.derivative(c), y), rel=1e-14)

@@ -434,12 +434,14 @@ def test_span_events_carry_their_covering_segments():
         for a, b in ((-3.0, 3.0), (-1.5, 2.0), (-1.0, 0.5), (0.7, 0.9), (2.6, 3.0)):
             cut = sorted({a, b} | {min(max(x, a), b) for s in m.segments for x in (s.start, s.end)}
                          | {x for x, _ in m.atoms_in(a, b)})
-            runs, expected = [], []
+            runs, expected, atoms = [], [], dict(m.atoms_in(a, b))
             for x0, x1 in zip(cut, cut[1:]):
                 scan = [s for s in m.segments if s.start <= x0 and x1 <= s.end]
                 assert len(scan) <= 1
                 span = wo.span_factors(1.0, x0, x1, scan[0] if scan else None, 1e-8, runs)
                 expected.append((span[0], None, 0))  # a span's Magnus steps are one factor
+                if x1 in atoms:
+                    expected.append(((1 + 0j, 0j, atoms[x1], 1 + 0j), None, 0))
             products = iter(wo.run_products(runs, 1.0))
             expected = [next(products) if F is None else (F, d, n) for F, d, n in expected]
             factors, defects, marks, stats = pr._walk(m, 1.0, a, b, 1e-8)
@@ -448,6 +450,7 @@ def test_span_events_carry_their_covering_segments():
                 assert_agrees(F, ref, n <= 1)
                 assert (d is None) == (ref_d is None)
             assert [(x, w) for _, x, w in marks] == list(m.atoms_in(a, b))
+            assert all(factors[i] == (1 + 0j, 0j, w, 1 + 0j) for i, _, w in marks)
             assert stats.magnus == sum(n for *_, n in runs) and stats.runs == len(runs)
 
 
@@ -527,10 +530,19 @@ def scalar_run(coeffs, x0, h, n, z):
 
 
 def kernel_runs(runs, z):
-    """`_magnus_factors` on runs (coeffs, x0, h, n), one segment each."""
-    segments = [me.Segment(0.0, 1.0, coeffs) for coeffs, _, _, _ in runs]
-    return pr._magnus_factors(
-        segments, [(None, k, x0, h, n) for k, (_, x0, h, n) in enumerate(runs)], z)
+    """`_magnus_factors` on runs (coeffs, x0, h, n): each a one-cell piece
+    of length n h on its own segment, which starts at -x0 so that the cell
+    [0, n h] has local offset x0, with a longest step a hair above h, so
+    that the cell takes n steps.  Returns the products, the defects and the
+    runs with the kernel's own step, (n h) / n, which can differ from h in
+    the last bit."""
+    segments = [me.Segment(-x0, 1.0 - x0, coeffs) for coeffs, x0, _, _ in runs]
+    length = [h * n for _, _, h, n in runs]
+    root = np.array([h for _, _, h, _ in runs]) * (1.0 + 2.0**-40)
+    products, defects, steps = pr._magnus_factors(
+        segments, range(len(runs)), [0.0] * len(runs), length, z, root)
+    assert steps == sum(n for *_, n in runs)
+    return products, defects, [(c, x0, L / n, n) for (c, x0, _, n), L in zip(runs, length)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -539,7 +551,7 @@ def test_batched_magnus_matches_scalar_steps(case):
     # a single step is the scalar step to 64 ulps; a longer run is the
     # scalar fold within 1e-12 of its scale
     runs, z = case
-    products, defects = kernel_runs(runs, z)
+    products, defects, runs = kernel_runs(runs, z)
     assert len(products) == len(defects) == len(runs)
     for (coeffs, x0, h, n), F in zip(runs, products):
         ref = scalar_run(coeffs, x0, h, n, z)
@@ -567,12 +579,12 @@ def long_magnus_runs(draw):
 @given(long_magnus_runs())
 def test_run_products_match_the_sequential_fold(case):
     runs, z = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        products, defects, runs = kernel_runs(runs, z)
     with np.errstate(all="ignore"):
         refs = [scalar_run(*run, z) for run in runs]
     assume(all(np.all(np.isfinite(ref)) for ref in refs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        products, defects = kernel_runs(runs, z)
     for F, ref in zip(products, refs):
         assert_agrees(F, ref.ravel(), exact=False)
     # each run's defect is the Python sum of its steps' |det F - 1|, taken
@@ -610,15 +622,17 @@ def test_run_tree_memory_stays_near_the_step_arrays():
     # one run of 2^14 steps beside 1,000 single steps: each run is padded
     # to its own power of two, not to the longest run's (1,001 x 2^14)
     segments = [me.Segment(0.0, 3.0, (0.5, 1j, -0.3, 0.2))]
-    runs = [(0, 0, 0.0, 1e-4, 2**14)] + [(k, 0, 1.0 + 1e-3 * k, 1e-4, 1) for k in range(1, 1001)]
+    x0 = [0.0] + [1.0 + 1e-3 * k for k in range(1, 1001)]
+    cells = ([0] * 1001, x0, [2**14 * 1e-4] + [x + 1e-4 for x in x0[1:]], 0.5,
+             1e-4 * (1.0 + 1e-9))
     steps = 2**14 + 1000
     step_arrays = 4 * steps * np.dtype(complex).itemsize  # the four entries of every step
-    pr._magnus_factors(segments, runs, 0.5)
+    assert pr._magnus_factors(segments, *cells)[2] == steps
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        products, _ = pr._magnus_factors(segments, runs, 0.5)
+        products, _, _ = pr._magnus_factors(segments, *cells)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -833,6 +847,65 @@ def test_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
     assert stats == pr.WalkStats(atoms=2, constant=7, magnus=0)
 
 
+def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
+    # 1,000 markers inside constant pieces, between atoms and on them,
+    # walked both ways and folded into transfer matrices, still without NumPy
+    grid = [-2.5 + 0.005 * k for k in range(1000)]
+    mu = me.make_measure([(-1.0, 0.5), (grid[500], -0.3 + 0.1j)],
+                         [(0.0, 1.0, (0.7,)), (1.5, grid[900], (0.2 - 0.1j,))], (-3, 3))
+    def fail(*_args):
+        raise AssertionError("Magnus kernel called")
+
+    monkeypatch.setattr(pr, "_magnus_factors", fail)
+    monkeypatch.setattr(pr, "np", None)  # any NumPy call fails
+    for backward in (False, True):
+        factors, defects, marks, stats = pr._walk(mu, 0.3 - 0.1j, grid[0], grid[-1], 1e-8,
+                                                  grid, backward)
+        assert stats == pr.WalkStats(atoms=2, constant=999, magnus=0)
+        assert len(factors) == 1001 and defects == [None] * 1001
+        assert [x for _, x, w in marks if w is None] == (grid[::-1] if backward else grid)
+    tmats, _, stats = pr._transfer_along(mu, 0.3 - 0.1j, 0.2, grid, 1e-8)
+    assert len(tmats) == 1001 and stats.magnus == 0 and stats.atoms == 2
+
+
+def grid_walk_measure():
+    """Atoms at -1, 0.5 and 1.7, a cubic on [-2, -0.5], a constant on
+    [0, 1] and a complex cubic on [1.2, 2.4]: atoms and segment ends on
+    markers, and 24 markers 0.05 apart inside the complex cubic."""
+    return me.make_measure(
+        [(-1.0, 0.4), (0.5, -0.3 + 0.1j), (1.7, 0.25j)],
+        [(-2.0, -0.5, (0.3, 0.1, -0.2, 0.05)), (0.0, 1.0, (0.7,)),
+         (1.2, 2.4, (-0.4 + 0.1j, 0.5, -0.3j, 0.1))], (-3, 3))
+
+
+GRID_WALK_MARKERS = sorted(
+    [-2.5, -2.0, -1.0, -1.0, -0.5, 0.0, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 1.0, 1.0, 1.2, 2.4]
+    + [1.2 + 0.05 * k for k in range(1, 24)] + [2.9])
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.5, 1.2, 1.33, 2.9])
+@pytest.mark.parametrize("tol", [1.0, 1e-8])
+def test_grid_walks_match_the_event_walk(s, tol):
+    # markers on atoms and segment ends, duplicated and 1e-13 apart, and
+    # many inside the complex cubic; at tol 1e-8 (tol^(1/4) = 0.01) each of
+    # its cells is a run of five steps, at tol 1 every cell is one step
+    mu, z = grid_walk_measure(), 0.5 - 0.75j
+    tr = pr.propagate(mu, z, s, (1.0 - 0.5j, 0.25), GRID_WALK_MARKERS, tol)
+    grid, u, du, jumps = wo.propagate(mu, z, s, (1.0 - 0.5j, 0.25), GRID_WALK_MARKERS, tol)
+    exact = tol == 1.0
+    assert exact == (tr.stats.magnus == tr.stats.runs)
+    assert tr.grid.tobytes() == grid.tobytes() and tr.stats.atoms == 3
+    assert_agrees(np.concatenate([tr.u, tr.du]), np.concatenate([u, du]), exact)
+    assert [_reprs(j[:2]) for j in tr.jump_log] == [_reprs(j[:2]) for j in jumps]
+    assert_agrees([j[2] for j in tr.jump_log], [j[2] for j in jumps], exact)
+    tmats, defect, stats = pr._transfer_along(mu, z, s, GRID_WALK_MARKERS, tol)
+    ref, ref_defect = wo.transfer_along(mu, z, s, GRID_WALK_MARKERS, tol)
+    assert tmats.keys() == ref.keys()
+    assert_defect_agrees(defect, ref_defect, stats)
+    for x in ref:
+        assert_agrees(tmats[x], ref[x], exact)
+
+
 def _oracle_stats(mu, z, a, b, tol, markers=()):
     runs, atoms, constant = [], 0, 0
     for ev in wo.factor_events(mu, z, a, b, markers):
@@ -858,3 +931,18 @@ def test_walk_stats_count_the_factors_applied():
     right, left = grid[grid >= 0.3].tolist(), grid[grid < 0.3].tolist()
     assert tr.stats == (_oracle_stats(mu, z, 0.3, right[-1], tol, right)
                         + _oracle_stats(mu, z, left[0], 0.3, tol, left))
+
+
+def test_walk_stats_on_a_1001_point_grid():
+    # the counts of the two walks of a CLI-sized trace: every grid cell is a
+    # factor, and the atoms are counted as atoms, not as constant factors
+    mu, z, tol = grid_walk_measure(), 0.5 - 0.75j, 1e-8
+    grid = np.arange(-2.9, 2.9 + 0.00290, 0.0058)
+    assert grid.size == 1001
+    tr = pr.propagate(mu, z, 0.3, (1.0, 0.0), grid, tol)
+    right, left = grid[grid >= 0.3].tolist(), grid[grid < 0.3].tolist()
+    assert tr.stats == (_oracle_stats(mu, z, 0.3, right[-1], tol, right)
+                        + _oracle_stats(mu, z, left[0], 0.3, tol, left))
+    # the 1,000 grid cells, cut again at s, the six segment ends and the
+    # three atoms (none of them on the grid): the atom factors are not cells
+    assert tr.stats.atoms == 3 and tr.stats.constant + tr.stats.runs == 1000 + 1 + 6 + 3

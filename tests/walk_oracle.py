@@ -76,14 +76,16 @@ def run_products(runs, z):
 
 
 def span_walk(mu, z, a, b, tol, backward=False):
-    """The span factors of the flat walk over [a, b], each span's Magnus
-    steps folded by `run_products`: (F, defect, n) for a run of n steps and
-    (F, None, 0) for a constant piece; walking left, reversed and
-    inverted."""
+    """The factors of the flat walk over [a, b], each span's Magnus steps
+    folded by `run_products`: (F, defect, n) for a run of n steps and
+    (F, None, 0) for a constant piece or an atom; walking left, reversed
+    and inverted."""
     runs, spans = [], []
     for ev in factor_events(mu, z, a, b):
         if ev[0] == "span":
             spans.append(span_factors(z, *ev[1:], tol, runs)[0])
+        else:
+            spans.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
     products = iter(run_products(runs, z))
     out = [(F, None, 0) if F is not None else next(products) for F in spans]
     if backward:
