@@ -19,6 +19,11 @@ Python floats, so the folds are scalar arithmetic: `_transfer_along` folds
 the walk into matrices, `transfer_matrix` included; `propagate` folds it
 once, recording the state after every factor.  Both count what the walks
 applied (`WalkStats`).
+
+Both variation-of-constants checks, `solution_difference` (the by-parts
+form) and `variation_of_constants_value` (the direct form), share one
+set-up, `_voc_setup`: Gauss panels cut at every kink of u_D(t, .) and u2,
+with T1 and u2 at their nodes from one walk of mu1 and one of mu2.
 """
 
 from __future__ import annotations
@@ -518,110 +523,87 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
 
-def _panels(a, b, cuts):
-    """Gauss panels over [a, b] split at interior cuts.
+def _voc_setup(mu1, mu2, z, anchor, state, a, b, points, tol):
+    """The one variation-of-constants set-up over [a, b], anchor in [a, b].
 
-    Each panel carries a 16-point rule plus an 8-point companion whose
-    disagreement estimates the quadrature error."""
-    out = []
-    pts = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
-    for x0, x1 in zip(pts[:-1], pts[1:]):
-        if x1 <= x0:
-            continue
-        n = max(1, int(math.ceil((x1 - x0) / 2.0)))
-        for k in range(n):
-            p0 = x0 + (x1 - x0) * k / n
-            p1 = x0 + (x1 - x0) * (k + 1) / n
-            half, mid = 0.5 * (p1 - p0), 0.5 * (p0 + p1)
-            out.append(
-                (
-                    p0,
-                    p1,
-                    half * _GL16[0] + mid,
-                    half * _GL16[1],
-                    half * _GL8[0] + mid,
-                    half * _GL8[1],
-                )
-            )
-    return out
+    Panels of length at most 2 are cut at a, b, the anchor, the points and
+    the breakpoints of mu1 and mu2, where u_D(t, .) and u2 have kinks.
+    Returns the panel edges, the 16-point rule and its 8-point companion
+    (node and weight arrays, one row per panel) and a dict x -> (T1(x,
+    anchor) entries, u2(x), u2'(x+)) over every node, edge and point, from
+    one walk of mu1 and one propagation of mu2 from `state` at the anchor.
+    """
+    if tol <= 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    inner = {x for x in mu1.breakpoints() + mu2.breakpoints() if a < x < b}
+    cuts = sorted({a, b, anchor, *points} | inner)
+    edges = []
+    for x0, x1 in zip(cuts, cuts[1:]):
+        n = math.ceil((x1 - x0) / 2.0)
+        edges += [x0 + (x1 - x0) * k / n for k in range(n)]
+    edges = np.array(edges + cuts[-1:])
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    rules = [(half * x + mid, half * w) for x, w in (_GL16, _GL8)]
+    nodes = sorted({*edges.tolist(), *points, *(x for xs, _ in rules for x in xs.ravel().tolist())})
+    tmats = _transfer_along(mu1, z, anchor, nodes, tol)[0]
+    tr2 = propagate(mu2, z, anchor, state, nodes, tol)
+    return edges, rules, {x: (*tmats[x], u, du) for x, u, du in zip(nodes, tr2.u, tr2.du)}
 
 
-def _quad_nodes(a, b, cuts):
-    """16-point Gauss nodes/weights over [a, b] split at interior cuts."""
-    ps = _panels(a, b, cuts)
-    if not ps:
-        return np.array([]), np.array([])
-    return np.concatenate([p[2] for p in ps]), np.concatenate([p[3] for p in ps])
+def _gather(at, xs):
+    """The set-up's (T00, T01, T10, T11, u2, u2') at the nodes xs, as six
+    arrays of xs's shape."""
+    return np.array([at[x] for x in xs.ravel().tolist()], dtype=complex).T.reshape(6, *xs.shape)
 
 
 def solution_difference(mu1, mu2, z, u1_initial, grid, tol: float = 1e-8):
     """Difference v = u1 - u2 under the matched initial condition
     u2(0) = u1(0), u2'(0+) = u1'(0+) + c u1(0) with c = c_{nu,0},
-    together with its variation-of-constants reconstruction.
+    together with its variation-of-constants reconstruction.  Both read
+    T1(t, 0) and u2 off the one set-up, so u1(t) = T1(t, 0) u1(0).
     """
+    grid = np.sort(np.asarray(grid, dtype=float))
+    if not len(grid):
+        raise DomainError("empty grid")
+    if not (grid[0] <= 0.0 <= grid[-1]):
+        raise DomainError("0 must lie in the grid range")
     nu = me.subtract(mu1, mu2)
     if nu.lo > -1.0 or nu.hi < 1.0:
         raise DomainError("need [-1, 1] inside the common window for c_{nu,0}")
     c = window_seminorm(nu, 0.0).minimizer_c
-    grid = np.asarray(sorted(float(g) for g in grid), dtype=float)
-    if not (grid[0] <= 0.0 <= grid[-1]):
-        raise DomainError("0 must lie in the grid range")
-    tr1 = propagate(mu1, z, 0.0, u1_initial, grid, tol)
-    u2_init = (complex(u1_initial[0]), complex(u1_initial[1]) + c * complex(u1_initial[0]))
-    tr2 = propagate(mu2, z, 0.0, u2_init, grid, tol)
-    v = tr1.u - tr2.u
+    u0, du0 = complex(u1_initial[0]), complex(u1_initial[1])
+    u2_init = (u0, du0 + c * u0)
+    pts = grid.tolist()
+    edges, rules, at = _voc_setup(mu1, mu2, z, 0.0, u2_init, pts[0], pts[-1], pts, tol)
+    t00, t01, _, _, u2, _ = _gather(at, grid)
+    v = t00 * u0 + t01 * du0 - u2
 
-    cuts = set(grid.tolist()) | {0.0} | set(mu1.breakpoints()) | set(mu2.breakpoints())
-    panels = _panels(grid[0], grid[-1], cuts)
-    node_list = sorted(
-        set(np.concatenate([p[2] for p in panels]).tolist())
-        | set(np.concatenate([p[4] for p in panels]).tolist())
-        | set(grid.tolist())
-    )
-    tmats = _transfer_along(mu1, z, 0.0, node_list, tol)[0]
-    tr2n = propagate(mu2, z, 0.0, u2_init, np.array(node_list), tol)
-    u2v = dict(zip(node_list, tr2n.u))
-    du2v = dict(zip(node_list, tr2n.du))
-    phi_nu = {x: me.phi(nu, x) for x in node_list}
-
-    def integrand(x, Tt_inv):
-        # the second column of T1(s, t) = T1(s, 0) T1(t, 0)^-1
-        t00, t01, t10, t11 = tmats[x]
-        dud = t10 * Tt_inv[1] + t11 * Tt_inv[3]       # d1 u_D(s+, t)
-        uD_ts = -(t00 * Tt_inv[1] + t01 * Tt_inv[3])  # u_D(t, s) = -u_D(s, t)
-        return (-dud * u2v[x] + uD_ts * du2v[x]) * (c - phi_nu[x])
-
-    def panel_sum(a, b, Tt_inv):
-        # grid points and 0 are panel boundaries, so [a, b] is panel-aligned;
-        # the 8-point companion rule estimates the quadrature error
-        total = 0j
-        err_est = 0.0
-        for p0, p1, xs, ws, xs8, ws8 in panels:
-            if p0 < a - 1e-12 or p1 > b + 1e-12:
-                continue
-            full = sum(w * integrand(x, Tt_inv) for x, w in zip(xs, ws))
-            rough = sum(w * integrand(x, Tt_inv) for x, w in zip(xs8, ws8))
-            total += full
-            err_est += abs(full - rough)
-        return total, err_est
-
-    v_rec = np.zeros_like(v)
+    # the by-parts integrand is A P1 + B P2, with (A, B) = (-T01, T00) the
+    # second column of T1(t, 0)^-1: two sums per panel and rule
+    sums = []
+    for xs, ws in rules:
+        r00, r01, r10, r11, u2, du2 = _gather(at, xs)
+        g = c - np.array([me.phi(nu, x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+        sums.append((ws * (-(r10 * u2 + r00 * du2) * g)).sum(1))
+        sums.append((ws * (-(r11 * u2 + r01 * du2) * g)).sum(1))
+    p1, p2, q1, q2 = sums
+    # the panels between 0 and t; grid points and 0 are edges
+    k, k0 = np.searchsorted(edges, grid), np.searchsorted(edges, 0.0)
+    p = np.arange(len(edges) - 1)
+    between = (np.minimum(k, k0)[:, None] <= p) & (p < np.maximum(k, k0)[:, None])
+    A, B = -t01, t00
+    v_rec = np.where(grid < 0, -1.0, 1.0) * (A * (between * p1).sum(1) + B * (between * p2).sum(1))
+    # the 8-point companion estimates each panel's quadrature error
+    err = (between * np.abs(A[:, None] * (p1 - q1) + B[:, None] * (p2 - q2))).sum(1)
     scale = max(1.0, float(np.max(np.abs(v))))
-    for i, t in enumerate(grid):
-        if t == 0.0:
-            v_rec[i] = 0.0
-            continue
-        a, b = (0.0, t) if t > 0 else (t, 0.0)
-        Tt_inv = _inv_unimodular(tmats[t])
-        total, err_est = panel_sum(a, b, Tt_inv)
-        if err_est > max(tol, 1e-12) * scale * 100.0:
-            raise ToleranceError(
-                f"variation-of-constants quadrature error {err_est:.2e} "
-                f"exceeds tolerance at t={t}"
-            )
-        v_rec[i] = total if t > 0 else -total
-    mism = float(np.max(np.abs(v - v_rec))) if len(grid) else 0.0
-    return SolutionDifference(grid, v, v_rec, u2_init, c, mism)
+    bad = err > max(tol, 1e-12) * scale * 100.0
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ToleranceError(
+            f"variation-of-constants quadrature error {err[i]:.2e} "
+            f"exceeds tolerance at t={grid[i]}"
+        )
+    return SolutionDifference(grid, v, v_rec, u2_init, c, float(np.max(np.abs(v - v_rec))))
 
 
 def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionTrace, s, t, tol=1e-8):
@@ -631,32 +613,18 @@ def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionT
     i_s = int(np.argmin(np.abs(tr1.grid - s)))
     if abs(tr1.grid[i_s] - s) > 1e-12:
         raise DomainError("s must be a trace grid point")
-    v_s = np.array([tr1.u[i_s] - tr2.u[i_s], tr1.du[i_s] - tr2.du[i_s]])
-    T_ts = transfer_matrix(mu1, z, s, t, tol).entries
-    total = (T_ts @ v_s)[0]
-    a, b = (s, t) if t >= s else (t, s)
+    s, t = float(s), float(t)
+    a, b = min(s, t), max(s, t)
+    _, ((xs, ws), _), at = _voc_setup(mu1, mu2, z, s, (tr2.u[i_s], tr2.du[i_s]), a, b, (), tol)
+    T00, T01 = at[t][:2]
+    total = T00 * (tr1.u[i_s] - tr2.u[i_s]) + T01 * (tr1.du[i_s] - tr2.du[i_s])
     sign = 1.0 if t >= s else -1.0
-
-    xs, ws = _quad_nodes(a, b, nu.breakpoints())
-    node_list = sorted(set(xs.tolist()) | {float(a), float(b)} |
-                       {x for x, _ in nu.atoms_in(a, b)})
-    tmats = _transfer_along(mu1, z, 0.0, node_list + [t, 0.0], tol)[0]
-    prop_nodes = np.array(sorted(set(node_list) | {float(tr2.grid[0])}))
-    tr2n = propagate(mu2, z, tr2.grid[0], (tr2.u[0], tr2.du[0]), prop_nodes, tol)
-    u2v = dict(zip(tr2n.grid.tolist(), tr2n.u))
-    Tt_inv = _inv_unimodular(tmats[t])
-
-    def uD_t_r(r):
-        t00, t01, _, _ = tmats[r]
-        return -(t00 * Tt_inv[1] + t01 * Tt_inv[3])
-
+    # u_D(t, r) = T1(t, r)_01 with T1(t, r) = T1(t, s) T1(r, s)^-1
     for x, w in nu.atoms_in(a, b):
-        total += sign * w * uD_t_r(x) * u2v[x]
-    dens = 0j
-    for x, w in zip(xs, ws):
-        # Gauss nodes lie inside the panels, so at most one segment holds x
-        rho = sum(seg.density_at(x) for seg in nu.segments_meeting(x, x))
-        if rho != 0:
-            dens += w * rho * uD_t_r(x) * u2v[x]
-    total += sign * dens
-    return total
+        r00, r01, _, _, u2, _ = at[x]
+        total += sign * w * (T01 * r00 - T00 * r01) * u2
+    r00, r01, _, _, u2, _ = _gather(at, xs)
+    # Gauss nodes lie inside the panels, so at most one segment holds x
+    rho = np.array([sum(seg.density_at(x) for seg in nu.segments_meeting(x, x))
+                    for x in xs.ravel().tolist()], dtype=complex).reshape(xs.shape)
+    return total + sign * (ws * rho * (T01 * r00 - T00 * r01) * u2).sum()

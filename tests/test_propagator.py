@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 from weakgordon import measure as me
 from weakgordon import poly
 from weakgordon import propagator as pr
-from weakgordon.errors import DomainError
+from weakgordon.errors import DomainError, ToleranceError
 
 import walk_oracle as wo
 from conftest import random_measure
 
 
-def random_potential(rng, window=(-3, 3), max_atoms=6, densities=True, unif_cap=5.0):
+def random_potential(rng, window=(-3, 3), max_atoms=6, densities=True, unif_cap=5.0,
+                     density_degree=0):
     return random_measure(
         rng,
         window=window,
         max_atoms=max_atoms,
         max_segments=2 if densities else 0,
-        density_degree=0 if densities else 0,
+        density_degree=density_degree,
         max_weight=1.0,
         unif_cap=unif_cap,
     )
@@ -324,10 +325,11 @@ class TestStability:
 
 
 class TestSolutionDifference:
-    def test_reconstruction_matches(self, rng):
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_reconstruction_matches(self, rng, degree):
         for _ in range(10):
-            mu1 = random_potential(rng, window=(-4, 4), max_atoms=4)
-            mu2 = random_potential(rng, window=(-4, 4), max_atoms=4)
+            mu1 = random_potential(rng, window=(-4, 4), max_atoms=4, density_degree=degree)
+            mu2 = random_potential(rng, window=(-4, 4), max_atoms=4, density_degree=degree)
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
             grid = np.linspace(-3.0, 3.0, 13)
             sd = pr.solution_difference(mu1, mu2, z, (1.0, 0.3), grid)
@@ -344,10 +346,11 @@ class TestSolutionDifference:
         i0 = int(np.argmin(np.abs(grid)))
         assert abs(sd.v[i0]) < 1e-12
 
-    def test_duhamel_identity_off_zero(self, rng):
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_duhamel_identity_off_zero(self, rng, degree):
         for _ in range(8):
-            mu1 = random_potential(rng, window=(-4, 4), max_atoms=3)
-            mu2 = random_potential(rng, window=(-4, 4), max_atoms=3)
+            mu1 = random_potential(rng, window=(-4, 4), max_atoms=3, density_degree=degree)
+            mu2 = random_potential(rng, window=(-4, 4), max_atoms=3, density_degree=degree)
             z = 0.2
             grid = np.linspace(-3.0, 3.0, 25)
             tr1 = pr.propagate(mu1, z, 0.0, (1.0, 0.1), grid)
@@ -358,6 +361,38 @@ class TestSolutionDifference:
             i_t = int(np.argmin(np.abs(grid - t)))
             direct = tr1.u[i_t] - tr2.u[i_t]
             assert abs(val - direct) <= 1e-6 * max(1.0, abs(direct))
+
+    def test_duhamel_panels_cut_at_cancelled_atoms(self):
+        # the atom at 0.75 cancels in nu but is a kink of u2 and u_D(t, .)
+        # inside nu's density: the panels must be cut there too
+        window = (-4.0, 4.0)
+        mu2 = me.make_measure([(0.75, 0.5)], [(-4.0, 4.0, (0.2, 0.05, -0.01, 0.002))], window)
+        mu1 = me.add_measures(mu2, me.make_measure((), [(0.0, 2.0, (0.3,))], window))
+        grid = np.linspace(-2.0, 2.0, 9)
+        tr1 = pr.propagate(mu1, 0.2, 0.0, (1.0, 0.1), grid)
+        tr2 = pr.propagate(mu2, 0.2, 0.0, (0.8, -0.2), grid)
+        val = pr.variation_of_constants_value(mu1, mu2, 0.2, tr1, tr2, 0.0, 2.0)
+        direct = tr1.u[-1] - tr2.u[-1]
+        assert abs(val - direct) <= 1e-6 * max(1.0, abs(direct))
+
+    def test_degenerate_inputs(self):
+        mu1 = me.dirac(0.3, 0.2, (-3.0, 3.0))
+        mu2 = me.dirac(-0.4, 0.1, (-3.0, 3.0))
+        with pytest.raises(DomainError):
+            pr.solution_difference(mu1, mu2, 0.0, (1.0, 0.0), [])
+        sd = pr.solution_difference(mu1, mu2, 0.0, (1.0, 0.0), [0.0])
+        assert sd.v.tolist() == [0.0] and sd.v_reconstructed.tolist() == [0.0]
+        assert sd.max_mismatch == 0.0
+        with pytest.raises(DomainError):
+            pr.solution_difference(mu1, mu2, 0.0, (1.0, 0.0), [0.0, 1.0], tol=0.0)
+
+    def test_quadrature_error_raises(self):
+        # at z = -100 the solutions grow like e^(10 |t|): the 16- and
+        # 8-point rules disagree far beyond the tolerance
+        mu1 = me.dirac(0.3, 0.2, (-3.0, 3.0))
+        mu2 = me.dirac(-0.4, 0.1, (-3.0, 3.0))
+        with pytest.raises(ToleranceError, match="t=2.0"):
+            pr.solution_difference(mu1, mu2, -100.0, (1.0, 0.0), np.linspace(-2.0, 2.0, 3))
 
 
 # ---------------------------------------------------------------------------
