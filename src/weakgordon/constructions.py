@@ -223,12 +223,12 @@ class SharpnessConstruction:
         )
 
 
-def gap_lengths(m_max: int, gap_factor: int = GAP_FACTOR):
-    """The (l_m, p_m) schedule: l_m = gap_factor*m*(2(m-1)p_{m-1} + m)."""
+def gap_lengths(m_max: int):
+    """The (l_m, p_m) schedule: l_m = GAP_FACTOR*m*(2(m-1)p_{m-1} + m)."""
     lengths, periods = [], []
     p_prev = 0
     for m in range(1, m_max + 1):
-        l = gap_factor * m * (2 * (m - 1) * p_prev + m)
+        l = GAP_FACTOR * m * (2 * (m - 1) * p_prev + m)
         p = 2 * (m - 1) * p_prev + l
         lengths.append(l)
         periods.append(p)
@@ -236,7 +236,7 @@ def gap_lengths(m_max: int, gap_factor: int = GAP_FACTOR):
     return lengths, periods
 
 
-def sharpness_construction(m_max: int, gap_factor: int = GAP_FACTOR) -> SharpnessConstruction:
+def sharpness_construction(m_max: int) -> SharpnessConstruction:
     """Build the pure-point measure with eigenvalue -1.
 
     The eigenfunction is pinned to u(j p_m + t) = 2^{-m|j|} u(t) on the
@@ -246,7 +246,7 @@ def sharpness_construction(m_max: int, gap_factor: int = GAP_FACTOR) -> Sharpnes
     """
     if not (1 <= m_max <= MAX_LEVELS):
         raise ResourceError(f"m_max must be in [1, {MAX_LEVELS}], got {m_max}")
-    lengths, periods = gap_lengths(m_max, gap_factor)
+    lengths, periods = gap_lengths(m_max)
 
     exps = {0: 0}  # position -> exponent e with u = 2^{-e}
     for m in range(1, m_max + 1):
@@ -345,11 +345,11 @@ def eigen_residual(S: SharpnessConstruction, window, step: float = 0.5) -> float
     return worst
 
 
-def rate_tail(m_from: int, m_to: int, gap_factor: int = GAP_FACTOR):
+def rate_tail(m_from: int, m_to: int):
     """Closed-form Gordon rates -(1/p_m) ln defect_m for the gap schedule,
     m >= 2, evaluated in log space (valid far beyond materialisable m)."""
     out = []
-    lengths, periods = gap_lengths(m_to, gap_factor)
+    lengths, periods = gap_lengths(m_to)
     for m in range(max(m_from, 2), m_to + 1):
         l, p = lengths[m - 1], periods[m - 1]
         if p > 1e280:
@@ -358,13 +358,7 @@ def rate_tail(m_from: int, m_to: int, gap_factor: int = GAP_FACTOR):
     return out
 
 
-def sharpness_report(
-    S: SharpnessConstruction,
-    C: float,
-    r_grid=None,
-    tol: float = 1e-9,
-    tail_to: int = 40,
-) -> SharpnessReport:
+def sharpness_report(S: SharpnessConstruction, C: float, tol: float = 1e-9) -> SharpnessReport:
     """Per-level defect table, eigen-residual and exclusion ingredients.
 
     Defect/rate columns for m >= 2 use the proven interchange closed form in
@@ -412,13 +406,12 @@ def sharpness_report(
     res_win = (-half, half)
     resid = eigen_residual(S, res_win)
 
-    tail = rate_tail(2, tail_to)
+    tail = rate_tail(2, 40)
     rates = [r for _, _, r in tail]
     if rows and math.isfinite(rows[0].log_defect):
         rates.append(-rows[0].log_defect / rows[0].p)
     c_est = max(rates)
-    if r_grid is None:
-        r_grid = [1.0] + [float(p) for p in S.periods[: min(2, S.m_max)]]
+    r_grid = [1.0] + [float(p) for p in S.periods[: min(2, S.m_max)]]
     profile = tuple((float(r), me.norm_unif(S.measure, float(r))) for r in r_grid)
     e_est = c_est * c_est - min(v for _, v in profile)
     return SharpnessReport(

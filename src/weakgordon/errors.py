@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one tolerance check."""
 
 
 class WeakGordonError(Exception):
@@ -23,3 +23,9 @@ class ToleranceError(WeakGordonError, RuntimeError):
 
 class ResourceError(WeakGordonError, RuntimeError):
     """A computation would exceed a configured resource budget."""
+
+
+def check_tol(tol):
+    """Raise DomainError unless tol is a positive number (NaN is not)."""
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")

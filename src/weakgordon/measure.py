@@ -121,10 +121,8 @@ class LocalMeasure:
     def hi(self):
         return self.window[1]
 
-    def is_real(self, tol=0.0):
-        return all(abs(w.imag) <= tol for _, w in self.atoms) and all(
-            poly.is_real(s.coeffs, tol) for s in self.segments
-        )
+    def is_real(self):
+        return all(w.imag == 0 for _, w in self.atoms) and self.has_real_density()
 
     def is_zero(self):
         return not self.atoms and not self.segments
@@ -591,18 +589,24 @@ def multiply_lipschitz(mu: LocalMeasure, psi: PiecewiseAffine) -> LocalMeasure:
     return LocalMeasure(atoms, tuple(segs), mu.window)
 
 
-def _cubic_resample(a, b, coeffs, rel_tol=1e-12, budget=16384):
+# relative accuracy of the Hermite cubics of `_cubic_resample` and the most
+# cells it may use
+_RESAMPLE_REL_TOL = 1e-12
+_RESAMPLE_BUDGET = 16384
+
+
+def _cubic_resample(a, b, coeffs):
     """Approximate a real/complex degree-4 polynomial piece by Hermite cubics."""
     scale_ref = max(poly.sup_abs_on(coeffs, 0.0, b - a), 1e-300)
     c4 = coeffs[4] if len(coeffs) > 4 else 0.0
     f4 = 24.0 * abs(c4)
     if f4 == 0.0:
         return [Segment(a, b, poly.trim(coeffs[:4]))]
-    h = (384.0 * rel_tol * scale_ref / f4) ** 0.25
+    h = (384.0 * _RESAMPLE_REL_TOL * scale_ref / f4) ** 0.25
     n = max(1, int(math.ceil((b - a) / h)))
-    if n > budget:
+    if n > _RESAMPLE_BUDGET:
         raise RepresentationError(
-            f"degree reduction needs {n} cells, budget {budget}"
+            f"degree reduction needs {n} cells, budget {_RESAMPLE_BUDGET}"
         )
     d = poly.derivative(coeffs)
     out = []

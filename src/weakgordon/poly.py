@@ -45,8 +45,8 @@ def evaluate(coeffs, x):
     return acc
 
 
-def is_real(coeffs, tol=0.0):
-    return all(abs(getattr(c, "imag", 0.0)) <= tol for c in coeffs)
+def is_real(coeffs):
+    return all(getattr(c, "imag", 0.0) == 0 for c in coeffs)
 
 
 def to_real(coeffs):

@@ -37,7 +37,7 @@ from itertools import repeat
 import numpy as np
 
 from . import measure as me
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_tol
 from .seminorm import interval_seminorm, window_seminorm
 
 _SQRT3 = math.sqrt(3.0)
@@ -292,8 +292,7 @@ def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     exact unipotent or a closed-form traceless exponential, so the
     certificate stays at rounding level per unit length.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     lo, hi = min(s, t), max(s, t)
     if lo < mu.lo - 1e-12 or hi > mu.hi + 1e-12:
         raise DomainError(f"path [{lo}, {hi}] outside window {mu.window}")
@@ -309,6 +308,7 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     side of s is one walk, folded once into the state after every factor;
     the grid states and the atom jumps are read off by mark index.
     """
+    check_tol(tol)
     grid = np.sort(np.asarray(grid, dtype=float), kind="stable")
     xs = grid.tolist()
     if not xs:
@@ -533,8 +533,7 @@ def _voc_setup(mu1, mu2, z, anchor, state, a, b, points, tol):
     anchor) entries, u2(x), u2'(x+)) over every node, edge and point, from
     one walk of mu1 and one propagation of mu2 from `state` at the anchor.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     inner = {x for x in mu1.breakpoints() + mu2.breakpoints() if a < x < b}
     cuts = sorted({a, b, anchor, *points} | inner)
     edges = []

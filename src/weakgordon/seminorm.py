@@ -20,6 +20,8 @@ inverses (closed form up to degree 2, bracketed Newton above).  A binary
 search over the sorted branch-end values finds the bracket where S crosses
 half the window length; inside it the closed form (every active branch
 affine) or Newton on S, with S' = sum 1/|phi'|, closes the bracket to 2 ulp.
+That c is the reported median, with no threshold that could move it, so a
+real window value is homogeneous: N(lambda mu) = |lambda| N(mu).
 
 Interval seminorms (|I| > 2) take a certified supremum over all admissible
 windows in one sweep over the window centres a, cut at the events where
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import measure as me
 from . import poly
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_tol
 
 
 @dataclass(frozen=True)
@@ -187,22 +189,10 @@ def _smallest_median(pieces, half):
     Binary search over the sorted branch-end values finds the bracket where
     S crosses half; inside it S is a sum of branch inverses, solved by
     bracketed Newton from the closed form when every active branch is
-    affine.
+    affine.  A step function ends at a level of the search, a constant phi
+    at its one event.
     """
     parts = _monotone_parts(pieces)
-    vmin = min(vlo for vlo, _, _, _ in parts)
-    vmax = max(vhi for _, vhi, _, _ in parts)
-    if vmax - vmin <= 0:
-        return vmin
-    if all(br is None for _, _, _, br in parts):
-        # no branch: S is a staircase, accumulated in sorted order
-        items = sorted((v, L) for v, _, L, _ in parts)
-        acc = 0.0
-        for v, L in items:
-            acc += L
-            if acc >= half - 1e-15:
-                return v
-        return items[-1][0]
     events = sorted({v for vlo, vhi, _, _ in parts for v in (vlo, vhi)})
     i, j, s_lo = -1, len(events) - 1, 0.0
     while j - i > 1:
@@ -229,18 +219,6 @@ def _smallest_median(pieces, half):
                 return s - half, ds
 
             c = poly.bracketed_newton(excess, lo, below, x0)
-    # snap to a representation value when that is also a valid median
-    candidates = set()
-    for t0, t1, coeffs in pieces:
-        candidates.add(poly.evaluate(coeffs, 0.0))
-        candidates.add(poly.evaluate(coeffs, t1 - t0))
-        if len(poly.trim(coeffs)) == 1:
-            candidates.add(coeffs[0])
-    scale_ref = max(1.0, abs(vmin), abs(vmax))
-    for v in sorted(candidates):
-        if abs(v - c) <= 1e-9 * scale_ref and _sublevel(parts, v)[0] >= half:
-            if v <= c or abs(_l1_real(pieces, v) - _l1_real(pieces, c)) <= 1e-12 * scale_ref:
-                return v
     return c
 
 
@@ -496,7 +474,7 @@ def _window_value(mu, wlo, whi):
         return 0.0, 0.0, 0j, MedianStats()
     offset = _phi_offset(mu, wlo)
     half = 0.5 * (whi - wlo)
-    real = all(poly.is_real(c, 0.0) for _, _, c in pieces)
+    real = all(poly.is_real(c) for _, _, c in pieces)
     if real:
         rp = _real_pieces(pieces)
         c = _smallest_median(rp, half)
@@ -680,8 +658,7 @@ def interval_seminorm(
     refined node as `grid_step` (0 when no cell is refined), |mu|(I) as
     `lipschitz` (the global bound) and upper - lower as `error_bound`.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     lo, hi = float(interval[0]), float(interval[1])
     if lo < mu.lo - 1e-12 or hi > mu.hi + 1e-12:
         raise DomainError(f"interval {interval} not inside window {mu.window}")

@@ -50,6 +50,12 @@ class TestSeminormCommand:
     def test_missing_file_exit_2(self, workdir):
         assert cli.run(["seminorm", "--measure", "nope.json", "--interval", "-1,1"]) == 2
 
+    def test_tol_must_be_positive_exit_2(self, workdir, capsys):
+        for tol in ("0", "-1e-8", "nan"):
+            args = ["seminorm", "--measure", "dirac.json", "--interval", "-1,1", "--tol", tol]
+            assert cli.run(args) == 2
+            assert "tol must be positive" in capsys.readouterr().err
+
 
 class TestPropagateCommand:
     def test_trace_columns(self, workdir):
@@ -74,6 +80,14 @@ class TestPropagateCommand:
                           [-0.5, -0.25, 0.0, 0.25, 0.5])
         assert meta["stats"] == {"atoms": 1, "constant": 4, "magnus": 0, "runs": 0}
         assert tr.stats == pr.WalkStats(**meta["stats"])
+
+    def test_tol_must_be_positive_exit_2(self, workdir, capsys):
+        for tol in ("0", "-1e-8", "nan"):
+            args = ["propagate", "--measure", "dirac.json", "--z", "0,0", "--from", "0",
+                    "--init", "1,0,0,0", "--grid", "-0.5:0.5:0.25", "--tol", tol,
+                    "--out", "trace.csv"]
+            assert cli.run(args) == 2
+            assert "tol must be positive" in capsys.readouterr().err
 
     def test_bad_grid_exit_2(self, workdir):
         rc = cli.run(

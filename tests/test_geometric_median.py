@@ -63,7 +63,7 @@ def _c_med(pieces, wlo, whi):
 def _check_against_weiszfeld(mu, wlo, whi):
     pieces = me.cumulative_pieces(mu, wlo, whi)
     lower, upper, c, _ = sn._window_value(mu, wlo, whi)
-    if not pieces or all(poly.is_real(k, 0.0) for _, _, k in pieces):
+    if not pieces or all(poly.is_real(k) for _, _, k in pieces):
         return
     c_med = _c_med(pieces, wlo, whi)
     m_old = min(_weiszfeld(pieces, c_med)[1], sn._l1_complex(pieces, c_med))

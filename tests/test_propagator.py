@@ -386,6 +386,16 @@ class TestSolutionDifference:
         with pytest.raises(DomainError):
             pr.solution_difference(mu1, mu2, 0.0, (1.0, 0.0), [0.0, 1.0], tol=0.0)
 
+    def test_panel_rule_resolves_a_long_stretch(self):
+        # grid points 4 apart at z = 10: the 8-point rule in place of the
+        # 16-point one (mismatch 1.2e-7) or panels left longer than 2
+        # (ToleranceError, estimate 3.8e-4) fail here
+        window = (-6.0, 6.0)
+        mu1 = me.make_measure([(0.7, 0.3)], [(-5.0, 5.0, (0.2, 0.05, -0.01, 0.002))], window)
+        mu2 = me.make_measure([(-1.3, -0.2)], [(-5.0, 5.0, (0.1, -0.03, 0.02))], window)
+        sd = pr.solution_difference(mu1, mu2, 10.0, (1.0, 0.3), [-4.0, 0.0, 4.0], tol=1e-8)
+        assert sd.max_mismatch <= 1e-10 * max(1.0, float(np.max(np.abs(sd.v))))
+
     def test_quadrature_error_raises(self):
         # at z = -100 the solutions grow like e^(10 |t|): the 16- and
         # 8-point rules disagree far beyond the tolerance
@@ -393,6 +403,25 @@ class TestSolutionDifference:
         mu2 = me.dirac(-0.4, 0.1, (-3.0, 3.0))
         with pytest.raises(ToleranceError, match="t=2.0"):
             pr.solution_difference(mu1, mu2, -100.0, (1.0, 0.0), np.linspace(-2.0, 2.0, 3))
+
+
+def _duhamel_value(mu, tol):
+    tr = pr.propagate(mu, 0.0, 0.0, (1.0, 0.0), [0.0, 0.5])
+    return pr.variation_of_constants_value(mu, mu, 0.0, tr, tr, 0.0, 0.5, tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu, tol: pr.propagate(mu, 0.0, 0.0, (1.0, 0.0), [0.0, 0.5], tol),
+    lambda mu, tol: pr.transfer_matrix(mu, 0.0, 0.0, 0.5, tol),
+    lambda mu, tol: pr.solution_difference(mu, mu, 0.0, (1.0, 0.0), [0.0, 0.5], tol),
+    _duhamel_value,
+], ids=["propagate", "transfer_matrix", "solution_difference", "variation_of_constants_value"])
+def test_tol_must_be_positive(call):
+    # NaN too, which fails every comparison, so a `tol <= 0` test lets it by
+    mu = me.make_measure((), [(-1.0, 1.0, (0.1, 0.2))], (-1.0, 1.0))
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            call(mu, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,13 @@ class TestIntervalSeminorm:
         # peak of an admissible tent inside [-0.5, 0.5] is 0.5
         assert r.upper == pytest.approx(0.5, abs=1e-12)
 
+    def test_tol_must_be_positive(self):
+        # NaN too: a `tol <= 0` test lets it by, and no node closes under it
+        mu = me.dirac(0.0, 1.0, (-3, 3))
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                sn.interval_seminorm(mu, (-3, 3), tol=tol)
+
     def test_translation_bound(self, rng):
         # the assertion uses the achieved lower bound, so a coarse certified
         # gap keeps the test honest and fast
