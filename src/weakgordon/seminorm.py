@@ -32,8 +32,10 @@ with its maximum at a vertex of the envelope, found exactly.  The exact
 cells of a sweep are evaluated together: one NumPy pass gives the level
 distances of every cell, and only the envelope walk runs per cell.  The other
 cells (touching a density, or of a complex measure) are refined by
-branch-and-bound, pruned by the Lipschitz constant |mu|((a1-1, a2+1]) local
-to each node, by the sliding unit-mass bound
+branch-and-bound over one list of nodes, taken breadth first.  Each node is
+bounded once, at its turn, against the cutoff of that moment: by the
+Lipschitz constant |mu|((a1-1, a2+1]) local to the node, then, while the
+bound is above the cutoff, by the sliding unit-mass bound
 ||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]) and by the sliding sup of
 |phi - c|.  Both sliding sups run over nonnegative pieces from
 `poly.abs_pieces`.
@@ -41,7 +43,6 @@ to each node, by the sliding unit-mass bound
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
@@ -107,12 +108,12 @@ def _real_pieces(pieces):
     return [(t0, t1, poly.to_real(c)) for t0, t1, c in pieces]
 
 
-def _l1_real(pieces, c):
-    total = 0.0
-    for t0, t1, coeffs in pieces:
-        shifted = poly.add(coeffs, (-c,))
-        total += poly.integral_abs(shifted, 0.0, t1 - t0)
-    return total
+def _l1(pieces, c):
+    """int |phi - c| over the pieces of phi, real or complex."""
+    return sum(
+        poly.integral_abs(poly.add(coeffs, (-c,)), 0.0, t1 - t0)
+        for t0, t1, coeffs in pieces
+    )
 
 
 class _Branch(namedtuple("_Branch", "coeffs deriv xa xb va vb")):
@@ -224,13 +225,6 @@ def _smallest_median(pieces, half):
 
 # ---------------------------------------------------------------------------
 # complex case: geometric median of phi
-
-
-def _l1_complex(pieces, c):
-    return sum(
-        poly.integral_abs(poly.add(coeffs, (-c,)), 0.0, t1 - t0)
-        for t0, t1, coeffs in pieces
-    )
 
 
 # panel bisections of the unchecked Gauss pass that steers the Newton
@@ -351,7 +345,7 @@ def _geometric_median(pieces, c, f):
     level, taken in closed form; the other pieces give their gradient and
     Hessian from one `gauss_integral` pass of _STEER_PANELS unchecked
     bisections, since those values only steer.
-    - Every candidate is scored by the converged `_l1_complex`, and a score
+    - Every candidate is scored by the converged `_l1`, and a score
       that raises ToleranceError reads as no decrease, so the F returned is
       a converged integral at the c returned.
     - A step is accepted on a strict decrease.  The steps of `_directions`
@@ -402,7 +396,7 @@ def _geometric_median(pieces, c, f):
         nonlocal scores
         scores += 1
         try:
-            return _l1_complex(pieces, x)
+            return _l1(pieces, x)
         except ToleranceError:
             return math.inf
 
@@ -474,19 +468,14 @@ def _window_value(mu, wlo, whi):
         return 0.0, 0.0, 0j, MedianStats()
     offset = _phi_offset(mu, wlo)
     half = 0.5 * (whi - wlo)
-    real = all(poly.is_real(c) for _, _, c in pieces)
-    if real:
-        rp = _real_pieces(pieces)
-        c = _smallest_median(rp, half)
-        val = _l1_real(rp, c)
+    re_pieces = _real_pieces(pieces)
+    if all(poly.is_real(c) for _, _, c in pieces):
+        c = _smallest_median(re_pieces, half)
+        val = _l1(re_pieces, c)
         return val, val, complex(c) + offset, MedianStats()
-    re_pieces = [(t0, t1, tuple(v.real for v in c)) for t0, t1, c in pieces]
-    im_pieces = [(t0, t1, tuple(v.imag for v in c)) for t0, t1, c in pieces]
-    c_med = complex(
-        _smallest_median(_real_pieces(re_pieces), half),
-        _smallest_median(_real_pieces(im_pieces), half),
-    )
-    m_med = _l1_complex(pieces, c_med)
+    im_pieces = [(t0, t1, tuple(float(v.imag) for v in c)) for t0, t1, c in pieces]
+    c_med = complex(_smallest_median(re_pieces, half), _smallest_median(im_pieces, half))
+    m_med = _l1(pieces, c_med)
     c_best, m_best, steps, scores = _geometric_median(pieces, c_med, m_med)
     # M/2 is a lower bound however far the solver got: c_med takes the
     # exact medians S of Re phi and Im phi, so
@@ -646,16 +635,21 @@ def interval_seminorm(
       maximum comes in closed form from `_staircase_cells`, which
       evaluates all exact cells together.
     - Every other cell (one touching a density, or any cell of a complex
-      measure) is a root node of a branch-and-bound refinement.  A node
-      [a1, a2] is bounded by the Lipschitz constant |mu|((a1-1, a2+1]),
-      local to the node, by the sliding unit-mass bound and, for real
-      measures, by the sliding sup of |phi - c|.
+      measure) is a root node of a branch-and-bound refinement.  The nodes
+      form one list, walked in order, to which each split appends its two
+      halves: breadth first.  A node [a1, a2] is bounded once, at its turn,
+      against the cutoff best lower + tol of that moment: by the Lipschitz
+      constant |mu|((a1-1, a2+1]), local to the node, then, while still
+      above the cutoff, by the sliding unit-mass bound and, for real
+      measures, by the sliding sup of |phi - c| at the incumbent's c.  A
+      node above the cutoff is split at its midpoint; `max_nodes` caps the
+      splits.
 
     `lower` is the window value at the witness a*; `upper` is the largest of
     `lower`, the exact cell maxima and the settled node bounds.  So
     upper - lower <= tol (plus the complex bracket width), and it is 0 up to
     rounding when every cell is exact.  The certificate holds the narrowest
-    refined node as `grid_step` (0 when no cell is refined), |mu|(I) as
+    node of the list as `grid_step` (0 when no cell is refined), |mu|(I) as
     `lipschitz` (the global bound) and upper - lower as `error_bound`.
     """
     check_tol(tol)
@@ -720,56 +714,32 @@ def interval_seminorm(
         if vlo > best_lower:
             best_lower, best_a = vlo, a
 
-    def unit_bound(a1, a2):
-        span_lo = max(mu.lo, a1 - 1.0)
-        span_hi = min(mu.hi, a2 + 1.0)
-        if span_hi - span_lo < 1.0:
-            return math.inf
-        return abs_oracle.sliding_sup(span_lo, span_hi, 1.0)
-
-    slide_oracles = {}
-
-    def slide_bound(a1, a2):
-        # N(a) <= int_{a-1}^{a+1} |phi - c| for any fixed c; use the witness c
-        if not real_measure:
-            return math.inf
-        c = complex(evals[best_a][2]).real
-        if c not in slide_oracles:
-            slide_oracles[c] = _PieceOracle([], _l1_pieces(mu, c, lo, hi))
-        return slide_oracles[c].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0)
-
-    def node_bound(a1, a2, cutoff):
+    # one (c, oracle) of |phi - c| for the slide bound, rebuilt when the
+    # incumbent's c changes: an old c is never used again
+    slide = (None, None)
+    settled_bound = best_lower
+    splits = 0
+    # breadth first: the loop also walks the children appended to `refined`
+    for a1, a2 in refined:
+        cutoff = best_lower + tol
         # |dN/da| <= |mu((a-1, a+1])| <= |mu|((a1-1, a2+1]) on the node
         lip = abs_oracle.mass(a1 - 1.0, a2 + 1.0)
-        b = max(evaluate(a1)[1], evaluate(a2)[1]) + lip * (a2 - a1) / 2.0
-        if b <= cutoff:
-            return b
-        b = min(b, unit_bound(a1, a2))
-        if b <= cutoff:
-            return b
-        return min(b, slide_bound(a1, a2))
-
-    heap = []
-    min_h = math.inf
-    for counter, (a1, a2) in enumerate(refined):
-        b = node_bound(a1, a2, best_lower + tol)
-        min_h = min(min_h, a2 - a1)
-        heap.append((-b, counter, a1, a2))
-    heapq.heapify(heap)
-    counter = len(heap)
-
-    settled_bound = best_lower
-    nodes = 0
-    while heap:
-        neg_b, _, a1, a2 = heapq.heappop(heap)
-        bound = -neg_b
-        # bounds only improve as the incumbent does; recheck before splitting
-        bound = min(bound, node_bound(a1, a2, best_lower + tol))
-        if bound <= best_lower + tol:
-            settled_bound = max(settled_bound, min(bound, best_lower + tol))
+        bound = max(evaluate(a1)[1], evaluate(a2)[1]) + lip * (a2 - a1) / 2.0
+        if bound > cutoff:
+            # the span (a1 - 1, a2 + 1) is at least 2 long: it holds a unit window
+            span_lo, span_hi = max(mu.lo, a1 - 1.0), min(mu.hi, a2 + 1.0)
+            bound = min(bound, abs_oracle.sliding_sup(span_lo, span_hi, 1.0))
+        if bound > cutoff and real_measure:
+            # N(a) <= int_{a-1}^{a+1} |phi - c| for any fixed c; use the witness c
+            c = complex(evals[best_a][2]).real
+            if slide[0] != c:
+                slide = c, _PieceOracle([], _l1_pieces(mu, c, lo, hi))
+            bound = min(bound, slide[1].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0))
+        if bound <= cutoff:
+            settled_bound = max(settled_bound, min(bound, cutoff))
             continue
-        nodes += 1
-        if nodes > max_nodes:
+        splits += 1
+        if splits > max_nodes:
             raise ToleranceError(
                 f"interval_seminorm: gap {bound - best_lower:.3e} > tol {tol:.3e} "
                 f"after {max_nodes} refinement nodes"
@@ -781,15 +751,12 @@ def interval_seminorm(
         for x1, x2 in ((a1, mid), (mid, a2)):
             if x2 - x1 <= 1e-13 * max(1.0, abs(x1)):
                 settled_bound = max(settled_bound, bound)
-                continue
-            b = node_bound(x1, x2, best_lower + tol)
-            min_h = min(min_h, x2 - x1)
-            heapq.heappush(heap, (-b, counter, x1, x2))
-            counter += 1
+            else:
+                refined.append((x1, x2))
 
     vlo, vup, c, _ = evaluate(best_a)
     upper = max(vup, settled_bound, best_lower, exact_best)
-    grid_step = min_h if refined else 0.0
+    grid_step = min((a2 - a1 for a1, a2 in refined), default=0.0)
     cert = SeminormCertificate(grid_step, K, upper - vlo)
     stats = sum((v[3] for v in evals.values()), MedianStats())
     return SeminormResult(vlo, upper, c, (best_a - 1.0, best_a + 1.0), cert, stats)

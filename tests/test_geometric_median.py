@@ -30,7 +30,7 @@ def _inv_abs(v):
 
 def _weiszfeld(pieces, c0, iters=120):
     c = complex(c0)
-    best_c, best_v = c, sn._l1_complex(pieces, c)
+    best_c, best_v = c, sn._l1(pieces, c)
     scale_ref = max(1.0, abs(c0))
     for _ in range(iters):
         num = 0j
@@ -42,7 +42,7 @@ def _weiszfeld(pieces, c0, iters=120):
         if den <= 0:
             break
         c_new = num / den
-        v_new = sn._l1_complex(pieces, c_new)
+        v_new = sn._l1(pieces, c_new)
         if v_new < best_v:
             best_c, best_v = c_new, v_new
         if abs(c_new - c) <= 1e-12 * scale_ref:
@@ -66,10 +66,10 @@ def _check_against_weiszfeld(mu, wlo, whi):
     if not pieces or all(poly.is_real(k) for _, _, k in pieces):
         return
     c_med = _c_med(pieces, wlo, whi)
-    m_old = min(_weiszfeld(pieces, c_med)[1], sn._l1_complex(pieces, c_med))
+    m_old = min(_weiszfeld(pieces, c_med)[1], sn._l1(pieces, c_med))
     assert upper <= m_old * (1 + 1e-9)
     assert lower == 0.5 * upper
-    assert upper == sn._l1_complex(pieces, c - sn._phi_offset(mu, wlo))
+    assert upper == sn._l1(pieces, c - sn._phi_offset(mu, wlo))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ _MOVING = me.make_measure([(0.4, 0.3 - 0.6j)],
 def test_candidate_that_raises_is_no_decrease(monkeypatch):
     pieces = me.cumulative_pieces(_MOVING, -1.0, 1.0)
     c_med = _c_med(pieces, -1.0, 1.0)
-    m_med = sn._l1_complex(pieces, c_med)
+    m_med = sn._l1(pieces, c_med)
     at_c_med = {poly.trim(poly.add(k, (-c_med,))) for _, _, k in pieces}
     free = sn.window_seminorm(_MOVING, 0.0)
     assert free.upper < m_med

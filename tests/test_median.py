@@ -72,7 +72,7 @@ def _bisection_median(pieces, half):
     scale_ref = max(1.0, abs(vmin), abs(vmax))
     for v in sorted(candidates):
         if abs(v - c) <= 1e-9 * scale_ref and _bisection_sublevel(pieces, v) >= half:
-            if v <= c or abs(sn._l1_real(pieces, v) - sn._l1_real(pieces, c)) <= 1e-12 * scale_ref:
+            if v <= c or abs(sn._l1(pieces, v) - sn._l1(pieces, c)) <= 1e-12 * scale_ref:
                 return c, v
     return c, c
 
@@ -99,7 +99,7 @@ def _check_against_bisection(mu, wlo, whi):
         vmin, vmax = _value_range(pieces)
         scale = max(1.0, abs(vmin), abs(vmax))
         assert abs(c_new - c_old) <= 1e-12 * max(1.0, abs(c_old)), (c_new, c_old)
-        assert abs(sn._l1_real(pieces, c_new) - sn._l1_real(pieces, c_snapped)) <= 1e-12 * scale
+        assert abs(sn._l1(pieces, c_new) - sn._l1(pieces, c_snapped)) <= 1e-12 * scale
         assert sn._sublevel(sn._monotone_parts(pieces), c_new)[0] >= half
 
 
@@ -166,10 +166,10 @@ def _check_median_properties(mu, wlo, whi):
         assert sn._sublevel(parts, c)[0] >= half
         # smallest, up to the rounding of S on steep branches
         assert sn._sublevel(parts, c - 1e-12 * scale)[0] < half
-        best = sn._l1_real(pieces, c)
+        best = sn._l1(pieces, c)
         for h in (1e-6, 1e-3, 0.1):
             for d in (-h * scale, h * scale):
-                assert best <= sn._l1_real(pieces, c + d) + 1e-12 * scale
+                assert best <= sn._l1(pieces, c + d) + 1e-12 * scale
 
 
 def _coeffs(draw, deg, complex_, part):

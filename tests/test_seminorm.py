@@ -86,6 +86,27 @@ class TestIntervalSeminorm:
             with pytest.raises(DomainError, match="tol must be positive"):
                 sn.interval_seminorm(mu, (-3, 3), tol=tol)
 
+    def test_each_node_prunes_once(self, monkeypatch):
+        # every refined node is bounded once, at its turn: no sliding-sup
+        # query (the unit-mass or the |phi - c| prune) is asked twice
+        mu = me.make_measure(
+            [(-1.3, 0.6), (0.4, -0.9), (2.2, 0.5)],
+            [(-2.0, 1.0, (0.3, -0.2, 0.1)), (1.5, 3.5, (-0.4,))],
+            (-4, 5),
+        )
+        queries = []
+        sliding_sup = sn._PieceOracle.sliding_sup
+
+        def spy(oracle, lo, hi, width):
+            queries.append((oracle, lo, hi, width))
+            return sliding_sup(oracle, lo, hi, width)
+
+        monkeypatch.setattr(sn._PieceOracle, "sliding_sup", spy)
+        r = sn.interval_seminorm(mu, (-3.0, 4.0), tol=1e-6)
+        assert queries and len(set(queries)) == len(queries)
+        assert (r.lower, r.upper) == pytest.approx((0.8111991666666665, 0.8111998240693409),
+                                                   abs=1e-15)
+
     def test_translation_bound(self, rng):
         # the assertion uses the achieved lower bound, so a coarse certified
         # gap keeps the test honest and fast
@@ -130,9 +151,9 @@ class TestMedianProperties:
             res = sn.window_seminorm(mu, 0.0)
             pieces = sn._real_pieces(me.cumulative_pieces(mu, -1.0, 1.0))
             c_opt = complex(res.minimizer_c - sn._phi_offset(mu, -1.0)).real
-            best = sn._l1_real(pieces, c_opt)
+            best = sn._l1(pieces, c_opt)
             for c in rng.uniform(-3, 3, 25):
-                assert sn._l1_real(pieces, float(c)) >= best - 1e-11
+                assert sn._l1(pieces, float(c)) >= best - 1e-11
 
     def test_c0_bounded_by_unif(self, rng):
         # |c_{mu,0}| <= ||mu||_unif for windows centred at 0
@@ -158,7 +179,7 @@ class TestPaperChains:
             for k in range(alpha, beta):
                 pieces = me.cumulative_pieces(mu, float(k), float(k + 1))
                 off = sn._phi_offset(mu, float(k))
-                val = sn._l1_complex(pieces, complex(c0) - off)
+                val = sn._l1(pieces, complex(c0) - off)
                 assert val <= 2 * max(k + 1, -k) * bound_norm + 1e-9
 
     def test_norm_spt(self, rng):
@@ -545,6 +566,34 @@ def test_interval_seminorm_homogeneity(case, lam):
     eps = _eps(scaled, interval)
     assert abs(t.lower - abs(lam) * r.lower) <= eps
     assert abs(t.upper - abs(lam) * r.upper) <= eps
+
+
+def _overlap(r, lower, upper, eps):
+    assert lower <= r.upper + eps and r.lower <= upper + eps, ((r.lower, r.upper), (lower, upper))
+
+
+# on densities the brackets are certified to tol, not exact: they overlap
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(atom_measures(segments=True), st.floats(-3.0, 3.0))
+def test_density_brackets_are_translation_covariant(case, s):
+    mu, (lo, hi) = case
+    r = sn.interval_seminorm(mu, (lo, hi), tol=1e-6)
+    t = sn.interval_seminorm(me.translate(mu, s), (lo - s, hi - s), tol=1e-6)
+    _overlap(r, t.lower, t.upper, 1e-12 * max(1.0, me.total_variation(mu, (lo, hi))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(atom_measures(segments=True), st.sampled_from([1e-12, 2.0**-40, 1e-6, -3.0, 1e6, 1e12]))
+def test_density_brackets_are_scale_covariant(case, lam):
+    mu, interval = case
+    r = sn.interval_seminorm(mu, interval, tol=1e-6)
+    scaled = me.make_measure([(x, lam * w) for x, w in mu.atoms],
+                             [(s.start, s.end, tuple(lam * c for c in s.coeffs))
+                              for s in mu.segments], mu.window)
+    t = sn.interval_seminorm(scaled, interval, tol=1e-6 * abs(lam))
+    _overlap(r, t.lower / abs(lam), t.upper / abs(lam),
+             1e-12 * max(1.0, me.total_variation(mu, interval)))
 
 
 def test_complex_abs_pieces_do_not_overlap():
