@@ -9,7 +9,10 @@ restrictions use the half-open convention (lo, hi], which keeps the primitive
 phi(t) = mu((0, t]) and restriction exactly consistent.  A real |density|
 is split into nonnegative pieces by `poly.abs_pieces` (`_abs_segments`); a
 complex one is integrated by `poly.integral_abs`, whose Gauss rule is exact
-up to its 1e-13 quadrature tolerance.
+up to its 1e-13 quadrature tolerance.  Every |mu| mass and sliding-window
+mass supremum, here and in the seminorm layer, is read from one sweep,
+`SlidingMass`, which builds its prefix sums once; `abs_mass` builds it for
+|mu| on a span.
 
 Everything here is immutable and pure; values can be shared freely.
 """
@@ -20,6 +23,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter, itemgetter, le, lt
 
 from . import poly
@@ -363,105 +367,118 @@ def _abs_segments(segments):
     return out
 
 
-def _sliding_sup(atom_items, segs, lo, hi, width, modulus=False):
-    """Exact sup over a in [lo, hi - width] of `mass((a, a + width])` for a
-    nonnegative measure given by atoms (pos, mass>=0) and segments: nonneg
-    polynomial pieces or, with `modulus`, complex densities rho of which
-    |rho| is integrated (exact up to the quadrature of `poly.integral_abs`).
-    Both come sorted by position, the segments disjoint."""
-    span = hi - lo
-    if width > span + 1e-12:
-        raise DomainError(f"width {width} exceeds window span {span}")
-    width = min(width, span)
-    mass = poly.integral_abs if modulus else lambda c, x0, x1: poly.integral(c, x0, x1).real
+class SlidingMass:
+    """The one sweep of a nonnegative measure: atoms (pos, mass >= 0) and
+    pieces (start, end, coeffs), both sorted by position, the pieces
+    disjoint.  The pieces are nonnegative polynomials or, with `modulus`,
+    complex densities rho of which |rho| is integrated (exact up to the
+    quadrature of `poly.integral_abs`).  The prefix sums of the atom and
+    piece masses are built once; `mass` and `sliding_sup` read them."""
 
-    # half-open convention: an atom exactly at lo can never fall in (a, a+w]
-    atom_items = [(x, m) for x, m in atom_items if lo < x <= hi]
-    jump_pos = [x for x, _ in atom_items]
-    jump_prefix = [0.0]
-    for _, m in atom_items:
-        jump_prefix.append(jump_prefix[-1] + m)
+    def __init__(self, atoms, pieces, modulus=False):
+        self._xs = [x for x, _ in atoms]
+        self._pieces = pieces
+        self._starts = [p.start for p in pieces]
+        self._ends = [p.end for p in pieces]
+        self._modulus = modulus
+        self._integral = integral = poly.integral_abs if modulus else poly.integral
+        self._atom_prefix = list(accumulate((m for _, m in atoms), initial=0.0))
+        self._piece_prefix = list(accumulate(
+            (integral(p.coeffs, 0.0, p.end - p.start) for p in pieces), initial=0.0))
 
-    seg_start = [s.start for s in segs]
-    seg_prefix = [0.0]
-    for s in segs:
-        a, b = max(s.start, lo), min(s.end, hi)
-        full = mass(s.coeffs, a - s.start, b - s.start) if b > a else 0.0
-        seg_prefix.append(seg_prefix[-1] + full)
+    def _cum(self, first, last):
+        """cum(x) = mass of (-inf, x] counting the atoms xs[first:last]
+        only; cum(x, bisect_left) leaves out an atom at x."""
+        xs, starts, pieces = self._xs, self._starts, self._pieces
+        atom_prefix, piece_prefix, integral = self._atom_prefix, self._piece_prefix, self._integral
 
-    def _seg_cum(x):
-        i = bisect_right(seg_start, x)
-        total = seg_prefix[i]
-        if i > 0:
-            s = segs[i - 1]
-            a, b = max(s.start, lo), min(s.end, hi)
-            if b > a and x < b:
-                total -= mass(s.coeffs, max(a, min(x, b)) - s.start, b - s.start)
-        return total
+        def cum(x, side=bisect_right):
+            i = bisect_right(starts, x)
+            total = piece_prefix[i]
+            if i:
+                p = pieces[i - 1]
+                if x < p.end:
+                    total -= integral(p.coeffs, x - p.start, p.end - p.start)
+            return atom_prefix[side(xs, x, first, last)] + total
 
-    def cum(x):
-        # mass of (lo, x]
-        return jump_prefix[bisect_right(jump_pos, x)] + _seg_cum(x)
+        return cum
 
-    def cum_left(x):
-        # mass of (lo, x)
-        return jump_prefix[bisect_left(jump_pos, x)] + _seg_cum(x)
+    def mass(self, lo, hi):
+        """The mass of (lo, hi]."""
+        cum = self._cum(0, len(self._xs))
+        return cum(hi) - cum(lo)
 
-    bps = sorted(
-        {lo, hi} | set(jump_pos) | set(seg_start) | {s.end for s in segs}
-    )
-    candidates = set()
-    a_lo, a_hi = lo, hi - width
-    for b in bps:
-        for a in (b, b - width):
-            if a_lo - 1e-15 <= a <= a_hi + 1e-15:
-                candidates.add(min(max(a, a_lo), a_hi))
-    candidates.add(a_lo)
-    candidates.add(a_hi)
-    cand = sorted(candidates)
+    def sliding_sup(self, lo, hi, width):
+        """Exact sup over a in [lo, hi - width] of the mass of (a, a + width]."""
+        span = hi - lo
+        if width > span + 1e-12:
+            raise DomainError(f"width {width} exceeds window span {span}")
+        width = min(width, span)
+        xs, starts, pieces = self._xs, self._starts, self._pieces
+        # half-open convention: an atom exactly at lo can never fall in (a, a+w]
+        first, last = bisect_right(xs, lo), bisect_right(xs, hi)
+        cum = self._cum(first, last)
+        p0, p1 = bisect_right(self._ends, lo), bisect_left(starts, hi)
 
-    best = 0.0
-    for a in cand:
-        best = max(best, cum(a + width) - cum(a))
-        best = max(best, cum_left(a + width) - cum_left(a))
+        a_lo, a_hi = lo, hi - width
+        candidates = {a_lo, a_hi}
+        for b in {lo, hi}.union(xs[first:last], starts[p0:p1], self._ends[p0:p1]):
+            for a in (b, b - width):
+                if a_lo - 1e-15 <= a <= a_hi + 1e-15:
+                    candidates.add(min(max(a, a_lo), a_hi))
+        cand = sorted(candidates)
 
-    if segs:
-        # between candidates the window mass g is smooth in a; add the
-        # interior zeros of g'(a) = f(a + width) - f(a), with f = |rho| for
-        # a modulus: there |rho(a + width)|^2 = |rho(a)|^2
-        def density_at(x):
-            i = bisect_right(seg_start, x)
-            if i > 0 and segs[i - 1].start <= x <= segs[i - 1].end:
-                return segs[i - 1].coeffs, segs[i - 1].start
-            return (0.0,), x
+        best = 0.0
+        for a in cand:
+            best = max(best, cum(a + width) - cum(a))
+            best = max(best, cum(a + width, bisect_left) - cum(a, bisect_left))
 
-        for a0, a1 in zip(cand[:-1], cand[1:]):
-            if a1 - a0 <= 1e-14:
-                continue
-            mid = 0.5 * (a0 + a1)
-            cl, ol = density_at(mid)
-            cr, orr = density_at(mid + width)
-            if len(poly.trim(cl)) == 1 and len(poly.trim(cr)) == 1:
-                continue  # window mass is affine in a: endpoints suffice
-            # express both sides around a0
-            f = poly.abs_sq if modulus else poly.to_real
-            pl = poly.shift_origin(f(cl), a0 - ol)
-            pr = poly.shift_origin(f(cr), a0 + width - orr)
-            diff = poly.add(pr, poly.negate(pl))
-            for root in poly.real_roots_in(diff, 0.0, a1 - a0):
-                a = a0 + root
-                best = max(best, cum(a + width) - cum(a))
-    return best
+        if p1 > p0:
+            # between candidates the window mass g is smooth in a; add the
+            # interior zeros of g'(a) = f(a + width) - f(a), with f = |rho| for
+            # a modulus: there |rho(a + width)|^2 = |rho(a)|^2
+            def density_at(x):
+                i = bisect_right(starts, x)
+                if i > 0 and pieces[i - 1].start <= x <= pieces[i - 1].end:
+                    return pieces[i - 1].coeffs, pieces[i - 1].start
+                return (0.0,), x
+
+            f = poly.abs_sq if self._modulus else poly.to_real
+            for a0, a1 in zip(cand[:-1], cand[1:]):
+                if a1 - a0 <= 1e-14:
+                    continue
+                mid = 0.5 * (a0 + a1)
+                cl, ol = density_at(mid)
+                cr, orr = density_at(mid + width)
+                if len(poly.trim(cl)) == 1 and len(poly.trim(cr)) == 1:
+                    continue  # window mass is affine in a: endpoints suffice
+                # express both sides around a0
+                pl = poly.shift_origin(f(cl), a0 - ol)
+                pr = poly.shift_origin(f(cr), a0 + width - orr)
+                diff = poly.add(pr, poly.negate(pl))
+                for root in poly.real_roots_in(diff, 0.0, a1 - a0):
+                    a = a0 + root
+                    best = max(best, cum(a + width) - cum(a))
+        return best
+
+
+def abs_mass(mu, lo, hi):
+    """`SlidingMass` of |mu| on (lo, hi]: the atoms' |w| and the nonnegative
+    pieces of `_abs_segments`, so a complex density counts with
+    |Re rho| + |Im rho| >= |rho|."""
+    atoms = [(x, abs(w)) for x, w in mu.atoms_in(lo, hi)]
+    return SlidingMass(atoms, _abs_segments(mu.segments_meeting(lo, hi)))
 
 
 def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     """The scaled uniform norm (1/r) sup_a |mu|((a, a+r]) over the window.
 
     The sup ranges over a with (a, a+r] inside the working window.  One
-    candidate-and-critical-point sweep (`_sliding_sup`) serves both cases:
-    exact for real densities, exact up to the Gauss rule of
-    `poly.integral_abs` for complex ones.  The value is kept on `mu`, so
-    each r is swept once per measure.
+    candidate-and-critical-point sweep, `SlidingMass.sliding_sup`, serves
+    both cases: exact on the pieces of `abs_mass` for real densities, exact
+    up to the Gauss rule of `poly.integral_abs` on |rho| (`modulus`) for
+    complex ones.  The value is kept on `mu`, so each r is swept once per
+    measure.
     """
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
@@ -469,12 +486,12 @@ def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
     if hi - lo < r:
         raise DomainError(f"r={r} larger than window length {hi - lo}")
     if r not in mu._norm_unif:
-        atoms = [(x, abs(w)) for x, w in mu.atoms]
         if mu.has_real_density():
-            value = _sliding_sup(atoms, _abs_segments(mu.segments), lo, hi, r) / r
+            sweep = abs_mass(mu, lo, hi)
         else:
-            value = _sliding_sup(atoms, mu.segments, lo, hi, r, modulus=True) / r
-        mu._norm_unif[r] = value
+            atoms = [(x, abs(w)) for x, w in mu.atoms_in(lo, hi)]
+            sweep = SlidingMass(atoms, mu.segments, modulus=True)
+        mu._norm_unif[r] = sweep.sliding_sup(lo, hi, r) / r
     return mu._norm_unif[r]
 
 

@@ -7,8 +7,9 @@ Format (JSON document):
      "segments": [{"a": ..., "b": ..., "coeffs": [[re, im], ...]}, ...],
      "periodic": {"period": p}}          # optional
 
-All reals are IEEE double decimal literals; NaN/Infinity and overlapping
-segments are rejected with line-anchored messages.  With "periodic" present
+All reals are IEEE double decimal literals, checked by one rule (`_real`):
+true/false, NaN/Infinity, literals that overflow and overlapping segments
+are rejected with line-anchored messages.  With "periodic" present
 the atoms/segments describe the base on [0, p).
 """
 
@@ -71,15 +72,25 @@ def _err(msg, line=None):
     raise SpecFileError(msg)
 
 
-def _real(obj, key, where, line):
+def _real(v, where, key, line):
+    """v, the entry `key` (a field name or a list index) of `where`, as a
+    float.  The one rule for every number of a measure file: an int or a
+    float, not a bool (JSON true and false are ints to Python), and finite
+    (a literal such as 1e400 decodes to inf)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        problem = "must be a number"
+    elif not math.isfinite(v):
+        problem = "is not finite"
+    else:
+        return float(v)
+    what = f"{where}: field '{key}'" if isinstance(key, str) else f"{where}[{key}]"
+    _err(f"{what} {problem}", line)
+
+
+def _field(obj, key, where, line):
     if key not in obj:
         _err(f"{where}: missing field '{key}'", line)
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _err(f"{where}: field '{key}' must be a number", line)
-    if not math.isfinite(v):
-        _err(f"{where}: field '{key}' is not finite", line)
-    return float(v)
+    return _real(obj[key], where, key, line)
 
 
 def parse_measure(text: str):
@@ -99,23 +110,19 @@ def parse_measure(text: str):
         _err("top level must be an object")
 
     win = doc.get("window")
-    if (
-        not isinstance(win, list)
-        or len(win) != 2
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in win)
-    ):
-        _err("field 'window' must be [lo, hi] with finite numbers",
-             _line_of_token(text, r'"window"'))
-    lo, hi = float(win[0]), float(win[1])
+    line = partial(_line_of_token, text, r'"window"')
+    if not isinstance(win, list) or len(win) != 2:
+        _err("field 'window' must be [lo, hi]", line)
+    lo, hi = (_real(v, "window", k, line) for k, v in enumerate(win))
 
     atoms = []
     for i, a in enumerate(doc.get("atoms", [])):
         line = partial(_line_of_element, text, "atoms", i)
         if not isinstance(a, dict):
             _err(f"atoms[{i}] must be an object", line)
-        x = _real(a, "x", f"atoms[{i}]", line)
-        re_w = _real(a, "re", f"atoms[{i}]", line) if "re" in a else 0.0
-        im_w = _real(a, "im", f"atoms[{i}]", line) if "im" in a else 0.0
+        x = _field(a, "x", f"atoms[{i}]", line)
+        re_w = _field(a, "re", f"atoms[{i}]", line) if "re" in a else 0.0
+        im_w = _field(a, "im", f"atoms[{i}]", line) if "im" in a else 0.0
         if "re" not in a and "im" not in a:
             _err(f"atoms[{i}]: needs 're' and/or 'im'", line)
         atoms.append((x, complex(re_w, im_w)))
@@ -125,8 +132,8 @@ def parse_measure(text: str):
         line = partial(_line_of_element, text, "segments", i)
         if not isinstance(s, dict):
             _err(f"segments[{i}] must be an object", line)
-        a = _real(s, "a", f"segments[{i}]", line)
-        b = _real(s, "b", f"segments[{i}]", line)
+        a = _field(s, "a", f"segments[{i}]", line)
+        b = _field(s, "b", f"segments[{i}]", line)
         coeffs = s.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             _err(f"segments[{i}]: 'coeffs' must be a nonempty list", line)
@@ -136,16 +143,11 @@ def parse_measure(text: str):
                 line,
             )
         parsed = []
-        for c in coeffs:
-            if (
-                not isinstance(c, list)
-                or len(c) != 2
-                or not all(
-                    isinstance(v, (int, float)) and math.isfinite(v) for v in c
-                )
-            ):
+        for k, c in enumerate(coeffs):
+            if not isinstance(c, list) or len(c) != 2:
                 _err(f"segments[{i}]: coeffs entries must be [re, im]", line)
-            parsed.append(complex(c[0], c[1]))
+            where = f"segments[{i}]: coeffs[{k}]"
+            parsed.append(complex(_real(c[0], where, 0, line), _real(c[1], where, 1, line)))
         if not a < b:
             _err(f"segments[{i}]: need a < b, got [{a}, {b}]", line)
         segments.append((a, b, tuple(parsed)))
@@ -175,7 +177,7 @@ def parse_measure(text: str):
         line = _line_of_token(text, r'"periodic"')
         if not isinstance(per, dict) or "period" not in per:
             _err("'periodic' must be an object with field 'period'", line)
-        p = _real(per, "period", "periodic", line)
+        p = _field(per, "period", "periodic", line)
         if not p > 0:
             _err(f"period must be positive, got {p}", line)
         try:

@@ -23,7 +23,7 @@ Piece = namedtuple("Piece", "start end coeffs")
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 # panel bisections integral_abs may make before it gives up
-_MAX_PANELS = 2000
+MAX_PANELS = 2000
 
 
 def trim(coeffs):
@@ -255,7 +255,7 @@ def integral_abs(coeffs, x0, x1):
     Real coefficients: exact root splitting.  Complex coefficients: a
     constant in closed form, else `gauss_integral` of |p| to 1e-13
     relative; raises ToleranceError when it is still open after
-    _MAX_PANELS bisections.
+    MAX_PANELS bisections.
     """
     if x1 <= x0:
         return 0.0
@@ -272,9 +272,9 @@ def integral_abs(coeffs, x0, x1):
     if len(c) == 1:
         # the Gauss panels of a stretch of subnormal length never agree
         return float(abs(c[0])) * (x1 - x0)
-    val, converged = gauss_integral(c, x0, x1, np.abs, _MAX_PANELS)
+    val, converged = gauss_integral(c, x0, x1, np.abs, MAX_PANELS)
     if not converged:
-        raise ToleranceError(f"integral_abs: open after {_MAX_PANELS} panel bisections")
+        raise ToleranceError(f"integral_abs: open after {MAX_PANELS} panel bisections")
     return float(val)
 
 

@@ -37,8 +37,9 @@ bounded once, at its turn, against the cutoff of that moment: by the
 Lipschitz constant |mu|((a1-1, a2+1]) local to the node, then, while the
 bound is above the cutoff, by the sliding unit-mass bound
 ||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]) and by the sliding sup of
-|phi - c|.  Both sliding sups run over nonnegative pieces from
-`poly.abs_pieces`.
+|phi - c|.  Each of these masses and sliding sups is a query to a
+`measure.SlidingMass`: one of |mu| per call (`measure.abs_mass`), and one
+on the nonnegative pieces of |phi - c| (`_l1_pieces`) per incumbent c.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def _geometric_median(pieces, c, f):
     for _ in range(_MAX_NEWTON):
         g, h, w_at = terms(_unit_and_curvature, _STEER_PANELS)
         if exact:
-            g = terms(_unit, poly._MAX_PANELS)[0]
+            g = terms(_unit, poly.MAX_PANELS)[0]
         if w_at and abs(g) <= w_at:
             break
         moves = directions(g, h, w_at)
@@ -444,7 +445,7 @@ def _geometric_median(pieces, c, f):
             # next to the curve the unchecked gradient can point the wrong
             # way: from here on steer by the converged one
             exact = True
-            g = terms(_unit, poly._MAX_PANELS)[0]
+            g = terms(_unit, poly.MAX_PANELS)[0]
             found = descend(directions(g, h, w_at))
         if not found:
             break
@@ -585,41 +586,6 @@ def _level_distances(xs, ws, i0, counts, kmax, ends):
             + np.abs(levels[-1] - levels) * last).transpose(0, 2, 1)
 
 
-class _PieceOracle:
-    """Cached nonnegative piece decomposition of |mu| answering the queries
-    of the refinement: the mass of a span (the local Lipschitz constant) and
-    sliding-window mass suprema over subspans (the prunes)."""
-
-    def __init__(self, atoms, pieces):
-        # both come sorted from a canonical measure; the pieces do not
-        # overlap, so their ends are sorted too
-        self.atoms, self.pieces = atoms, pieces
-        self._xs = [x for x, _ in atoms]
-        self._ends = [s.end for s in pieces]
-
-    def _meeting(self, lo, hi):
-        """(piece, a, b) for each piece meeting (lo, hi), clipped to [a, b]."""
-        for s in self.pieces[bisect_right(self._ends, lo):]:
-            if s.start >= hi:
-                break
-            a, b = max(s.start, lo), min(s.end, hi)
-            if b > a:
-                yield s, a, b
-
-    def mass(self, lo, hi):
-        """|mu|((lo, hi]); for a complex density the bound that integrates
-        |Re rho| + |Im rho|."""
-        atoms = self.atoms[bisect_right(self._xs, lo):bisect_right(self._xs, hi)]
-        return sum(m for _, m in atoms) + sum(
-            poly.integral(s.coeffs, a - s.start, b - s.start) for s, a, b in self._meeting(lo, hi))
-
-    def sliding_sup(self, lo, hi, width):
-        atoms = self.atoms[bisect_left(self._xs, lo):bisect_right(self._xs, hi)]
-        subset = [poly.Piece(a, b, poly.shift_origin(s.coeffs, a - s.start))
-                  for s, a, b in self._meeting(lo, hi)]
-        return me._sliding_sup(atoms, subset, lo, hi, width)
-
-
 def interval_seminorm(
     mu: me.LocalMeasure,
     interval,
@@ -643,7 +609,10 @@ def interval_seminorm(
       above the cutoff, by the sliding unit-mass bound and, for real
       measures, by the sliding sup of |phi - c| at the incumbent's c.  A
       node above the cutoff is split at its midpoint; `max_nodes` caps the
-      splits.
+      splits.  The masses and unit-mass sups are queries to one
+      `measure.SlidingMass` of |mu| (`measure.abs_mass`, where a complex
+      density counts with |Re rho| + |Im rho| >= |rho|), the |phi - c|
+      sups to one built on `_l1_pieces` per incumbent c.
 
     `lower` is the window value at the witness a*; `upper` is the largest of
     `lower`, the exact cell maxima and the settled node bounds.  So
@@ -666,12 +635,7 @@ def interval_seminorm(
         )
 
     a_lo, a_hi = lo + 1.0, hi - 1.0
-    atoms = [(x, abs(w)) for x, w in mu.atoms_in(lo, hi)]
-    pieces = [p for p in me._abs_segments(mu.segments_meeting(lo, hi))
-              if p.end > lo and p.start < hi]
-    abs_oracle = _PieceOracle(atoms, pieces)
-    # quadrature |rho| is an estimate; |Re rho| + |Im rho| >= |rho| bounds
-    K = me.total_variation(mu, (lo, hi)) if mu.has_real_density() else abs_oracle.mass(lo, hi)
+    abs_sweep = me.abs_mass(mu, lo, hi)
 
     breakpoints = mu.breakpoints()
     events = {a_lo, a_hi}
@@ -685,7 +649,7 @@ def interval_seminorm(
     xs, ws = [x for x, _ in mu.atoms], [w.real for _, w in mu.atoms]
     exact, refined = [], []
     for a1, a2 in zip(events[:-1], events[1:]):
-        if real_measure and next(abs_oracle._meeting(a1 - 1.0, a2 + 1.0), None) is None:
+        if real_measure and not mu.segments_meeting(a1 - 1.0, a2 + 1.0):
             exact.append((a1, a2))
         else:
             refined.append((a1, a2))
@@ -714,7 +678,7 @@ def interval_seminorm(
         if vlo > best_lower:
             best_lower, best_a = vlo, a
 
-    # one (c, oracle) of |phi - c| for the slide bound, rebuilt when the
+    # one (c, sweep) of |phi - c| for the slide bound, rebuilt when the
     # incumbent's c changes: an old c is never used again
     slide = (None, None)
     settled_bound = best_lower
@@ -723,17 +687,17 @@ def interval_seminorm(
     for a1, a2 in refined:
         cutoff = best_lower + tol
         # |dN/da| <= |mu((a-1, a+1])| <= |mu|((a1-1, a2+1]) on the node
-        lip = abs_oracle.mass(a1 - 1.0, a2 + 1.0)
+        lip = abs_sweep.mass(a1 - 1.0, a2 + 1.0)
         bound = max(evaluate(a1)[1], evaluate(a2)[1]) + lip * (a2 - a1) / 2.0
         if bound > cutoff:
             # the span (a1 - 1, a2 + 1) is at least 2 long: it holds a unit window
             span_lo, span_hi = max(mu.lo, a1 - 1.0), min(mu.hi, a2 + 1.0)
-            bound = min(bound, abs_oracle.sliding_sup(span_lo, span_hi, 1.0))
+            bound = min(bound, abs_sweep.sliding_sup(span_lo, span_hi, 1.0))
         if bound > cutoff and real_measure:
             # N(a) <= int_{a-1}^{a+1} |phi - c| for any fixed c; use the witness c
             c = complex(evals[best_a][2]).real
             if slide[0] != c:
-                slide = c, _PieceOracle([], _l1_pieces(mu, c, lo, hi))
+                slide = c, me.SlidingMass([], _l1_pieces(mu, c, lo, hi))
             bound = min(bound, slide[1].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0))
         if bound <= cutoff:
             settled_bound = max(settled_bound, min(bound, cutoff))
@@ -757,7 +721,7 @@ def interval_seminorm(
     vlo, vup, c, _ = evaluate(best_a)
     upper = max(vup, settled_bound, best_lower, exact_best)
     grid_step = min((a2 - a1 for a1, a2 in refined), default=0.0)
-    cert = SeminormCertificate(grid_step, K, upper - vlo)
+    cert = SeminormCertificate(grid_step, abs_sweep.mass(lo, hi), upper - vlo)
     stats = sum((v[3] for v in evals.values()), MedianStats())
     return SeminormResult(vlo, upper, c, (best_a - 1.0, best_a + 1.0), cert, stats)
 
@@ -806,4 +770,4 @@ def sliding_l1_sup(mu: me.LocalMeasure, c: complex, span, window_length: float):
     only.
     """
     lo, hi = float(span[0]), float(span[1])
-    return me._sliding_sup([], _l1_pieces(mu, c, lo, hi), lo, hi, window_length)
+    return me.SlidingMass([], _l1_pieces(mu, c, lo, hi)).sliding_sup(lo, hi, window_length)

@@ -95,10 +95,10 @@ def test_gauss_integral_rows_match_scalar_calls(case):
     # with every row held to the relative test
     coeffs, L = case
     rows, ok = poly.gauss_integral(coeffs, 0.0, L, lambda v: np.array([np.abs(v), 1.0 + v.real]),
-                                   poly._MAX_PANELS)
+                                   poly.MAX_PANELS)
     assert ok
     for row, fn in zip(rows, (np.abs, lambda v: 1.0 + v.real)):
-        ref, ok = poly.gauss_integral(coeffs, 0.0, L, fn, poly._MAX_PANELS)
+        ref, ok = poly.gauss_integral(coeffs, 0.0, L, fn, poly.MAX_PANELS)
         assert ok and row == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
@@ -124,7 +124,7 @@ _LINEAR_ZERO_AT_2 = ((0.0, 2.0, (-2 - 2j, 1 + 1j)),)
 
 
 def test_total_variation_next_to_far_zero(monkeypatch):
-    monkeypatch.setattr(poly, "_MAX_PANELS", 0)
+    monkeypatch.setattr(poly, "MAX_PANELS", 0)
     mu = me.make_measure([], _LINEAR_ZERO_AT_2, (0, 2))
     h = 2.0 - 1.9999
     got = me.total_variation(mu, (1.9999, 2.0))
@@ -134,7 +134,7 @@ def test_total_variation_next_to_far_zero(monkeypatch):
 def test_norm_unif_candidate_next_to_far_zero(monkeypatch):
     # the atom puts a candidate window (0.9999, 1.9999], whose mass takes
     # the tail integral of |rho| over (1.9999, 2]; the sup is at (0, 1]
-    monkeypatch.setattr(poly, "_MAX_PANELS", 0)
+    monkeypatch.setattr(poly, "MAX_PANELS", 0)
     mu = me.make_measure([(0.9999, 0.5)], _LINEAR_ZERO_AT_2, (0, 3))
     assert me.norm_unif(mu, 1.0) == pytest.approx(1.5 * math.sqrt(2) + 0.5, rel=1e-14)
 

@@ -211,7 +211,7 @@ class TestNormUnif:
     def test_open_quadrature_at_panel_cap_raises(self, monkeypatch):
         # |rho| = sqrt((x - 1)^2 + 1e-12) bends on a 1e-6 scale at x = 1,
         # which the Gauss rule resolves only by bisecting towards it
-        monkeypatch.setattr(poly, "_MAX_PANELS", 3)
+        monkeypatch.setattr(poly, "MAX_PANELS", 3)
         mu = me.make_measure((), ((0.0, 2.0, (-1 + 1e-6j, 1)),), (0, 2))
         with pytest.raises(ToleranceError):
             me.norm_unif(mu, 1.0)
@@ -221,13 +221,13 @@ class TestNormUnifMemo:
     @pytest.fixture
     def sweeps(self, monkeypatch):
         calls = []
-        sweep = me._sliding_sup
+        sweep = me.SlidingMass.sliding_sup
 
-        def counted(*args, **kwargs):
-            calls.append(args[4])
-            return sweep(*args, **kwargs)
+        def counted(oracle, lo, hi, width):
+            calls.append(width)
+            return sweep(oracle, lo, hi, width)
 
-        monkeypatch.setattr(me, "_sliding_sup", counted)
+        monkeypatch.setattr(me.SlidingMass, "sliding_sup", counted)
         return calls
 
     def test_one_sweep_per_measure_and_r(self, rng, sweeps):

@@ -23,6 +23,7 @@ from weakgordon import seminorm as sn
 from weakgordon.errors import DomainError, ToleranceError
 
 from conftest import random_affine_test_function, random_measure
+from test_median import EDGE_CASES, measure_windows
 
 
 class TestWindowSeminorm:
@@ -95,13 +96,13 @@ class TestIntervalSeminorm:
             (-4, 5),
         )
         queries = []
-        sliding_sup = sn._PieceOracle.sliding_sup
+        sliding_sup = me.SlidingMass.sliding_sup
 
         def spy(oracle, lo, hi, width):
             queries.append((oracle, lo, hi, width))
             return sliding_sup(oracle, lo, hi, width)
 
-        monkeypatch.setattr(sn._PieceOracle, "sliding_sup", spy)
+        monkeypatch.setattr(me.SlidingMass, "sliding_sup", spy)
         r = sn.interval_seminorm(mu, (-3.0, 4.0), tol=1e-6)
         assert queries and len(set(queries)) == len(queries)
         assert (r.lower, r.upper) == pytest.approx((0.8111991666666665, 0.8111998240693409),
@@ -262,7 +263,7 @@ def _bnb_interval_seminorm(mu, interval, tol, max_nodes=60000):
     a_lo, a_hi = lo + 1.0, hi - 1.0
     atoms = [(x, abs(w)) for x, w in mu.atoms if lo <= x <= hi]
     pieces = [p for p in me._abs_segments(mu.segments) if p.end > lo and p.start < hi]
-    abs_oracle = sn._PieceOracle(atoms, pieces)
+    abs_oracle = me.SlidingMass(atoms, pieces)
     K = me.total_variation(mu, (lo, hi))
     cands = {a_lo, a_hi}
     for b in mu.breakpoints():
@@ -291,7 +292,7 @@ def _bnb_interval_seminorm(mu, interval, tol, max_nodes=60000):
             return b
         c = complex(evals[best_a][2]).real
         if c not in slide_oracles:
-            slide_oracles[c] = sn._PieceOracle([], sn._l1_pieces(mu, c, lo, hi))
+            slide_oracles[c] = me.SlidingMass([], sn._l1_pieces(mu, c, lo, hi))
         return min(b, slide_oracles[c].sliding_sup(a1 - 1.0, a2 + 1.0, 2.0))
 
     heap = [(-node_bound(a1, a2, best_lower + tol), k, a1, a2)
@@ -602,6 +603,38 @@ def test_complex_abs_pieces_do_not_overlap():
     mu = me.make_measure((), ((0.0, 4.0, (1 - 1j, 1j)),), (0, 4))
     pieces = me._abs_segments(mu.segments)
     assert [(p.start, p.end) for p in pieces] == [(0.0, 1.0), (1.0, 4.0)]
-    oracle = sn._PieceOracle([], pieces)
+    oracle = me.SlidingMass([], pieces)
     assert oracle.mass(2.0, 4.0) == pytest.approx(2.0 + 4.0, rel=1e-14)
     assert oracle.sliding_sup(2.0, 4.0, 1.0) == pytest.approx(1.0 + 2.5, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# window values under the sliding unit-mass bound of the prune
+
+
+def _check_unit_mass_bound(mu, wlo, whi):
+    """The real N and the complex upper M on [wlo, whi] = [a - 1, a + 1] are
+    at most sup_t |mu|((t, t + 1]) over the window, within 1e-12 relative:
+    int |phi - phi(a)| over the window is at most
+    int_0^1 |mu|((a - 1 + s, a + s]) ds, and the unit-mass prune of
+    `interval_seminorm` relies on it."""
+    upper = sn._window_value(mu, wlo, whi)[1]
+    bound = me.abs_mass(mu, wlo, whi).sliding_sup(wlo, whi, 1.0)
+    assert upper <= bound * (1.0 + 1e-12), (upper, bound)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(measure_windows())
+def test_real_window_under_unit_mass_bound(case):
+    _check_unit_mass_bound(*case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(measure_windows(complex_=True))
+def test_complex_window_under_unit_mass_bound(case):
+    _check_unit_mass_bound(*case)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_windows_under_unit_mass_bound(name):
+    _check_unit_mass_bound(*EDGE_CASES[name])
