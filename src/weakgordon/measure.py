@@ -235,12 +235,17 @@ def restrict(mu: LocalMeasure, interval) -> LocalMeasure:
     a, b = float(interval[0]), float(interval[1])
     if a < mu.lo or b > mu.hi:
         raise DomainError(f"restriction {interval} not inside window {mu.window}")
+    return LocalMeasure(mu.atoms_in(a, b), _clipped_segments(mu, a, b), mu.window)
+
+
+def _clipped_segments(mu, a, b):
+    """The segments of mu cut to [a, b], each re-expanded at its new start."""
     segs = []
     for s in mu.segments_meeting(a, b):
         s0, s1 = max(s.start, a), min(s.end, b)
         if s1 > s0:
             segs.append(Segment(s0, s1, poly.shift_origin(s.coeffs, s0 - s.start)))
-    return LocalMeasure(mu.atoms_in(a, b), tuple(segs), mu.window)
+    return tuple(segs)
 
 
 def translate(mu: LocalMeasure, p: float) -> LocalMeasure:
@@ -465,9 +470,11 @@ class SlidingMass:
 def abs_mass(mu, lo, hi):
     """`SlidingMass` of |mu| on (lo, hi]: the atoms' |w| and the nonnegative
     pieces of `_abs_segments`, so a complex density counts with
-    |Re rho| + |Im rho| >= |rho|."""
+    |Re rho| + |Im rho| >= |rho|.  The segments are cut to [lo, hi] first:
+    the prefix sums then add up |mu|((lo, hi]) and nothing outside it, so
+    every mass read from them rounds relative to that."""
     atoms = [(x, abs(w)) for x, w in mu.atoms_in(lo, hi)]
-    return SlidingMass(atoms, _abs_segments(mu.segments_meeting(lo, hi)))
+    return SlidingMass(atoms, _abs_segments(_clipped_segments(mu, lo, hi)))
 
 
 def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:

@@ -28,6 +28,10 @@ class SpecFileError(ValidationError):
     """Measure file failed to parse or validate."""
 
 
+_DECODER = json.JSONDecoder()
+_GAP = re.compile(r"[\s,]*")  # between the elements of an array
+
+
 def _line_of_offset(text, offset):
     return text.count("\n", 0, offset) + 1
 
@@ -40,26 +44,19 @@ def _line_of_token(text, pattern):
 
 
 def _line_of_element(text, key, index):
-    """Line of the index-th object inside the array under `key`."""
+    """Line of the index-th element, of any type, of the array under `key`.
+    The decoder skips the elements before it, so brackets nested in them or
+    inside their strings are not counted."""
     m = re.search(r'"%s"\s*:\s*\[' % re.escape(key), text)
     if not m:
         return None
-    pos = m.end()
-    depth = 0
-    count = -1
-    for i in range(pos, len(text)):
-        ch = text[i]
-        if ch == "{":
-            if depth == 0:
-                count += 1
-                if count == index:
-                    return _line_of_offset(text, i)
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "]" and depth == 0:
-            break
-    return None
+    pos = _GAP.match(text, m.end()).end()
+    try:
+        for _ in range(index):
+            pos = _GAP.match(text, _DECODER.raw_decode(text, pos)[1]).end()
+    except ValueError:
+        return None
+    return _line_of_offset(text, pos)
 
 
 def _err(msg, line=None):

@@ -99,14 +99,25 @@ def test_missing_window():
 
 
 def test_atom_not_an_object():
-    # the line scan counts objects only, so a bare number gets no line
     rejects('{"window": [0, 1],\n "atoms": [{"x": 0.5, "re": 1},\n  [0.5, 1]]}',
-            "atoms[1] must be an object")
+            "line 3: atoms[1] must be an object")
+
+
+def test_non_object_before_an_object():
+    # the line is that of the element itself, not of the next object
+    rejects('{"window": [0, 1],\n "atoms": [5,\n  {"x": 0.5, "re": 1}]}',
+            "line 2: atoms[0] must be an object")
 
 
 def test_segment_not_an_object():
     rejects('{"window": [0, 1],\n "segments": [{"a": 0, "b": 1, "coeffs": [[1, 0]]},\n  3]}',
-            "segments[1] must be an object")
+            "line 3: segments[1] must be an object")
+
+
+def test_braces_in_strings_do_not_move_the_line():
+    rejects('{"window": [0, 1],\n "atoms": [{"x": 0.5, "re": 1, "tag": "}{["},\n'
+            '  {"x": 2, "re": 1}]}',
+            "line 3: atoms[1]: position 2.0 outside window [0.0, 1.0]")
 
 
 def test_atom_without_weight():

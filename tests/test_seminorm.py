@@ -118,6 +118,21 @@ class TestIntervalSeminorm:
             r = sn.interval_seminorm(nu, (-6, 6 - h), tol=2e-2)
             assert r.lower <= 3 * h * me.norm_unif(mu) + 1e-10
 
+    def test_masses_round_relative_to_the_interval(self):
+        # rho = 2.3 + 0.7 (t - 0.1)^3 on (0.1, 50], |mu| about 1.1e6 there,
+        # against |mu|((0.1, 3.3]) = 7.36 + 0.175 * 3.2^4: the sweep of
+        # I = (0.1, 3.3) sums the segment cut to I only, so its masses round
+        # relative to |mu|(I), not to the mass of the whole segment
+        mu = me.make_measure((), ((0.1, 50.0, (2.3, 0.0, 0.0, 0.7)),), (-60, 60))
+        sweep = me.abs_mass(mu, 0.1, 3.3)
+        assert sweep.mass(0.1, 3.3) == pytest.approx(25.71008, rel=1e-14)
+        # the sup over a in [0.1, 2.3] of the mass of (a, a + 1] is at a = 2.3
+        assert sweep.sliding_sup(0.1, 3.3, 1.0) == pytest.approx(
+            2.3 + 0.175 * (3.2**4 - 2.2**4), rel=1e-14)
+        r = sn.interval_seminorm(mu, (0.1, 3.3), tol=1e-3)
+        assert r.certificate.lipschitz == pytest.approx(me.total_variation(mu, (0.1, 3.3)),
+                                                        rel=1e-14)
+
 
 class TestTestFunctional:
     def test_unit_tent_on_dirac(self):
@@ -233,7 +248,6 @@ class TestComplexBracket:
         assert tv == pytest.approx(5.0 + 2.0 * math.sqrt(5.0) + math.asinh(2.0))
         assert r.certificate.lipschitz == pytest.approx(13.0, rel=1e-14)
         assert r.certificate.lipschitz >= tv
-
 
 class TestMollifierDistance:
     def test_distance_decreasing_to_zero(self, rng):
