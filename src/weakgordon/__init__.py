@@ -55,6 +55,7 @@ from .propagator import (
     spectral_shift,
     stability_bound,
     transfer_matrix,
+    transfer_steps,
     variation_of_constants_value,
 )
 from .gordon import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import measure as me
 from .errors import DomainError, ResourceError
-from .propagator import transfer_matrix
+from .propagator import transfer_steps
 from .seminorm import interval_seminorm
 
 # l_m = GAP_FACTOR * m * (2(m-1) p_{m-1} + m): keeps the gap-to-period ratio
@@ -336,11 +336,10 @@ def eigen_residual(S: SharpnessConstruction, window, step: float = 0.5) -> float
     grid.update(x + 0.5 for x in S.support if a <= x + 0.5 <= b)
     pts = sorted(grid)
     worst = 0.0
-    for g0, g1 in zip(pts[:-1], pts[1:]):
+    for g0, g1, T in zip(pts[:-1], pts[1:], transfer_steps(S.measure, -1.0, pts)):
         u0, du0 = S.state_at(g0)
         u1, du1 = S.state_at(g1)
-        T = transfer_matrix(S.measure, -1.0, g0, g1)
-        prop = T.entries @ np.array([u0, du0], dtype=complex)
+        prop = T @ np.array([u0, du0], dtype=complex)
         worst = max(worst, abs(prop[0] - u1), abs(prop[1] - du1))
     return worst
 

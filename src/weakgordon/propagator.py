@@ -301,6 +301,18 @@ def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     return TransferMatrix(np.array([[a, b], [c, d]]), s, t, defect, stats)
 
 
+def transfer_steps(mu, z, points, tol: float = 1e-8):
+    """T(x1, x0) as a 2x2 array for each pair x0 < x1 of consecutive points,
+    from one forward walk whose fold restarts at every point: each is the
+    product of the factors of transfer_matrix(mu, z, x0, x1), in its order."""
+    check_tol(tol)
+    xs = sorted(set(map(float, points)))
+    if not xs or xs[0] < mu.lo - 1e-12 or xs[-1] > mu.hi + 1e-12:
+        raise DomainError(f"points {points} not inside window {mu.window}")
+    tmats = _transfer_along(mu, z, xs[0], xs[1:], tol, restart=True)[0]
+    return [np.array([[a, b], [c, d]]) for a, b, c, d in map(tmats.get, xs[1:])]
+
+
 def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     """Solution trace with u(s) = initial[0], u'(s+) = initial[1].
 
@@ -492,9 +504,10 @@ class SolutionDifference:
     max_mismatch: float
 
 
-def _transfer_along(mu, z, base, points, tol):
+def _transfer_along(mu, z, base, points, tol, restart=False):
     """T(x, base) for every x in sorted(points), one walk each direction,
-    the summed |det F - 1| over the elementary factors and the walks' stats."""
+    the summed |det F - 1| over the elementary factors and the walks' stats.
+    With `restart`, T(x, the point before x on its walk)."""
     points = sorted(set(float(p) for p in points) | {float(base)})
     out = {base: _EYE}
     defect, stats = 0.0, WalkStats()
@@ -516,6 +529,8 @@ def _transfer_along(mu, z, base, points, tol):
                 defect += abs(f00 * f11 - f01 * f10 - 1.0) if d is None else d
             done = i
             out[x] = (t00, t01, t10, t11)
+            if restart:
+                t00, t01, t10, t11 = _EYE
     return out, defect, stats
 
 

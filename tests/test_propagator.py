@@ -199,6 +199,21 @@ def test_composition_through_matmul(case, r, t):
         Ttr @ pr.transfer_matrix(mu, z, s, r + 1e-6, tol)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(walks())
+def test_transfer_steps_are_the_pairwise_transfer_matrices(case):
+    # one walk, its fold restarted at every point, applies each step's
+    # factors in the order transfer_matrix does: the same bytes
+    mu, z, s, grid = case
+    points = sorted({s, *grid})
+    steps = pr.transfer_steps(mu, z, points[::-1], 1e-6)
+    assert len(steps) == len(points) - 1
+    for x0, x1, T in zip(points, points[1:], steps):
+        assert T.tobytes() == pr.transfer_matrix(mu, z, x0, x1, 1e-6).entries.tobytes()
+    with pytest.raises(DomainError):
+        pr.transfer_steps(mu, z, [*points, 3.5])
+
+
 class TestComplexSpectralShift:
     def test_atoms_only_norm(self, rng):
         # |mu - z lambda| puts |z| on every unit of length next to the atoms
@@ -413,9 +428,11 @@ def _duhamel_value(mu, tol):
 @pytest.mark.parametrize("call", [
     lambda mu, tol: pr.propagate(mu, 0.0, 0.0, (1.0, 0.0), [0.0, 0.5], tol),
     lambda mu, tol: pr.transfer_matrix(mu, 0.0, 0.0, 0.5, tol),
+    lambda mu, tol: pr.transfer_steps(mu, 0.0, [0.0, 0.5], tol),
     lambda mu, tol: pr.solution_difference(mu, mu, 0.0, (1.0, 0.0), [0.0, 0.5], tol),
     _duhamel_value,
-], ids=["propagate", "transfer_matrix", "solution_difference", "variation_of_constants_value"])
+], ids=["propagate", "transfer_matrix", "transfer_steps", "solution_difference",
+        "variation_of_constants_value"])
 def test_tol_must_be_positive(call):
     # NaN too, which fails every comparison, so a `tol <= 0` test lets it by
     mu = me.make_measure((), [(-1.0, 1.0, (0.1, 0.2))], (-1.0, 1.0))
