@@ -163,13 +163,13 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
                 | {c for bp in mu.breakpoints() for c in (bp - 1.0, bp, bp + 1.0)
                    if a + 1.0 <= c <= b - 1.0}
             )
+            ws = [window_seminorm(mu, c) for c in centers]
         else:
             centers = [0.5 * (a + b)]
-        ws = [window_seminorm(mu, c) if b - a > 2.0 else interval_seminorm(mu, (a, b), tol)
-              for c in centers]
+            ws = [res if window_at is None else interval_seminorm(mu, (a, b), tol)]
         _write_csv(csv_path, ["a", "N_lower", "N_upper"],
                    [centers, [w.lower for w in ws], [w.upper for w in ws]])
-        stats = sum((w.stats for w in ws), stats)
+        stats = sum((w.stats for w in ws if w is not res), stats)
     _write_meta(
         ctx,
         "seminorm",

@@ -51,11 +51,10 @@ def translation_defect(mu: me.LocalMeasure, p: float, tol: float = 1e-9) -> Semi
     """||mu - mu(. + p)||_{[-p, p]} as a certified bracket."""
     if not p > 0:
         raise DomainError(f"period must be positive, got {p}")
-    if mu.lo > -p or mu.hi < 2 * p:
-        raise DomainError(
-            f"window {mu.window} too small; need [-p, 2p] = [{-p}, {2 * p}]"
-        )
     nu = me.subtract(mu, me.translate(mu, p))
+    # nu's window is [mu.lo, mu.hi - p], so this asks for mu on [-p, 2p], with
+    # the slack that interval_seminorm then applies to nu
+    nu.check_span(-p, p, "[-p, p] of mu - mu(. + p)")
     return interval_seminorm(nu, (-p, p), tol)
 
 
@@ -139,8 +138,7 @@ def periodic_approximant(mu: me.LocalMeasure, p: float, a: float) -> me.Periodic
     """
     if not (0 < a <= p / 2):
         raise DomainError(f"need 0 < a <= p/2, got a={a}, p={p}")
-    if mu.lo > -a or mu.hi < p + a:
-        raise DomainError(f"window {mu.window} must contain [-a, p+a]")
+    mu.check_span(-a, p + a, "[-a, p+a]")
     if a == p / 2:
         psi = me.PiecewiseAffine((-a, a, p + a), (0.0, 1.0, 0.0))
     else:

@@ -117,6 +117,14 @@ class LocalMeasure:
         segs = self.segments
         return segs[bisect_right(segs, a, key=_END):bisect_left(segs, b, key=_START)]
 
+    def check_span(self, lo, hi, what):
+        """Raise DomainError unless [lo, hi] lies in the window up to an
+        overhang of 1e-12 * max(1, |window ends|), where the measure is 0."""
+        wlo, whi = self.window
+        slack = 1e-12 * max(1.0, abs(wlo), abs(whi))
+        if not (wlo - slack <= lo and hi <= whi + slack):
+            raise DomainError(f"{what} [{lo}, {hi}] not inside window [{wlo}, {whi}]")
+
     @property
     def lo(self):
         return self.window[0]
@@ -188,7 +196,15 @@ def make_measure(atoms=(), segments=(), window=None) -> LocalMeasure:
             raise ValidationError(
                 f"segments [{a.start}, {a.end}] and [{b.start}, {b.end}] overlap"
             )
-    return LocalMeasure(tuple(atom_list), tuple(seg_list), (lo, hi))
+    atoms, segs = tuple(atom_list), tuple(seg_list)
+    mu = LocalMeasure(atoms, segs, (lo, hi))
+    # sums of finite values can overflow; LocalMeasure keeps canonical input as given
+    if mu.atoms is not atoms and not all(map(cmath.isfinite, map(_WEIGHT, mu.atoms))):
+        raise ValidationError("atoms at one position sum to a non-finite weight")
+    if mu.segments is not segs and not all(
+            map(cmath.isfinite, (c for s in mu.segments for c in s.coeffs))):
+        raise ValidationError("overlapping segments sum to a non-finite coefficient")
+    return mu
 
 
 def zero_measure(window) -> LocalMeasure:
@@ -220,11 +236,7 @@ def _mass(mu, a, b):
 
 def phi(mu: LocalMeasure, t: float) -> complex:
     """The primitive phi(t) = mu((0, t]) for t >= 0, -mu((t, 0]) for t < 0."""
-    lo, hi = mu.window
-    if not (lo <= t <= hi):
-        raise DomainError(f"t={t} outside window [{lo}, {hi}]")
-    if not (lo <= 0.0 <= hi):
-        raise DomainError("phi requires 0 in the window")
+    mu.check_span(min(t, 0.0), max(t, 0.0), "phi span")
     if t >= 0:
         return _mass(mu, 0.0, t)
     return -_mass(mu, t, 0.0)
@@ -233,8 +245,7 @@ def phi(mu: LocalMeasure, t: float) -> complex:
 def restrict(mu: LocalMeasure, interval) -> LocalMeasure:
     """Restriction to the half-open interval (lo, hi]."""
     a, b = float(interval[0]), float(interval[1])
-    if a < mu.lo or b > mu.hi:
-        raise DomainError(f"restriction {interval} not inside window {mu.window}")
+    mu.check_span(a, b, "restriction")
     return LocalMeasure(mu.atoms_in(a, b), _clipped_segments(mu, a, b), mu.window)
 
 
@@ -332,12 +343,8 @@ def total_variation(mu: LocalMeasure, interval=None) -> float:
     Real densities are split at their roots (exact); genuinely complex
     coefficients go through the Gauss rule of `poly.integral_abs`.
     """
-    if interval is None:
-        a, b = mu.window
-    else:
-        a, b = float(interval[0]), float(interval[1])
-        if a < mu.lo or b > mu.hi:
-            raise DomainError(f"interval {interval} not inside window {mu.window}")
+    a, b = mu.window if interval is None else map(float, interval)
+    mu.check_span(a, b, "interval")
     total = sum(abs(w) for _, w in mu.atoms_in(a, b))
     total += sum(s.abs_integral_over(a, b) for s in mu.segments_meeting(a, b))
     return float(total)
@@ -416,7 +423,8 @@ class SlidingMass:
     def sliding_sup(self, lo, hi, width):
         """Exact sup over a in [lo, hi - width] of the mass of (a, a + width]."""
         span = hi - lo
-        if width > span + 1e-12:
+        # a span built from its ends rounds at their scale, like check_span's
+        if width > span + 1e-12 * max(1.0, abs(lo), abs(hi)):
             raise DomainError(f"width {width} exceeds window span {span}")
         width = min(width, span)
         xs, starts, pieces = self._xs, self._starts, self._pieces
@@ -512,8 +520,7 @@ def cumulative_pieces(mu: LocalMeasure, wlo: float, whi: float):
     Returns a list of (t0, t1, coeffs) with S(t) = poly(t - t0) on [t0, t1),
     covering [wlo, whi).  Degree <= 4.
     """
-    if wlo < mu.lo - 1e-12 or whi > mu.hi + 1e-12:
-        raise DomainError(f"[{wlo}, {whi}] not inside window {mu.window}")
+    mu.check_span(wlo, whi, "span")
     atom_map = dict(mu.atoms_in(wlo, whi))
     segs = mu.segments_meeting(wlo, whi)
     cuts = sorted({wlo, whi} | atom_map.keys() | {max(s.start, wlo) for s in segs}

@@ -293,9 +293,7 @@ def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     certificate stays at rounding level per unit length.
     """
     check_tol(tol)
-    lo, hi = min(s, t), max(s, t)
-    if lo < mu.lo - 1e-12 or hi > mu.hi + 1e-12:
-        raise DomainError(f"path [{lo}, {hi}] outside window {mu.window}")
+    mu.check_span(min(s, t), max(s, t), "path")
     tmats, defect, stats = _transfer_along(mu, z, s, [t], tol)
     a, b, c, d = tmats[t]
     return TransferMatrix(np.array([[a, b], [c, d]]), s, t, defect, stats)
@@ -307,8 +305,9 @@ def transfer_steps(mu, z, points, tol: float = 1e-8):
     product of the factors of transfer_matrix(mu, z, x0, x1), in its order."""
     check_tol(tol)
     xs = sorted(set(map(float, points)))
-    if not xs or xs[0] < mu.lo - 1e-12 or xs[-1] > mu.hi + 1e-12:
-        raise DomainError(f"points {points} not inside window {mu.window}")
+    if not xs:
+        raise DomainError("no points")
+    mu.check_span(xs[0], xs[-1], "points")
     tmats = _transfer_along(mu, z, xs[0], xs[1:], tol, restart=True)[0]
     return [np.array([[a, b], [c, d]]) for a, b, c, d in map(tmats.get, xs[1:])]
 
@@ -325,8 +324,7 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     xs = grid.tolist()
     if not xs:
         raise DomainError("empty grid")
-    if xs[0] < mu.lo - 1e-12 or xs[-1] > mu.hi + 1e-12:
-        raise DomainError("grid not inside measure window")
+    mu.check_span(xs[0], xs[-1], "grid")
     if not (xs[0] <= s <= xs[-1]):
         raise DomainError("s must lie in the grid range")
     s = float(s)
@@ -582,8 +580,7 @@ def solution_difference(mu1, mu2, z, u1_initial, grid, tol: float = 1e-8):
     if not (grid[0] <= 0.0 <= grid[-1]):
         raise DomainError("0 must lie in the grid range")
     nu = me.subtract(mu1, mu2)
-    if nu.lo > -1.0 or nu.hi < 1.0:
-        raise DomainError("need [-1, 1] inside the common window for c_{nu,0}")
+    nu.check_span(-1.0, 1.0, "the window of c_{nu,0}")
     c = window_seminorm(nu, 0.0).minimizer_c
     u0, du0 = complex(u1_initial[0]), complex(u1_initial[1])
     u2_init = (u0, du0 + c * u0)

@@ -487,8 +487,7 @@ def _window_value(mu, wlo, whi):
 def window_seminorm(mu: me.LocalMeasure, a: float) -> SeminormResult:
     """Seminorm on the window [a-1, a+1] via the median characterisation."""
     wlo, whi = a - 1.0, a + 1.0
-    if wlo < mu.lo - 1e-12 or whi > mu.hi + 1e-12:
-        raise DomainError(f"window [{wlo}, {whi}] not inside {mu.window}")
+    mu.check_span(wlo, whi, "window")
     lo, up, c, stats = _window_value(mu, wlo, whi)
     cert = SeminormCertificate(0.0, 0.0, up - lo)
     return SeminormResult(lo, up, c, (wlo, whi), cert, stats)
@@ -623,8 +622,7 @@ def interval_seminorm(
     """
     check_tol(tol)
     lo, hi = float(interval[0]), float(interval[1])
-    if lo < mu.lo - 1e-12 or hi > mu.hi + 1e-12:
-        raise DomainError(f"interval {interval} not inside window {mu.window}")
+    mu.check_span(lo, hi, "interval")
     length = hi - lo
     if mu.is_zero():
         return SeminormResult(0.0, 0.0, 0j, (lo, hi), SeminormCertificate(0, 0, 0))
@@ -733,8 +731,7 @@ def interval_seminorm(
 def test_functional(mu: me.LocalMeasure, u: me.PiecewiseAffine) -> complex:
     """Exact integral of the piecewise-affine u against mu."""
     slo, shi = u.support
-    if slo < mu.lo - 1e-12 or shi > mu.hi + 1e-12:
-        raise DomainError(f"support of u {u.support} not inside {mu.window}")
+    mu.check_span(slo, shi, "support of u")
     total = 0j
     for x, w in mu.atoms:
         total += w * u(x)

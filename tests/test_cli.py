@@ -47,6 +47,18 @@ class TestSeminormCommand:
         lines = (workdir / "scan.csv").read_text().splitlines()
         assert lines[0] == "a,N_lower,N_upper"
 
+    def test_csv_row_adds_no_work_on_a_short_interval(self, workdir):
+        # the one row of an interval of length <= 2 is the result itself
+        mio.dump_measure(me.make_measure([(0.3, 1.0 - 0.5j)],
+                                         ((-0.8, 0.6, (0.5 + 0.2j, -1.0 + 0.7j)),), (-1, 1)),
+                         workdir / "complex.json")
+        stats = []
+        for extra in ([], ["--csv", "scan.csv"]):
+            assert cli.run(["seminorm", "--measure", "complex.json", "--interval", "-1,1",
+                            *extra]) == 0
+            stats.append(json.loads((workdir / "meta.json").read_text())["stats"])
+        assert stats[0] == stats[1] and stats[0]["l1_evaluations"] > 0
+
     def test_missing_file_exit_2(self, workdir):
         assert cli.run(["seminorm", "--measure", "nope.json", "--interval", "-1,1"]) == 2
 

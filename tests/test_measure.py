@@ -35,6 +35,18 @@ class TestMakeMeasure:
         with pytest.raises(ValidationError):
             me.make_measure([(5.0, 1.0)], (), (-1, 1))
 
+    def test_atoms_summing_past_float_range_rejected(self):
+        # 0.0 and -0.0 are one position: the weights sum to infj
+        big = 1.7976931348623157e308j
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            me.make_measure([(0.0, big), (-0.0, big)], (), (-1, 1))
+
+    def test_segments_summing_past_float_range_rejected(self):
+        # an overlap within the slack of `segments_overlap` is summed
+        big = (1.7976931348623157e308,)
+        with pytest.raises(ValidationError, match="non-finite coefficient"):
+            me.make_measure((), ((0.0, 1.0, big), (1.0 - 1e-16, 2.0, big)), (0, 2))
+
 
 class TestPhi:
     def test_lebesgue(self):

@@ -263,6 +263,12 @@ MALFORMED = [
      "line 3: period must be positive, got -1.5"),
     ('{"window": [0, 2],\n "atoms": [{"x": 1.5, "re": 1}],\n "periodic": {"period": 1}}',
      "line 3: base atom at 1.5 outside [0, 1.0)"),
+    ('{"window": [-1, 1],\n "atoms": [{"x": 0.0, "im": 1.7976931348623157e308},\n'
+     '  {"x": -0.0, "im": 1.7976931348623157e308}]}',
+     "atoms at one position sum to a non-finite weight"),
+    ('{"window": [0, 2],\n "segments": [{"a": 0, "b": 1, "coeffs": [[1.7976931348623157e308, 0]]},\n'
+     '  {"a": 0.9999999999999999, "b": 2, "coeffs": [[1.7976931348623157e308, 0]]}]}',
+     "overlapping segments sum to a non-finite coefficient"),
 ]
 
 
