@@ -151,7 +151,7 @@ def periodic_three_point_check(P: me.PeriodicMeasure, z, initial):
     """Lemma-style estimate for periodic potentials: the state norm at 0 is
     at most twice the largest state norm at t in {-p, p, 2p}.
 
-    Returns (lhs, rhs, pass).
+    Returns (lhs, rhs, pass); the comparison allows a 1e-9 relative slack.
     """
     p = P.period
     mat = me.materialize_periodic(P, (-p - 0.5, 2 * p + 0.5))
@@ -160,4 +160,4 @@ def periodic_three_point_check(P: me.PeriodicMeasure, z, initial):
     norms = {t: math.hypot(abs(u), abs(du)) for t, u, du in zip(tr.grid, tr.u, tr.du)}
     lhs = math.hypot(abs(complex(initial[0])), abs(complex(initial[1])))
     rhs = 2.0 * max(norms[-p], norms[p], norms[2 * p])
-    return lhs, rhs, lhs <= rhs + 1e-9
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

@@ -92,6 +92,8 @@ class LocalMeasure:
     window: tuple
     # norm_unif by r, filled by norm_unif; not part of the value
     _norm_unif: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the propagator's last few walk plans by path; not part of the value
+    walk_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms, segs = self.atoms, self.segments
@@ -260,26 +262,35 @@ def _clipped_segments(mu, a, b):
 
 
 def translate(mu: LocalMeasure, p: float) -> LocalMeasure:
-    """The translate mu(. + p): new measure at t equals mu at t + p."""
-    atoms = tuple((x - p, w) for x, w in mu.atoms)
-    segs = tuple(Segment(s.start - p, s.end - p, s.coeffs) for s in mu.segments)
-    return LocalMeasure(atoms, segs, (mu.lo - p, mu.hi - p))
+    """The translate mu(. + p): new measure at t equals mu at t + p.
+
+    A segment narrower than the float spacing at its new place, whose ends
+    round together there, becomes an atom of its mass at its new end."""
+    atoms, segs = [(x - p, w) for x, w in mu.atoms], []
+    for s in mu.segments:
+        start, end = s.start - p, s.end - p
+        if start < end:
+            segs.append(Segment(start, end, s.coeffs))
+        else:
+            atoms.append((end, s.integral_over(s.start, s.end)))
+    return LocalMeasure(tuple(atoms), tuple(segs), (mu.lo - p, mu.hi - p))
 
 
 def scale(mu: LocalMeasure, r: float) -> LocalMeasure:
-    """The scaled measure mu_r := r * mu(r .), window scaled by 1/r."""
+    """The scaled measure mu_r := r * mu(r .), window scaled by 1/r.
+
+    A segment whose ends round together at their new place becomes an atom
+    of its mass (times r) at its new end, as in `translate`."""
     if not r > 0:
         raise DomainError(f"scale factor must be positive, got {r}")
-    atoms = tuple((x / r, r * w) for x, w in mu.atoms)
-    segs = tuple(
-        Segment(
-            s.start / r,
-            s.end / r,
-            tuple(c * r ** (k + 2) for k, c in enumerate(s.coeffs)),
-        )
-        for s in mu.segments
-    )
-    return LocalMeasure(atoms, segs, (mu.lo / r, mu.hi / r))
+    atoms, segs = [(x / r, r * w) for x, w in mu.atoms], []
+    for s in mu.segments:
+        start, end = s.start / r, s.end / r
+        if start < end:
+            segs.append(Segment(start, end, tuple(c * r ** (k + 2) for k, c in enumerate(s.coeffs))))
+        else:
+            atoms.append((end, r * s.integral_over(s.start, s.end)))
+    return LocalMeasure(tuple(atoms), tuple(segs), (mu.lo / r, mu.hi / r))
 
 
 def negate(mu: LocalMeasure) -> LocalMeasure:

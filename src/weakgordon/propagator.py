@@ -11,14 +11,18 @@ accumulates only factor-level rounding.
 One walker, `_walk`, turns the stretch between two points into a flat list
 of factors plus marks.  It loops over the measure's pieces (cut at the ends,
 segment ends and atoms), splicing in the sample points inside a piece as its
-cells, one factor each; an atom is its own unipotent factor.  Only a walk
-with Magnus steps touches NumPy (`_magnus_factors`, one pass over columns).
-To the left the factors are inverted and reversed.  A factor is a 4-tuple
-(F00, F01, F10, F11) of Python complex numbers, and the grid enters as
-Python floats, so the folds are scalar arithmetic: `_transfer_along` folds
-the walk into matrices, `transfer_matrix` included; `propagate` folds it
-once, recording the state after every factor.  Both count what the walks
-applied (`WalkStats`).
+cells, one factor each; an atom is its own unipotent factor.  Everything
+that does not depend on z, the loop included, is a plan (`_walk_plan`) that
+the measure keeps for its last few paths (`LocalMeasure.walk_plans`), so a
+sweep over z on one path walks it once; per z only the factors are made, and
+they have the bits of a walk from scratch.  Only a walk with Magnus steps
+touches NumPy (`_magnus_plan` once, `_magnus_factors` per z, each one pass
+over columns).  To the left the factors are inverted and reversed.  A factor
+is a 4-tuple (F00, F01, F10, F11) of Python complex numbers, and the grid
+enters as Python floats, so the folds are scalar arithmetic:
+`_transfer_along` folds the walk into matrices, `transfer_matrix` included;
+`propagate` folds it once, recording the state after every factor.  Both
+count what the walks applied (`WalkStats`).
 
 Both variation-of-constants checks, `solution_difference` (the by-parts
 form) and `variation_of_constants_value` (the direct form), share one
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
@@ -70,7 +75,8 @@ class TransferMatrix:
     stats: WalkStats = WalkStats()
 
     def __matmul__(self, other):
-        if abs(other.target - self.source) > 1e-12:
+        # the slack of `LocalMeasure.check_span`, relative to the ends' scale
+        if abs(other.target - self.source) > 1e-12 * max(1.0, abs(other.target), abs(self.source)):
             raise DomainError("transfer matrices do not chain")
         return TransferMatrix(
             self.entries @ other.entries,
@@ -138,21 +144,14 @@ def _const_factor(q, h):
     return (c, h * s, q * h * s, c)
 
 
-def _magnus_steps(coeffs, piece, x0, h, z):
-    """The entry arrays of 4th-order Magnus steps of length h from offsets x0
-    on the pieces whose degree-k coefficients are coeffs[k][piece], in one
+def _magnus_steps(plan, z):
+    """The entry arrays of the plan's 4th-order Magnus steps at z, in one
     NumPy pass (its temporaries are freed before the product tree starts)."""
-
-    def q_at(t):
-        acc = coeffs[-1][piece]
-        for k in range(me.MAX_DEGREE - 1, -1, -1):
-            acc = acc * t + coeffs[k][piece]
-        return acc - z
-
-    q1 = q_at(x0 + (0.5 - _SQRT3 / 6.0) * h)
-    q2 = q_at(x0 + (0.5 + _SQRT3 / 6.0) * h)
+    h = plan.h
+    q1, q2 = plan.p1 - z, plan.p2 - z
     qbar = 0.5 * (q1 + q2)
     delta = (_SQRT3 / 12.0) * h * h * (q1 - q2)
+    del q1, q2
     # Omega = [[delta, h], [h*qbar, -delta]]; Omega^2 = (delta^2 + h^2 qbar) I
     w2 = delta * delta + h * h * qbar
     c, s = _even_funcs_array(w2)
@@ -160,14 +159,28 @@ def _magnus_steps(coeffs, piece, x0, h, z):
     return c + sd, sh, sh * qbar, c - sd
 
 
-def _magnus_factors(segments, seg, x0, x1, z, root):
-    """The Magnus steps of each cell, folded into one factor F_n ... F_1.
+@dataclass(frozen=True)
+class _MagnusPlan:
+    """The z-independent part of `_magnus_factors`: p at both Gauss nodes
+    of every step, the step lengths, each cell's first step and, when some
+    cell has several steps, the product tree (its size, where each step
+    goes, and per level the cut and the cells whose products are done)."""
+
+    p1: np.ndarray
+    p2: np.ndarray
+    h: np.ndarray
+    first: np.ndarray
+    steps: int
+    tree: tuple | None
+
+
+def _magnus_plan(segments, seg, x0, x1, root):
+    """The `_MagnusPlan` of the cells, one pass over their columns.
 
     Cell j runs from x0[j] to x1[j] on segments[seg[j]] in n = ceil((x1 -
     x0) / root) equal steps, at least one.  One step is its own product;
     else a product tree pads each cell with identities to its own power of
-    two, and every cell goes up one level per pass.  Returns the factors,
-    each cell's summed |det F - 1| and the step count.
+    two, and every cell goes up one level per pass.
     """
     seg, x0, length = np.array(seg), np.array(x0), np.array(x1) - x0
     x0 = x0 - np.array([s.start for s in segments])[seg]  # local offsets
@@ -178,69 +191,93 @@ def _magnus_factors(segments, seg, x0, x1, z, root):
     first = np.cumsum(n) - n
     step = np.arange(steps) - np.repeat(first, n)  # step of its cell
     h = np.repeat(h, n)
-    F = _magnus_steps(coeffs, np.repeat(seg, n), np.repeat(x0, n) + step * h, h, z)
-    defects = np.add.reduceat(np.abs(F[0] * F[3] - F[1] * F[2] - 1.0), first)
+    piece, x0 = np.repeat(seg, n), np.repeat(x0, n) + step * h
+
+    def p_at(t):  # the density at offset t of each step's piece
+        acc = coeffs[-1][piece]
+        for k in range(me.MAX_DEGREE - 1, -1, -1):
+            acc = acc * t + coeffs[k][piece]
+        return acc
+
+    p1, p2 = p_at(x0 + (0.5 - _SQRT3 / 6.0) * h), p_at(x0 + (0.5 + _SQRT3 / 6.0) * h)
     if steps == len(n):
-        return list(zip(*(f.tolist() for f in F))), defects.tolist(), steps
+        return _MagnusPlan(p1, p2, h, first, steps, None)
     # the largest padded size first, so each cell starts at a multiple of its size
     size = 1 << np.frexp(n - 1)[1]
     order = np.argsort(-size, kind="stable")
     size, ends = size[order], np.cumsum(size[order])
     start = np.empty_like(ends)
     start[order] = ends - size
-    pos = np.repeat(start, n) + step
-    level = [np.full(ends[-1], pad, dtype=complex) for pad in (1, 0, 0, 1)]
-    for entries, f in zip(level, F):
-        entries[pos] = f
     down, ends = (-size).tolist(), ends.tolist()
-    out = [np.empty(len(n), dtype=complex) for _ in range(4)]
-    done, width = len(n), 1
+    levels, done, width = [], len(n), 1
     while True:
         # the cells of padded size width are down to their product, at the end
         live = bisect_left(down, -width)
         cut = ends[live - 1] // width if live else 0
-        if live < done:
-            for product, entries in zip(out, level):
-                product[order[live:done]] = entries[cut:]
+        levels.append((cut, order[live:done] if live < done else None))
         if not live:
-            return list(zip(*(product.tolist() for product in out))), defects.tolist(), steps
+            return _MagnusPlan(p1, p2, h, first, steps,
+                               (ends[-1], np.repeat(start, n) + step, tuple(levels)))
+        done, width = live, 2 * width
+
+
+def _magnus_factors(plan, z):
+    """The Magnus steps of each cell at z, folded into one factor F_n ...
+    F_1.  Returns the factors and each cell's summed |det F - 1|."""
+    F = _magnus_steps(plan, z)
+    defects = np.add.reduceat(np.abs(F[0] * F[3] - F[1] * F[2] - 1.0), plan.first).tolist()
+    if plan.tree is None:
+        return list(zip(*(f.tolist() for f in F))), defects
+    size, pos, levels = plan.tree
+    level = [np.full(size, pad, dtype=complex) for pad in (1, 0, 0, 1)]
+    for entries, f in zip(level, F):
+        entries[pos] = f
+    del F
+    out = [np.empty(len(plan.first), dtype=complex) for _ in range(4)]
+    for cut, done in levels:
+        if done is not None:
+            for product, entries in zip(out, level):
+                product[done] = entries[cut:]
+        if not cut:
+            return list(zip(*(product.tolist() for product in out))), defects
         # each pair: the later factor b times the earlier a
         (a00, b00), (a01, b01), (a10, b10), (a11, b11) = ((e[0:cut:2], e[1:cut:2]) for e in level)
         level = [b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
                  b10 * a00 + b11 * a10, b10 * a01 + b11 * a11]
-        done, width = live, 2 * width
 
 
 def _inv_unimodular(F):
     return (F[3], -F[1], -F[2], F[0])
 
 
-def _walk(mu, z, a, b, tol, markers=(), backward=False):
-    """The one factor walk over [a, b], from a up to b or, with `backward`,
-    from b down to a.
+@dataclass(frozen=True)
+class _WalkPlan:
+    """The z-independent part of a walk over [a, b] (see `_walk`): the
+    factor list with the atoms in place, the constant cells (factor index,
+    index into `consts` of their distinct (density or None, length)), the
+    Magnus pieces (factor index, cell, count) with their `_MagnusPlan`, the
+    marks walking right and the `WalkStats`."""
 
-    The loop runs over the pieces between a, b, the segment ends and the
-    atoms; the samples (the markers in [a, b]) inside a piece cut it into
-    cells, one factor each.  Magnus cells go to `_magnus_factors` as columns
-    and come back one slice per piece.
+    factors: list
+    cells: list
+    consts: list
+    pieces: list
+    magnus: _MagnusPlan | None
+    marks: tuple
+    stats: WalkStats
 
-    Returns the factors in walking order, their step defects (a Magnus
-    cell's summed |det F - 1|, else None), the marks (i, x, w) and the
-    `WalkStats`.  An atom of weight w at x is the factor (1, 0, w, 1) at
-    index i; a sample x (w None) follows the first i factors, at an atom the
-    atom too.  Walking left reverses and inverts the factors, so F always
-    applies on the left and a sample sees (u(x), u'(x+)) both ways.
-    """
+
+def _walk_plan(mu, a, b, tol, samples):
+    """The `_WalkPlan` over [a, b] with the sorted samples in it."""
     segments = mu.segments_meeting(a, b)
     atoms = dict(mu.atoms_in(a, b))
-    samples = sorted(dict.fromkeys(markers))  # linear for markers in either order
-    samples = samples[bisect_left(samples, a):bisect_right(samples, b)]
     cut = sorted({a, b} | {max(s.start, a) for s in segments} | {min(s.end, b) for s in segments}
                  | atoms.keys())
     # a segment's constant density, or None where it needs Magnus steps
     consts = [None if any(s.coeffs[1:]) else s.coeffs[0] for s in segments]
     j = 1 if samples and samples[0] == a else 0
     factors, marks = [], [(0, a, None)] if j else []
+    cells, keys = [], {}  # keys: (segment or None, length) -> its index
     pieces, seg, starts, ends = [], [], [], []  # Magnus pieces (factor, cell, count); columns
     k, last = 0, len(segments)
     for x0, x1 in zip(cut, cut[1:]):
@@ -252,17 +289,17 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
         if inner:
             marks += zip(range(i + 1, i + 1 + len(inner)), inner, repeat(None))
         covered = k < last and segments[k].start <= x0
+        pts = [x0, *inner, x1]
         if covered and consts[k] is None:
-            m = len(inner) + 1
-            pieces.append((i, len(starts), m))
-            seg += [k] * m
-            starts += [x0, *inner]
-            ends += [*inner, x1]
-            factors += [None] * m
+            pieces.append((i, len(starts), len(pts) - 1))
+            seg += [k] * (len(pts) - 1)
+            starts += pts[:-1]
+            ends += pts[1:]
         else:
-            q = consts[k] - z if covered else -z
-            pts = [x0, *inner, x1]
-            factors += [_const_factor(q, y - x) for x, y in zip(pts, pts[1:])]
+            d = k if covered else None
+            cells += [(i + c, keys.setdefault((d, y - x), len(keys)))
+                      for c, (x, y) in enumerate(zip(pts, pts[1:]))]
+        factors += [None] * (len(pts) - 1)
         if x1 in atoms:
             marks.append((len(factors), x1, atoms[x1]))
             factors.append((1 + 0j, 0j, complex(atoms[x1]), 1 + 0j))
@@ -270,18 +307,61 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
         if j < len(samples) and samples[j] == x1:
             marks.append((len(factors), x1, None))
             j += 1
-    defects, steps = [None] * len(factors), 0
-    if pieces:
-        F, d, steps = _magnus_factors(segments, seg, starts, ends, z, tol**0.25)
-        for i, j, m in pieces:
+    magnus = _magnus_plan(segments, seg, starts, ends, tol**0.25) if pieces else None
+    stats = WalkStats(len(atoms), len(cells), magnus.steps if pieces else 0, len(starts))
+    return _WalkPlan(factors, cells, [(None if d is None else consts[d], h) for d, h in keys],
+                     pieces, magnus, tuple(marks), stats)
+
+
+# the walk plans a measure keeps (`LocalMeasure.walk_plans`), oldest dropped first
+_PLANS_KEPT = 8
+
+
+def _walk(mu, z, a, b, tol, markers=(), backward=False):
+    """The one factor walk over [a, b], from a up to b or, with `backward`,
+    from b down to a.
+
+    It runs in two stages.  The plan (`_walk_plan`) is all that does not
+    depend on z, kept on mu for its path, tol and samples (the markers in
+    [a, b]): the loop over the pieces between a, b, the segment ends and
+    the atoms, where the samples inside a piece cut it into cells, one
+    factor each; the atom factors and marks; the Magnus cells as columns
+    with p at every step's Gauss nodes (`_magnus_plan`).  Per z the walk
+    then makes one constant factor per distinct (density, length), the
+    Magnus steps and their product tree (`_magnus_factors`), and walking
+    left the inversion; every factor has the bits of a walk from scratch.
+
+    Returns the factors in walking order, their step defects (a Magnus
+    cell's summed |det F - 1|, else None), the marks (i, x, w) and the
+    `WalkStats`.  An atom of weight w at x is the factor (1, 0, w, 1) at
+    index i; a sample x (w None) follows the first i factors, at an atom the
+    atom too.  Walking left reverses and inverts the factors, so F always
+    applies on the left and a sample sees (u(x), u'(x+)) both ways.
+    """
+    samples = sorted(dict.fromkeys(markers))  # linear for markers in either order
+    samples = samples[bisect_left(samples, a):bisect_right(samples, b)]
+    # the bytes tell 0.0 from -0.0, which the marks carry
+    key = array("d", (a, b, tol, *samples)).tobytes()
+    plan = mu.walk_plans.get(key)
+    if plan is None:
+        plan = _walk_plan(mu, a, b, tol, samples)
+        if len(mu.walk_plans) >= _PLANS_KEPT:
+            del mu.walk_plans[next(iter(mu.walk_plans))]
+        mu.walk_plans[key] = plan
+    consts = [_const_factor(-z if d is None else d - z, h) for d, h in plan.consts]
+    factors = plan.factors.copy()
+    for i, c in plan.cells:
+        factors[i] = consts[c]
+    defects = [None] * len(factors)
+    if plan.magnus is not None:
+        F, d = _magnus_factors(plan.magnus, z)
+        for i, j, m in plan.pieces:
             factors[i:i + m], defects[i:i + m] = F[j:j + m], d[j:j + m]
-    stats = WalkStats(len(atoms), len(factors) - len(atoms) - len(starts), steps, len(starts))
-    if backward:
-        n = len(factors)
-        factors = list(map(_inv_unimodular, reversed(factors)))
-        defects.reverse()
-        marks = [(n - i - (w is not None), x, w) for i, x, w in reversed(marks)]
-    return factors, defects, marks, stats
+    if not backward:
+        return factors, defects, plan.marks, plan.stats
+    n = len(factors)
+    marks = tuple((n - i - (w is not None), x, w) for i, x, w in reversed(plan.marks))
+    return list(map(_inv_unimodular, reversed(factors))), defects[::-1], marks, plan.stats
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
@@ -427,9 +507,9 @@ def derivative_sup_bound(mu, trace: SolutionTrace, interval) -> DerivativeChain:
     m = me.norm_unif(mu) + 2.0
     slack = 1.0 + 1e-9
     holds = (
-        l2_du <= sup_du * slack + 1e-12,
-        sup_du <= m * sup_u * slack + 1e-12,
-        m * sup_u <= math.sqrt(3.0) * m**1.5 * l2_u * slack + 1e-12,
+        l2_du <= sup_du * slack,
+        sup_du <= m * sup_u * slack,
+        m * sup_u <= math.sqrt(3.0) * m**1.5 * l2_u * slack,
     )
     return DerivativeChain(l2_du, sup_du, sup_u, l2_u, m, m * sup_u, holds)
 

@@ -129,6 +129,16 @@ class TestGordonScanCommand:
         assert (workdir / "scan.csv").read_bytes() == first
 
 
+    def test_segment_narrower_than_the_shift_spacing(self, workdir):
+        # exit 0, not 2: translate carries the collapsing segment as an atom
+        mio.dump_measure(me.make_measure([], [(0.0, 1e-17, (1.0,)), (0.2, 0.9, (1.0,))],
+                                         (-1.5, 3)), workdir / "tiny.json")
+        assert cli.run(["gordon-scan", "--measure", "tiny.json", "--periods", "0.5",
+                        "--r-grid", "1", "--out", "scan.csv"]) == 0
+        row = (workdir / "scan.csv").read_text().splitlines()[1].split(",")
+        assert [float(v) for v in row[:3]] == [0.5, 0.18, 0.18]
+
+
 class TestSharpnessCommand:
     def test_report_and_plot(self, workdir):
         rc = cli.run(

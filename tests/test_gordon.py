@@ -2,6 +2,7 @@ import pytest
 
 from weakgordon import gordon as go
 from weakgordon import measure as me
+from weakgordon import propagator as pr
 from weakgordon import seminorm as sn
 from weakgordon.errors import DomainError
 
@@ -27,6 +28,13 @@ class TestTranslationDefect:
         h = 0.2
         d = go.translation_defect(comb, 2.0 + h, tol=1e-3)
         assert d.lower <= 3 * h * 1.0 + 1e-10
+
+    def test_segment_narrower_than_the_shift_spacing(self):
+        # (0, 1e-17] collapses to one point when translated by 0.5; it is
+        # carried as an atom of its mass rather than rejected
+        mu = me.make_measure([], [(0.0, 1e-17, (1.0,)), (0.2, 0.9, (1.0,))], (-1.5, 3))
+        d = go.translation_defect(mu, 0.5)
+        assert (d.lower, d.upper) == (0.18, 0.18)
 
     def test_window_requirement(self):
         with pytest.raises(DomainError):
@@ -155,6 +163,30 @@ class TestThreePoint:
             init = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), complex(rng.uniform(-1, 1)))
             lhs, rhs, ok = go.periodic_three_point_check(P, z, init)
             assert ok, (lhs, rhs, P)
+
+    def test_scale_free(self, rng, monkeypatch):
+        # initial data scaled by 2^+-60 scale lhs and rhs exactly, and the
+        # slack is relative, so the flag does not move
+        cases = [(random_periodic(rng), complex(rng.uniform(-2, 2), rng.uniform(-1, 1)),
+                  (complex(rng.uniform(-1, 1)), complex(rng.uniform(-1, 1), 0.5)))
+                 for _ in range(5)]
+        free = me.PeriodicMeasure(me.make_measure((), (), (0, 1)), 1.0)
+        for P, z, (u0, du0) in cases + [(free, 0.0, (1.0, 0.0))]:
+            ref = go.periodic_three_point_check(P, z, (u0, du0))
+            for f in (2.0**60, 2.0**-60):
+                lhs, rhs, ok = go.periodic_three_point_check(P, z, (f * u0, f * du0))
+                assert (lhs, rhs, ok) == (f * ref[0], f * ref[1], ref[2])
+        # states damped to a quarter (u = 1 on the free line): rhs = 0.5 < 1
+        # fails at every scale, also at 2^-60, where an absolute slack would
+        # pass it
+        def damped(*args):
+            tr = propagate(*args)
+            return pr.SolutionTrace(tr.grid, 0.25 * tr.u, 0.25 * tr.du, tr.jump_log)
+
+        propagate = go.propagate
+        monkeypatch.setattr(go, "propagate", damped)
+        for f in (1.0, 2.0**60, 2.0**-60):
+            assert go.periodic_three_point_check(free, 0.0, (f, 0.0)) == (f, 0.5 * f, False)
 
     def test_periodized_dirac_negative_energy(self):
         P = me.PeriodicMeasure(me.make_measure([(0.4, 1.3)], (), (0, 2)), 2.0)

@@ -105,6 +105,23 @@ class TestRestrictTranslateScale:
         assert T[1, 1] == -1.2409683025078424
         assert T.tobytes() == pr.transfer_matrix(ref, 0.5, -2.0, 0.0).entries.tobytes()
 
+    def test_translate_carries_a_collapsing_segment_as_an_atom(self):
+        # (0, 1e-17] lands on -0.5 twice over: its mass 1e-17 becomes an
+        # atom at the new end, and the other segment keeps its bytes
+        mu = me.make_measure([], [(0.0, 1e-17, (1.0,)), (0.2, 0.9, (1.0,))], (-1.5, 3))
+        t = me.translate(mu, 0.5)
+        assert t.atoms == ((-0.5, 1e-17 + 0j),)
+        assert t.segments == (me.Segment(0.2 - 0.5, 0.9 - 0.5, (1.0 + 0j,)),)
+
+    def test_scale_carries_a_collapsing_segment_as_an_atom(self):
+        # (1.75, 1.75 + ulp] divided by 1.7 rounds to one point: an atom of
+        # r times the segment's mass
+        x1 = math.nextafter(1.75, 2.0)
+        mu = me.make_measure([], [(0.5, 1.0, (1.0, 1.0)), (1.75, x1, (2.0,))], (0, 2))
+        s = me.scale(mu, 1.7)
+        assert s.atoms == ((x1 / 1.7, 1.7 * mu.segments[1].integral_over(1.75, x1)),)
+        assert s.segments == me.scale(me.restrict(mu, (0.0, 1.0)), 1.7).segments
+
     def test_scale_dirac(self):
         s = me.scale(me.dirac(1.0), 2.0)
         assert s.atoms == ((0.5, 2.0 + 0j),)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -199,6 +200,20 @@ def test_composition_through_matmul(case, r, t):
         Ttr @ pr.transfer_matrix(mu, z, s, r + 1e-6, tol)
 
 
+def test_matmul_chains_within_the_relative_slack():
+    # at 2^17 one ulp is above an absolute 1e-12: ends one ulp apart chain,
+    # ends further apart than 1e-12 * max(1, |ends|) still raise
+    x = 2.0**17
+    mu = me.make_measure([(x + 0.5, 0.3)], [(x - 1.0, x + 1.0, (0.2, 0.1))], (x - 2.0, x + 2.0))
+    Ta = pr.transfer_matrix(mu, 0.5, x - 1.5, x)
+    Tb = pr.transfer_matrix(mu, 0.5, math.nextafter(x, 0.0), x + 1.5)
+    T = Tb @ Ta
+    assert (T.source, T.target) == (x - 1.5, x + 1.5)
+    assert T.entries.tobytes() == (Tb.entries @ Ta.entries).tobytes()
+    with pytest.raises(DomainError, match="do not chain"):
+        pr.transfer_matrix(mu, 0.5, x - 2e-12 * x, x + 1.5) @ Ta
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(walks())
 def test_transfer_steps_are_the_pairwise_transfer_matrices(case):
@@ -289,6 +304,25 @@ class TestGrowthBounds:
             assert all(chain.holds), chain
             count += 1
         assert count == 40
+
+    def test_derivative_chain_is_scale_free(self, rng):
+        # initial data scaled by 2^+-60 scale the trace exactly, and the
+        # chain's slack is relative, so `holds` does not move
+        for _ in range(10):
+            mu = random_potential(rng, window=(-2, 2), max_atoms=4)
+            grid = np.sort(np.concatenate([np.linspace(-1.9, 1.9, 401), [x for x, _ in mu.atoms]]))
+            chains = [pr.derivative_sup_bound(mu, pr.propagate(mu, 0.0, 0.0, (f, 0.1 * f), grid),
+                                              (-0.5, 0.5)) for f in (1.0, 2.0**60, 2.0**-60)]
+            for f, chain in zip((2.0**60, 2.0**-60), chains[1:]):
+                assert (chain.sup_du, chain.sup_u) == (f * chains[0].sup_du, f * chains[0].sup_u)
+                assert chain.holds == chains[0].holds
+        # u' steep against a small u: sup|u'| <= M sup|u| fails at every
+        # scale, also at 2^-60, where an absolute slack would pass it
+        grid = np.linspace(-0.5, 0.5, 11)
+        for f in (1.0, 2.0**60, 2.0**-60):
+            tr = pr.SolutionTrace(grid, np.full(11, 1e-3 * f), np.full(11, f), ())
+            chain = pr.derivative_sup_bound(me.zero_measure((-1, 1)), tr, (-0.5, 0.5))
+            assert chain.holds == (True, False, True)
 
     def test_cosh_closed_form_chain(self):
         # mu = lambda, z = 0 on [0, 1]: u = cosh, ||u'||_inf = sinh 1 <= 3 cosh 1
@@ -611,18 +645,18 @@ def scalar_run(coeffs, x0, h, n, z):
 
 
 def kernel_runs(runs, z):
-    """`_magnus_factors` on runs (coeffs, x0, h, n): each a one-cell piece
-    of length n h on its own segment, which starts at -x0 so that the cell
-    [0, n h] has local offset x0, with a longest step a hair above h, so
-    that the cell takes n steps.  Returns the products, the defects and the
-    runs with the kernel's own step, (n h) / n, which can differ from h in
-    the last bit."""
+    """The Magnus kernel, `_magnus_plan` then `_magnus_factors` at z, on
+    runs (coeffs, x0, h, n): each a one-cell piece of length n h on its own
+    segment, which starts at -x0 so that the cell [0, n h] has local offset
+    x0, with a longest step a hair above h, so that the cell takes n steps.
+    Returns the products, the defects and the runs with the kernel's own
+    step, (n h) / n, which can differ from h in the last bit."""
     segments = [me.Segment(-x0, 1.0 - x0, coeffs) for coeffs, x0, _, _ in runs]
     length = [h * n for _, _, h, n in runs]
     root = np.array([h for _, _, h, _ in runs]) * (1.0 + 2.0**-40)
-    products, defects, steps = pr._magnus_factors(
-        segments, range(len(runs)), [0.0] * len(runs), length, z, root)
-    assert steps == sum(n for *_, n in runs)
+    plan = pr._magnus_plan(segments, range(len(runs)), [0.0] * len(runs), length, root)
+    assert plan.steps == sum(n for *_, n in runs)
+    products, defects = pr._magnus_factors(plan, z)
     return products, defects, [(c, x0, L / n, n) for (c, x0, _, n), L in zip(runs, length)]
 
 
@@ -704,16 +738,18 @@ def test_run_tree_memory_stays_near_the_step_arrays():
     # to its own power of two, not to the longest run's (1,001 x 2^14)
     segments = [me.Segment(0.0, 3.0, (0.5, 1j, -0.3, 0.2))]
     x0 = [0.0] + [1.0 + 1e-3 * k for k in range(1, 1001)]
-    cells = ([0] * 1001, x0, [2**14 * 1e-4] + [x + 1e-4 for x in x0[1:]], 0.5,
-             1e-4 * (1.0 + 1e-9))
+    cells = ([0] * 1001, x0, [2**14 * 1e-4] + [x + 1e-4 for x in x0[1:]], 1e-4 * (1.0 + 1e-9))
     steps = 2**14 + 1000
     step_arrays = 4 * steps * np.dtype(complex).itemsize  # the four entries of every step
-    assert pr._magnus_factors(segments, *cells)[2] == steps
+    assert pr._magnus_plan(segments, *cells).steps == steps
+    # the peak from before the plan is made, so the plan's arrays count,
+    # through a fold whose temporaries sit on top of them
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        products, _, _ = pr._magnus_factors(segments, *cells)
+        plan = pr._magnus_plan(segments, *cells)
+        products, _ = pr._magnus_factors(plan, 0.5)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -920,12 +956,16 @@ def test_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
         def __getattr__(self, name):
             fail()
 
+    monkeypatch.setattr(pr, "_magnus_plan", fail)
     monkeypatch.setattr(pr, "_magnus_factors", fail)
     monkeypatch.setattr(pr, "np", NoNumpy())
     mu = me.make_measure([(-1.0, 0.5), (0.5, -0.3 + 0.1j)], [(0.0, 1.0, (0.7,))], (-3, 3))
-    tmats, _, stats = pr._transfer_along(mu, 0.3 - 0.1j, -0.2, [2.5, -2.5, 0.7], 1e-8)
-    assert set(tmats) == {-0.2, 2.5, -2.5, 0.7}
-    assert stats == pr.WalkStats(atoms=2, constant=7, magnus=0)
+    # the plans are made at the first z and read at the second
+    for z in (0.3 - 0.1j, -1.0):
+        tmats, _, stats = pr._transfer_along(mu, z, -0.2, [2.5, -2.5, 0.7], 1e-8)
+        assert set(tmats) == {-0.2, 2.5, -2.5, 0.7}
+        assert stats == pr.WalkStats(atoms=2, constant=7, magnus=0)
+    assert len(mu.walk_plans) == 2
 
 
 def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
@@ -937,6 +977,7 @@ def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
     def fail(*_args):
         raise AssertionError("Magnus kernel called")
 
+    monkeypatch.setattr(pr, "_magnus_plan", fail)
     monkeypatch.setattr(pr, "_magnus_factors", fail)
     monkeypatch.setattr(pr, "np", None)  # any NumPy call fails
     for backward in (False, True):
@@ -1027,3 +1068,85 @@ def test_walk_stats_on_a_1001_point_grid():
     # the 1,000 grid cells, cut again at s, the six segment ends and the
     # three atoms (none of them on the grid): the atom factors are not cells
     assert tr.stats.atoms == 3 and tr.stats.constant + tr.stats.runs == 1000 + 1 + 6 + 3
+
+
+# ---------------------------------------------------------------------------
+# walk plans kept on the measure
+
+
+def _bits(res):
+    """A result as nested tuples of bytes and reprs (repr keeps -0.0)."""
+    if isinstance(res, np.ndarray):
+        return res.dtype.str, res.tobytes()
+    if dataclasses.is_dataclass(res):
+        return tuple(_bits(getattr(res, f.name)) for f in dataclasses.fields(res))
+    if isinstance(res, (tuple, list)):
+        return tuple(_bits(v) for v in res)
+    return repr(res)
+
+
+def _fresh(mu):
+    return me.make_measure(mu.atoms, mu.segments, mu.window)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_warm_walk_plans_give_the_bits_of_a_fresh_measure(tol):
+    # every entry point, over a sequence of z with a repeat, walking both
+    # ways: paths ending on the window ends, on atoms and at +-0.0, grid
+    # points on atoms and segment ends, two tols on one path.  Each group
+    # of calls gets its own measure, so its plans are built at the first z
+    # and read at the others, and each call is compared with a fresh
+    # measure.  A group shares a path up to the sign of a zero end or up to
+    # tol: an atom sits at 0.0, and a walk ending at -0.0 marks its jump
+    # at -0.0
+    mu = me.make_measure([(-1.0, 0.4), (0.0, -0.3 + 0.1j), (1.7, 0.25j)],
+                         [(-2.0, -0.5, (0.3, 0.1, -0.2, 0.05)), (0.2, 1.0, (0.7,)),
+                          (1.2, 2.4, (-0.4 + 0.1j, 0.5, -0.3j, 0.1))], (-3, 3))
+    mu2 = me.add_measures(mu, me.make_measure([(0.6, 0.05), (-0.4, -0.02j)], (), (-3, 3)))
+    grid = [-3.0, -2.0, -1.0, -0.0, 0.5, 1.0, 1.2, 1.7, 2.4, 3.0]
+    init = (1.0 - 0.5j, 0.25)
+    groups = [
+        [lambda m, z: pr.transfer_matrix(m, z, -3.0, 3.0, tol)],
+        [lambda m, z: pr.transfer_matrix(m, z, 3.0, -3.0, tol)],
+        [lambda m, z, end=end: pr.transfer_matrix(m, z, -1.0, end, tol) for end in (-0.0, 0.0)],
+        [lambda m, z, end=end: pr.transfer_matrix(m, z, end, -1.0, tol) for end in (0.0, -0.0)],
+        [lambda m, z, t=t: pr.dirichlet_neumann(m, z, 1.7, -1.0, t) for t in (tol, 1e-2 * tol)],
+        [lambda m, z: pr.propagate(m, z, -0.0, init, grid, tol)],
+        [lambda m, z, s=s: pr.propagate(m, z, s, init, [-2.5, s, 2.5], tol) for s in (-0.0, 0.0)],
+        [lambda m, z: pr.propagate(m, z, 1.7, init, grid, tol)],
+        [lambda m, z: pr.transfer_steps(m, z, grid, tol)],
+        [lambda m, z: pr.solution_difference(m, mu2, z, init, [-1.5, -0.0, 0.5, 1.5], tol)],
+    ]
+    warm = [_fresh(mu) for _ in groups]
+    kept = None
+    for z in (0.0, 1.5 + 0.3j, -2.0, 0.5 - 0.75j, 1.5 + 0.3j):
+        for calls, m in zip(groups, warm):
+            for call in calls:
+                assert _bits(call(m, z)) == _bits(call(_fresh(mu), z))
+        plans = [dict(m.walk_plans) for m in warm]
+        if kept is None:
+            kept = plans
+            assert all(0 < len(p) <= 4 for p in plans)
+        # the plans of the first z are the ones read at the others
+        assert [[(k, id(v)) for k, v in p.items()] for p in plans] == \
+            [[(k, id(v)) for k, v in p.items()] for p in kept]
+
+
+def test_walk_plans_stay_at_their_cap():
+    # many distinct paths keep the last eight plans, the newest included,
+    # and each path still gives the bits of a fresh measure
+    mu = grid_walk_measure()
+    for k in range(40):
+        s, t = -2.5 + 0.01 * k, 2.5 - 0.02 * k
+        T = pr.transfer_matrix(mu, 0.5 - 0.75j, s, t)
+        assert _bits(T) == _bits(pr.transfer_matrix(_fresh(mu), 0.5 - 0.75j, s, t))
+        assert len(mu.walk_plans) == min(k + 1, 8)
+    T = pr.transfer_matrix(mu, 1.0, s, t)
+    assert len(mu.walk_plans) == 8
+    assert _bits(T) == _bits(pr.transfer_matrix(_fresh(mu), 1.0, s, t))
+
+
+def test_walk_plans_are_not_part_of_the_value():
+    mu = grid_walk_measure()
+    pr.transfer_matrix(mu, 0.5, -2.0, 2.0)
+    assert mu.walk_plans and mu == _fresh(mu) and repr(mu) == repr(_fresh(mu))
