@@ -409,39 +409,50 @@ class SlidingMass:
         self._piece_prefix = list(accumulate(
             (integral(p.coeffs, 0.0, p.end - p.start) for p in pieces), initial=0.0))
 
-    def _cum(self, first, last):
-        """cum(x) = mass of (-inf, x] counting the atoms xs[first:last]
-        only; cum(x, bisect_left) leaves out an atom at x."""
-        xs, starts, pieces = self._xs, self._starts, self._pieces
-        atom_prefix, piece_prefix, integral = self._atom_prefix, self._piece_prefix, self._integral
+    def _piece_cum(self):
+        """cum(x) = mass of the pieces on (-inf, x]: the prefix sum up to
+        the piece holding x, less that piece's part beyond x."""
+        starts, pieces = self._starts, self._pieces
+        piece_prefix, integral = self._piece_prefix, self._integral
 
-        def cum(x, side=bisect_right):
+        def cum(x):
             i = bisect_right(starts, x)
             total = piece_prefix[i]
             if i:
                 p = pieces[i - 1]
                 if x < p.end:
                     total -= integral(p.coeffs, x - p.start, p.end - p.start)
-            return atom_prefix[side(xs, x, first, last)] + total
+            return total
 
         return cum
 
     def mass(self, lo, hi):
         """The mass of (lo, hi]."""
-        cum = self._cum(0, len(self._xs))
-        return cum(hi) - cum(lo)
+        xs, atom_prefix, cum = self._xs, self._atom_prefix, self._piece_cum()
+        return ((atom_prefix[bisect_right(xs, hi)] + cum(hi))
+                - (atom_prefix[bisect_right(xs, lo)] + cum(lo)))
 
     def sliding_sup(self, lo, hi, width):
-        """Exact sup over a in [lo, hi - width] of the mass of (a, a + width]."""
+        """Exact sup over a in [lo, hi - width] of the mass of (a, a + width].
+
+        The candidates are the ends of that range and every a in it with a
+        or a + width on an atom, a piece end or an end of the span; between
+        candidates the window mass is smooth in a, and the interior zeros
+        of its derivative are added.  A candidate reads the pieces' cum
+        once at each end and the atoms' prefix sums twice: for (a, a + width]
+        and, leaving out an atom on either end, for [a, a + width), the
+        limit of the windows just left of a.  The sup is the largest mass
+        (0 for none), so the candidates are sorted only for the root
+        search."""
         span = hi - lo
         # a span built from its ends rounds at their scale, like check_span's
         if width > span + 1e-12 * max(1.0, abs(lo), abs(hi)):
             raise DomainError(f"width {width} exceeds window span {span}")
         width = min(width, span)
         xs, starts, pieces = self._xs, self._starts, self._pieces
+        atom_prefix, cum = self._atom_prefix, self._piece_cum()
         # half-open convention: an atom exactly at lo can never fall in (a, a+w]
         first, last = bisect_right(xs, lo), bisect_right(xs, hi)
-        cum = self._cum(first, last)
         p0, p1 = bisect_right(self._ends, lo), bisect_left(starts, hi)
 
         a_lo, a_hi = lo, hi - width
@@ -450,12 +461,16 @@ class SlidingMass:
             for a in (b, b - width):
                 if a_lo - 1e-15 <= a <= a_hi + 1e-15:
                     candidates.add(min(max(a, a_lo), a_hi))
-        cand = sorted(candidates)
 
         best = 0.0
-        for a in cand:
-            best = max(best, cum(a + width) - cum(a))
-            best = max(best, cum(a + width, bisect_left) - cum(a, bisect_left))
+        for a in candidates:
+            b = a + width
+            at_b, at_a = cum(b), cum(a)
+            best = max(best,
+                       (atom_prefix[bisect_right(xs, b, first, last)] + at_b)
+                       - (atom_prefix[bisect_right(xs, a, first, last)] + at_a),
+                       (atom_prefix[bisect_left(xs, b, first, last)] + at_b)
+                       - (atom_prefix[bisect_left(xs, a, first, last)] + at_a))
 
         if p1 > p0:
             # between candidates the window mass g is smooth in a; add the
@@ -468,6 +483,7 @@ class SlidingMass:
                 return (0.0,), x
 
             f = poly.abs_sq if self._modulus else poly.to_real
+            cand = sorted(candidates)
             for a0, a1 in zip(cand[:-1], cand[1:]):
                 if a1 - a0 <= 1e-14:
                     continue
@@ -482,7 +498,9 @@ class SlidingMass:
                 diff = poly.add(pr, poly.negate(pl))
                 for root in poly.real_roots_in(diff, 0.0, a1 - a0):
                     a = a0 + root
-                    best = max(best, cum(a + width) - cum(a))
+                    b = a + width
+                    best = max(best, (atom_prefix[bisect_right(xs, b, first, last)] + cum(b))
+                               - (atom_prefix[bisect_right(xs, a, first, last)] + cum(a)))
         return best
 
 

@@ -30,13 +30,13 @@ windows meet only atoms, phi is a staircase whose level lengths are affine
 in a, so N(a) is the minimum of one affine function per level: concave,
 with its maximum at a vertex of the envelope, found exactly.  The exact
 cells of a sweep are evaluated together: one NumPy pass gives the level
-distances of every cell, and only the envelope walk runs per cell.  The other
-cells (touching a density, or of a complex measure) are refined by
-branch-and-bound over one list of nodes, taken breadth first.  Each node is
-bounded once, at its turn, against the cutoff of that moment: by the
-Lipschitz constant |mu|((a1-1, a2+1]) local to the node, then, while the
-bound is above the cutoff, by the sliding unit-mass bound
-||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]) and by the sliding sup of
+distances of every cell, and their envelope walks step together, one
+vertex per round.  The other cells (touching a density, or of a complex
+measure) are refined by branch-and-bound over one list of nodes, taken
+breadth first.  Each node is bounded once, at its turn, against the cutoff
+of that moment: by the Lipschitz constant |mu|((a1-1, a2+1]) local to the
+node, then, while the bound is above the cutoff, by the sliding unit-mass
+bound ||mu||_{[a-1,a+1]} <= sup_t |mu|((t, t+1]) and by the sliding sup of
 |phi - c|.  Each of these masses and sliding sups is a query to a
 `measure.SlidingMass`: one of |mu| per call (`measure.abs_mass`), and one
 on the nonnegative pieces of |phi - c| (`_l1_pieces`) per incumbent c.
@@ -65,18 +65,24 @@ class SeminormCertificate:
 
 
 @dataclass(frozen=True)
-class MedianStats:
-    """Work of the complex geometric-median solver, summed over windows:
-    accepted Newton steps and converged L1 scores of |phi - c| (the score
-    at the componentwise median included).  Deterministic counts, no
-    timings; 0 for real measures."""
+class SeminormStats:
+    """Work of a seminorm query, in deterministic counts (no timings):
+    - the complex geometric-median solver's accepted Newton steps and
+      converged L1 scores of |phi - c| (the score at the componentwise
+      median included), summed over windows; 0 for real measures;
+    - the exact staircase cells of an interval sweep and the lower-envelope
+      vertices their walks passed; 0 for a single window."""
 
     median_steps: int = 0
     l1_evaluations: int = 0
+    exact_cells: int = 0
+    envelope_vertices: int = 0
 
     def __add__(self, other):
-        return MedianStats(self.median_steps + other.median_steps,
-                           self.l1_evaluations + other.l1_evaluations)
+        return SeminormStats(self.median_steps + other.median_steps,
+                             self.l1_evaluations + other.l1_evaluations,
+                             self.exact_cells + other.exact_cells,
+                             self.envelope_vertices + other.envelope_vertices)
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ class SeminormResult:
     minimizer_c: complex
     witness_window: tuple
     certificate: SeminormCertificate
-    stats: MedianStats = MedianStats()
+    stats: SeminormStats = SeminormStats()
 
     @property
     def width(self):
@@ -461,19 +467,19 @@ def _geometric_median(pieces, c, f):
 def _window_value(mu, wlo, whi):
     """Seminorm of mu on the window [wlo, whi] (length <= 2).
 
-    Returns (lower, upper, minimizer_c_phi, MedianStats).  Real measures:
+    Returns (lower, upper, minimizer_c_phi, SeminormStats).  Real measures:
     exact value.  Complex: bracket [M/2, M].
     """
     pieces = me.cumulative_pieces(mu, wlo, whi)
     if not pieces:
-        return 0.0, 0.0, 0j, MedianStats()
+        return 0.0, 0.0, 0j, SeminormStats()
     offset = _phi_offset(mu, wlo)
     half = 0.5 * (whi - wlo)
     re_pieces = _real_pieces(pieces)
     if all(poly.is_real(c) for _, _, c in pieces):
         c = _smallest_median(re_pieces, half)
         val = _l1(re_pieces, c)
-        return val, val, complex(c) + offset, MedianStats()
+        return val, val, complex(c) + offset, SeminormStats()
     im_pieces = [(t0, t1, tuple(float(v.imag) for v in c)) for t0, t1, c in pieces]
     c_med = complex(_smallest_median(re_pieces, half), _smallest_median(im_pieces, half))
     m_med = _l1(pieces, c_med)
@@ -481,7 +487,7 @@ def _window_value(mu, wlo, whi):
     # M/2 is a lower bound however far the solver got: c_med takes the
     # exact medians S of Re phi and Im phi, so
     # M <= int |phi - c_med| <= S(Re mu) + S(Im mu) <= 2 min_c int |phi - c|
-    return 0.5 * m_best, m_best, complex(c_best + offset), MedianStats(steps, scores + 1)
+    return 0.5 * m_best, m_best, complex(c_best + offset), SeminormStats(steps, scores + 1)
 
 
 def window_seminorm(mu: me.LocalMeasure, a: float) -> SeminormResult:
@@ -497,49 +503,28 @@ def window_seminorm(mu: me.LocalMeasure, a: float) -> SeminormResult:
 # interval seminorm: one event sweep, exact staircase cells, refined others
 
 
-def _envelope_max(A, B):
-    """(t, value) maximising min_k (A[k] + t (B[k] - A[k])) over t in [0, 1].
-
-    The minimum of lines is concave, so walk its vertices to the right from
-    t = 0 until the active slope is no longer positive.  Each step passes to
-    a line of strictly smaller slope, so the walk takes at most K steps.
-    """
-    slopes = [b - a for a, b in zip(A, B)]
-    k = min(range(len(A)), key=A.__getitem__)
-    t = 0.0
-    while slopes[k] > 0.0:
-        # the first crossing to the right (at t itself on a tie), by the
-        # flattest line among equal crossings; none: k stays minimal to t = 1
-        crossings = [((A[j] - A[k]) / (slopes[k] - s), s, j)
-                     for j, s in enumerate(slopes) if s < slopes[k]]
-        tc, _, j = min(crossings, default=(1.0, 0.0, k))
-        if tc >= 1.0:
-            t = 1.0
-            break
-        t, k = max(t, tc), j
-    return t, min(a + t * s for a, s in zip(A, slopes))
-
-
 # padded (cell, level) entries per block of `_staircase_cells`: bounds its
 # memory whatever the number of atoms a window meets
 _CELL_BLOCK = 1 << 16
 
 
 def _staircase_cells(xs, ws, cells):
-    """[(max, argmax) of N(a) over each cell [a1, a2]] of a real measure whose
-    windows (a - 1, a + 1) meet only atoms inside each cell, the same ones
-    (xs, ws sorted by position) for every a of that cell.
+    """([(max, argmax) of N(a) over each cell [a1, a2]], envelope vertices
+    passed) for a real measure whose windows (a - 1, a + 1) meet only atoms
+    inside each cell, the same ones (xs, ws sorted by position) for every a
+    of that cell.
 
     phi is then a staircase whose level lengths are affine in a: the first
     shrinks and the last grows at unit rate.  A median is a level, so each
     level c_k gives an affine f_k(a) = int |phi - c_k| and N = min_k f_k is
     concave and piecewise linear: its maximum is at a cell end or where two
-    f_k cross, a vertex of the lower envelope (`_envelope_max`, per cell).
+    f_k cross, a vertex of the lower envelope (`_envelope_walk`).
 
     The level distances f_k at both cell ends come from one NumPy pass over
     blocks of cells, levels padded with zero weights to the largest window.
     The sums over the gaps between atoms run in level order, one gap at a
-    time, so every f_k has the bits of the sequential sum.
+    time, so every f_k has the bits of the sequential sum.  All cells of a
+    block then walk their envelopes together.
     """
     xs, ws = np.asarray(xs, dtype=float), np.asarray(ws, dtype=float)
     ends = np.asarray(cells, dtype=float).reshape(-1, 2).T
@@ -548,19 +533,59 @@ def _staircase_cells(xs, ws, cells):
     counts = np.searchsorted(xs, m + 1.0, "left") - i0
     kmax = int(counts.max(initial=0))
     block = max(1, _CELL_BLOCK // (kmax + 1))
-    out = []
+    t, value, vertices = np.zeros(len(m)), np.zeros(len(m)), 0
     for s in range(0, len(m), block):
         part = slice(s, s + block)
-        at_a1, at_a2 = _level_distances(xs, ws, i0[part], counts[part], kmax,
-                                        ends[:, part]).tolist()
-        for k, a1, a2, fa, fb in zip(counts[part].tolist(), *ends[:, part].tolist(),
-                                     at_a1, at_a2):
-            if k == 0:
-                out.append((0.0, a1))
-                continue
-            t, value = _envelope_max(fa[:k + 1], fb[:k + 1])
-            out.append((value, min(a1 + t * (a2 - a1), a2)))
-    return out
+        at_a1, at_a2 = _level_distances(xs, ws, i0[part], counts[part], kmax, ends[:, part])
+        # a cell with K atoms has the levels 0..K; the padding is never a line
+        A = np.where(np.arange(kmax + 1) <= counts[part, None], at_a1, np.inf)
+        t[part], value[part], passed = _envelope_walk(A, at_a2 - at_a1)
+        vertices += passed
+    arg = ends[0] + t * (ends[1] - ends[0])
+    arg = np.where(ends[1] < arg, ends[1], arg)
+    return list(zip(value.tolist(), arg.tolist())), vertices
+
+
+def _envelope_walk(A, S):
+    """(t, value, vertices passed) of the lines A[c, k] + t S[c, k] of each
+    cell c (A = +inf on padding): value = max over t in [0, 1] of their
+    minimum, reached at t.
+
+    The minimum of lines is concave, so each cell walks the vertices of its
+    lower envelope to the right, from the lowest line at t = 0 (the first
+    on a tie), while the active slope is positive.  A move goes to the first
+    crossing to the right (at t itself on a tie), by the flattest line, then
+    the first, among equal crossings; a crossing at t >= 1, or none, ends
+    the walk at t = 1.  Each move passes to a line of strictly smaller
+    slope, so a cell of K + 1 lines moves at most K times.  All cells walk
+    together, one move per round, the finished ones dropped.
+    """
+    rows = np.arange(len(A))
+    k = A.argmin(axis=1)
+    a_k, s_k = A[rows, k], S[rows, k]
+    t, vertices = np.zeros(len(A)), 0
+    live = np.flatnonzero(s_k > 0.0)
+    a_k, s_k = a_k[live, None], s_k[live, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size:
+            A_l, S_l = A[live], S[live]
+            # only flatter lines cross to the right; the quotients of the
+            # others (x / 0 and 0 / 0 among them) are dropped
+            tc = (A_l - a_k) / (s_k - S_l)
+            tc[S_l >= s_k] = np.inf
+            first = np.minimum.reduce(tc, axis=1, keepdims=True)
+            # argmin takes the first of the flattest among the first crossings
+            j = np.where(tc == first, S_l, np.inf).argmin(axis=1)
+            first = first[:, 0]
+            moves = first < 1.0
+            # t = max(t, tc), or 1 where the walk stops; t < 1 before
+            t[live] = np.minimum(np.maximum(t[live], first), 1.0)
+            vertices += int(np.count_nonzero(moves))
+            rows = np.arange(live.size)
+            a_k, s_k = A_l[rows, j], S_l[rows, j]
+            moves &= s_k > 0.0
+            live, a_k, s_k = live[moves], a_k[moves, None], s_k[moves, None]
+    return t, (A + t[:, None] * S).min(axis=1), vertices
 
 
 def _level_distances(xs, ws, i0, counts, kmax, ends):
@@ -619,6 +644,8 @@ def interval_seminorm(
     rounding when every cell is exact.  The certificate holds the narrowest
     node of the list as `grid_step` (0 when no cell is refined), |mu|(I) as
     `lipschitz` (the global bound) and upper - lower as `error_bound`.
+    `stats` sums the work of the window evaluations and counts the exact
+    cells and the envelope vertices their walks passed.
     """
     check_tol(tol)
     lo, hi = float(interval[0]), float(interval[1])
@@ -626,7 +653,8 @@ def interval_seminorm(
     length = hi - lo
     if mu.is_zero():
         return SeminormResult(0.0, 0.0, 0j, (lo, hi), SeminormCertificate(0, 0, 0))
-    if length <= 2.0 + 1e-14:
+    # one window when I is 2 long up to the rounding of its ends (check_span's slack)
+    if length <= 2.0 + 1e-12 * max(1.0, abs(lo), abs(hi)):
         vlo, vup, c, stats = _window_value(mu, lo, hi)
         return SeminormResult(
             vlo, vup, c, (lo, hi), SeminormCertificate(0.0, 0.0, vup - vlo), stats
@@ -652,7 +680,8 @@ def interval_seminorm(
         else:
             refined.append((a1, a2))
     exact_best, exact_a = -math.inf, a_lo
-    for v, a in _staircase_cells(xs, ws, exact):
+    maxima, vertices = _staircase_cells(xs, ws, exact)
+    for v, a in maxima:
         if v > exact_best:
             exact_best, exact_a = v, a
     # the refinement also starts from the windows centred on breakpoints
@@ -720,7 +749,8 @@ def interval_seminorm(
     upper = max(vup, settled_bound, best_lower, exact_best)
     grid_step = min((a2 - a1 for a1, a2 in refined), default=0.0)
     cert = SeminormCertificate(grid_step, abs_sweep.mass(lo, hi), upper - vlo)
-    stats = sum((v[3] for v in evals.values()), MedianStats())
+    swept = SeminormStats(exact_cells=len(exact), envelope_vertices=vertices)
+    stats = sum((v[3] for v in evals.values()), swept)
     return SeminormResult(vlo, upper, c, (best_a - 1.0, best_a + 1.0), cert, stats)
 
 

@@ -393,3 +393,56 @@ def test_grid_trace_bytes_are_pinned(workdir, s, z, tol, digest, stats):
     assert data.count(b"\n") == 1002
     assert hashlib.sha256(data).hexdigest() == digest
     assert json.loads((workdir / "meta.json").read_text())["stats"] == stats
+
+
+def _atom_files(workdir):
+    """Atom-only inputs with their positions and weights in exact binary
+    fractions: 61 atoms on [-6, 10], every fourth on a quarter grid (so
+    atoms sit at a +- 1 on cell ends), and two periodic bases of period 1."""
+    atoms = [(-6.0 + 16.0 * ((37 * k) % 101 + 0.5) / 101.0, ((53 * k) % 17 - 8) / 8.0)
+             for k in range(45)]
+    atoms += [(-5.0 + 0.25 * k, (-1.0) ** k * (k % 5 + 1) / 4.0) for k in range(0, 64, 4)]
+    mio.dump_measure(me.make_measure(atoms, (), (-6, 10)), workdir / "atoms.json")
+    for name, base in (("base1.json", [(0.125, 0.5), (0.6, -0.3)]),
+                       ("base2.json", [(0.25, -0.7), (0.8125, 0.4), (0.9, 0.15)])):
+        mio.dump_measure(me.PeriodicMeasure(me.make_measure(base, (), (0.0, 1.0)), 1.0),
+                         workdir / name)
+
+
+@pytest.mark.parametrize("argv, output, digest", [
+    (["seminorm", "--measure", "atoms.json", "--interval", "-4.5,7.25", "--tol", "1e-6"],
+     None, "52f7a50a561d84e4a924e7abb6b7bfcbd98efb57250290cf08ad522c9cf986be"),
+    (["gordon-scan", "--measure", "atoms.json", "--periods", "1.5,2,3", "--r-grid", "1,2",
+      "--tol", "1e-6", "--out", "scan.csv"], "scan.csv",
+     "da9cdeeb3359fff3e6c6a5a8797aec469afe9e3380d319596c1c55527621af05"),
+    (["quasiperiodic", "--alpha-levels", "4", "--base1", "base1.json", "--base2", "base2.json",
+      "--m", "3", "--out", "q.csv"], "q.csv",
+     "565cbb483f9996e2989838cf4065cf7fdce461f102997cc2578c2cdfe4bcf799"),
+])
+def test_atom_only_bytes_are_pinned(workdir, capsys, argv, output, digest):
+    # the stdout and CSV bytes of the exact staircase cells and the sliding
+    # atom sweep, as the per-cell walk and the per-candidate loop wrote them
+    import hashlib
+
+    _atom_files(workdir)
+    capsys.readouterr()
+    assert cli.run(argv) == 0
+    data = capsys.readouterr().out.encode() if output is None else (workdir / output).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_atom_only_meta_counts_the_exact_cells(workdir):
+    # the sidecar carries the interval result's counts; the stdout line is
+    # pinned above
+    from dataclasses import asdict
+
+    from weakgordon import seminorm as sn
+
+    _atom_files(workdir)
+    assert cli.run(["seminorm", "--measure", "atoms.json", "--interval", "-4.5,7.25",
+                    "--tol", "1e-6"]) == 0
+    stats = json.loads((workdir / "meta.json").read_text())["stats"]
+    res = sn.interval_seminorm(mio.load_measure(workdir / "atoms.json"), (-4.5, 7.25), 1e-6)
+    assert stats == asdict(res.stats)
+    assert stats["exact_cells"] > 0 and stats["envelope_vertices"] > 0
+    assert stats["median_steps"] == stats["l1_evaluations"] == 0

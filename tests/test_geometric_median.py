@@ -116,7 +116,7 @@ def test_point_term_holding_more_than_half():
     assert res.minimizer_c == level + sn._phi_offset(mu, -1.0)
     assert res.upper == pytest.approx(0.4 * abs(w) + 0.08 * abs(rho), rel=1e-15)
     assert res.lower == 0.5 * res.upper
-    assert res.stats == sn.MedianStats(median_steps=0, l1_evaluations=1)
+    assert res.stats == sn.SeminormStats(median_steps=0, l1_evaluations=1)
 
 
 def test_subnormal_stretch_gives_a_bracket():
@@ -149,7 +149,7 @@ def test_benchmark_complex_window_bytes(tmp_path, capsys):
     assert out[:2] == ["0.25977181516192449", "0.51954363032384898"]
     stats = json.loads((tmp_path / "meta.json").read_text())["stats"]
     res = sn.interval_seminorm(BENCH_COMPLEX0, (BENCH_A, BENCH_A + 2.0), 1e-4)
-    assert sn.MedianStats(**stats) == res.stats
+    assert sn.SeminormStats(**stats) == res.stats
     assert res.stats.median_steps > 0 and res.stats.l1_evaluations > res.stats.median_steps
 
 
@@ -161,7 +161,8 @@ def test_real_measure_stats_are_zero(tmp_path):
             "--csv", str(tmp_path / "scan.csv")]
     assert cli.run(argv) == 0
     stats = json.loads((tmp_path / "meta.json").read_text())["stats"]
-    assert stats == {"median_steps": 0, "l1_evaluations": 0}
+    assert stats == {"median_steps": 0, "l1_evaluations": 0, "exact_cells": 0,
+                     "envelope_vertices": 0}
 
 
 # the complex density and atom of test_median's edge corpus: c_med is not

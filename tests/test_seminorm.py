@@ -4,8 +4,9 @@
 replaced, kept here only as the oracle: breakpoint candidates, then
 refinement pruned by the global Lipschitz constant |mu|(I), the sliding
 unit-mass bound and the sliding sup of |phi - c|.  `_staircase_max` is
-the per-cell form of the exact staircase cells, kept as the oracle of the
-batched `_staircase_cells`.
+the per-cell form of the exact staircase cells, with its own envelope walk
+`_walk_one_cell`, kept as the oracle of the batched `_staircase_cells` and
+`_envelope_walk`.
 """
 
 import heapq
@@ -80,6 +81,20 @@ class TestIntervalSeminorm:
         r = sn.interval_seminorm(mu, (-0.5, 0.5), tol=1e-9)
         # peak of an admissible tent inside [-0.5, 0.5] is 0.5
         assert r.upper == pytest.approx(0.5, abs=1e-12)
+
+    def test_window_built_from_its_ends_is_one_window(self):
+        # near 2**17, (a + 1) - (a - 1) rounds up to 2 + 3e-11: the interval
+        # is still the one window at a, not a sweep (whose certificate holds
+        # |mu|(I) as its Lipschitz constant)
+        S = 2.0**17
+        mu = me.make_measure([(S - 0.7, 0.6), (S + 0.2, -0.9), (S + 1.1, 0.5)],
+                             ((S - 1.5, S + 1.5, (0.3, -0.2)),), (S - 4, S + 4))
+        longer = 0
+        for a in np.random.default_rng(1).uniform(S - 2.0, S + 2.0, 300).tolist():
+            longer += (a + 1.0) - (a - 1.0) > 2.0
+            r = sn.interval_seminorm(mu, (a - 1.0, a + 1.0))
+            assert repr(r) == repr(sn.window_seminorm(mu, a))
+        assert longer > 0
 
     def test_tol_must_be_positive(self):
         # NaN too: a `tol <= 0` test lets it by, and no node closes under it
@@ -447,12 +462,35 @@ class TestEventEdges:
 # the batched staircase kernel against the per-cell form it replaced
 
 
+def _walk_one_cell(A, B):
+    """(t, value, vertices passed) maximising min_k (A[k] + t (B[k] - A[k]))
+    over t in [0, 1], one cell at a time: walk the vertices of the concave
+    minimum to the right from t = 0 until the active slope is no longer
+    positive."""
+    slopes = [b - a for a, b in zip(A, B)]
+    k = min(range(len(A)), key=A.__getitem__)
+    t, vertices = 0.0, 0
+    while slopes[k] > 0.0:
+        # the first crossing to the right (at t itself on a tie), by the
+        # flattest line among equal crossings; none: k stays minimal to t = 1
+        crossings = [((A[j] - A[k]) / (slopes[k] - s), s, j)
+                     for j, s in enumerate(slopes) if s < slopes[k]]
+        tc, _, j = min(crossings, default=(1.0, 0.0, k))
+        if tc >= 1.0:
+            t = 1.0
+            break
+        t, k = max(t, tc), j
+        vertices += 1
+    return t, min(a + t * s for a, s in zip(A, slopes)), vertices
+
+
 def _staircase_max(xs, ws, a1, a2):
-    """(max, argmax) of N(a) over one exact cell, one level at a time."""
+    """(max, argmax, envelope vertices) of N(a) over one exact cell, one
+    level at a time."""
     m = 0.5 * (a1 + a2)
     i0, i1 = bisect_right(xs, m - 1.0), bisect_left(xs, m + 1.0)
     if i0 == i1:
-        return 0.0, a1
+        return 0.0, a1, 0
     levels = [0.0]
     for w in ws[i0:i1]:
         levels.append(levels[-1] + w)
@@ -464,8 +502,8 @@ def _staircase_max(xs, ws, a1, a2):
         last = max(a + 1.0 - xs[i1 - 1], 0.0)
         at_ends.append([f + abs(levels[0] - c) * first + abs(levels[-1] - c) * last
                         for f, c in zip(inner, levels)])
-    t, value = sn._envelope_max(*at_ends)
-    return value, min(a1 + t * (a2 - a1), a2)
+    t, value, vertices = _walk_one_cell(*at_ends)
+    return value, min(a1 + t * (a2 - a1), a2), vertices
 
 
 def _event_cells(xs, lo, hi):
@@ -476,8 +514,10 @@ def _event_cells(xs, lo, hi):
 
 
 def _assert_matches_oracle(xs, ws, cells):
-    got = sn._staircase_cells(xs, ws, cells)
-    assert repr(got) == repr([_staircase_max(xs, ws, a1, a2) for a1, a2 in cells])
+    got, vertices = sn._staircase_cells(xs, ws, cells)
+    want = [_staircase_max(xs, ws, a1, a2) for a1, a2 in cells]
+    assert repr(got) == repr([w[:2] for w in want])
+    assert vertices == sum(w[2] for w in want)
 
 
 @st.composite
@@ -513,6 +553,25 @@ def test_staircase_cells_match_the_per_cell_form(case):
     _assert_matches_oracle(*case)
 
 
+# (A, B, t, vertices passed) of named envelope walks
+NAMED_WALKS = [
+    # every slope positive: the lowest line stays lowest, up to t = 1
+    ([1.0, 2.0, 3.0], [2.0, 4.0, 5.0], 1.0, 0),
+    # a zero-slope level: the walk stops at the leftmost point of the plateau
+    ([1.0, 2.0, 4.0], [3.0, 2.0, 5.0], 0.5, 1),
+    # three lines cross at t = 1/2: the flattest is taken, no second step
+    ([0.0, 0.5, 1.5, 9.0], [2.0, 1.5, 0.5, 9.0], 0.5, 1),
+    # two equal lines cross the first at once: the first of them is taken
+    ([0.0, 0.25, 0.25], [1.0, 0.25, 0.25], 0.25, 1),
+    # two lowest lines at t = 0: from the first, a vertex at t = 0 itself
+    ([0.0, 0.0, 1.0], [2.0, 1.0, 0.0], 0.5, 2),
+    # three lines through (0.45, 0.7): the second crossing rounds to the
+    # left of the first, and t stays where it is
+    ([-0.15500000000000003, 0.38499999999999995, 0.88],
+     [1.7449999999999999, 1.085, 0.48], 0.45000000000000007, 2),
+]
+
+
 class TestStaircaseCells:
     def test_named_cells(self):
         # no atoms; one atom; atoms at a +- 1 on the cell ends; tied levels
@@ -522,8 +581,31 @@ class TestStaircaseCells:
                        tied, ([0.0, 0.5], [1.0, -1.0])):
             cells = _event_cells(xs, -3.0, 4.0) + [(0.25, 0.25)]
             _assert_matches_oracle(xs, ws, cells)
-        assert sn._staircase_cells([], [], [(0.0, 1.0)]) == [(0.0, 0.0)]
-        assert sn._staircase_cells([0.0], [1.0], []) == []
+        assert sn._staircase_cells([], [], [(0.0, 1.0)]) == ([(0.0, 0.0)], 0)
+        assert sn._staircase_cells([0.0], [1.0], []) == ([], 0)
+        # cells that see no atom in one block with cells that see several
+        xs, ws = [0.0, 0.25, 0.5, 3.0], [0.7, -1.1, 0.4, 0.9]
+        _assert_matches_oracle(xs, ws, [(-0.5, -0.25), (1.6, 1.9), (5.5, 6.0), (-0.25, 0.0)])
+
+    @pytest.mark.parametrize("A, B, t, vertices", NAMED_WALKS)
+    def test_named_walks(self, A, B, t, vertices):
+        want = _walk_one_cell(A, B)
+        assert want[0] == t and want[2] == vertices
+        got = sn._envelope_walk(np.array([A]), np.subtract([B], [A]))
+        assert repr((got[0].item(), got[1].item(), got[2])) == repr(want)
+
+    def test_named_walks_in_one_padded_block(self):
+        # every named walk and a one-line cell as the rows of one block
+        cases = [(A, B) for A, B, _, _ in NAMED_WALKS] + [([0.0], [0.0])]
+        A = np.full((len(cases), max(len(a) for a, _ in cases)), np.inf)
+        S = np.zeros_like(A)
+        for r, (a, b) in enumerate(cases):
+            A[r, :len(a)] = a
+            S[r, :len(a)] = np.subtract(b, a)
+        t, value, vertices = sn._envelope_walk(A, S)
+        want = [_walk_one_cell(a, b) for a, b in cases]
+        assert repr(list(zip(t.tolist(), value.tolist()))) == repr([w[:2] for w in want])
+        assert vertices == sum(w[2] for w in want)
 
     def test_blocks_split_cells(self, monkeypatch):
         # mixed K across block boundaries: blocks of one to three cells
@@ -545,14 +627,14 @@ class TestStaircaseCells:
         cells = [c for c in _event_cells(xs, 0.0, 4.0) if 1.9 < c[0] < 2.1][:20]
         tracemalloc.start()
         try:
-            got = sn._staircase_cells(xs, ws, cells)
+            got = sn._staircase_cells(xs, ws, cells)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(cells) == 20
         assert peak <= 16 * 2**20, peak
         for k in (0, 19):
-            assert repr(got[k]) == repr(_staircase_max(xs, ws, *cells[k]))
+            assert repr(got[k]) == repr(_staircase_max(xs, ws, *cells[k])[:2])
 
 
 # ---------------------------------------------------------------------------
