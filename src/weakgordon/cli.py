@@ -5,8 +5,9 @@ mollify.  Every run writes a machine-readable meta.json sidecar with the
 tool version, parameters and certificates.  Outputs are decimal text at 17
 significant digits, so identical configurations give byte-identical files.
 
-Exit codes: 0 success, 2 parse/validation error, 3 numerical-tolerance
-failure, 4 resource budget exceeded (including RepresentationError).
+Exit codes: 0 success, 2 parse/validation error or a file that cannot be
+read or written (OSError), 3 numerical-tolerance failure, 4 resource budget
+exceeded (including RepresentationError).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _write_csv(path, header, columns, footer_lines=()):
         fmts.append(fmt)
         cells.extend(parts)
     row = ",".join(fmts) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with mio.rewrite(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK):
             block = tuple(chain.from_iterable(zip(*(c[i:i + _CSV_BLOCK] for c in cells))))
@@ -93,7 +94,7 @@ def _write_meta(ctx, subcommand, params, certificates, stats=None):
     if stats is not None:
         doc["stats"] = stats
     # one write: json.dump would hand the file one call per token
-    with open(path, "w", encoding="utf-8") as fh:
+    with mio.rewrite(path) as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
@@ -286,6 +287,8 @@ def quasiperiodic_cmd(ctx, levels, base1, base2, m_level, tol, out):
     defect = go.translation_defect(q.measure, p_m, tol)
     eps = abs(alpha.alpha * conv.denominator - conv.numerator)
     bound = 3.0 * float(eps) * me.norm_unif(q.part2)
+    # rounding slack relative to the compared values, so the flag is scale-free
+    dominance_cap = bound + defect.width + 1e-12 * max(bound, defect.upper)
     rows = []
     for mm, cv, cert, ok in alpha.approximation_certificate():
         rows.append((mm, float(cv.numerator), float(cv.denominator), float(cert),
@@ -294,7 +297,7 @@ def quasiperiodic_cmd(ctx, levels, base1, base2, m_level, tol, out):
         f"defect_lo,{_fmt(defect.lower)}",
         f"defect_hi,{_fmt(defect.upper)}",
         f"defect_bound,{_fmt(bound)}",
-        f"dominates,{1 if defect.upper <= bound + defect.width + 1e-12 else 0}",
+        f"dominates,{1 if defect.upper <= dominance_cap else 0}",
     ]
     _write_csv(out, ["m", "p", "q", "certificate", "cert_ok"], zip(*rows), footer)
     _write_meta(
@@ -405,6 +408,9 @@ def run(argv=None) -> int:
     except (ResourceError, RepresentationError) as e:
         click.echo(f"resource budget exceeded: {e}", err=True)
         return 4
+    except OSError as e:
+        click.echo(f"error: {e}", err=True)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,13 +13,25 @@ rejected, as are overlapping segments, with line-anchored messages.  A
 list is checked in bulk; its failing element is looked for only then.
 With "periodic" the atoms/segments are the base on [0, p).  The writer
 gives the text of json.dumps(..., indent=1), with shortest-repr floats.
+
+`rewrite(path)` is the package's one way to write a file: measure files,
+and the CLI's CSV tables and meta.json.  It writes over an existing file
+in place and then cuts it to the new length, with no truncation to zero
+first (on ext4 that truncation costs more than a small file's write).
+A target that is not a regular file, such as /dev/null, is not cut.  An
+exception inside the block still cuts the file, so it holds the new text
+written so far and nothing of the old; a crash midway can leave new bytes
+followed by old ones (where truncating first could leave it short).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
 from operator import lt
@@ -191,6 +203,19 @@ def load_measure(path):
         return parse_measure(fh.read())
 
 
+@contextmanager
+def rewrite(path):
+    """A UTF-8 text handle that writes `path` from its start, with "\n" line
+    ends; on leaving, a regular file is cut where the writing stopped."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 _ATOM = '\n  {\n   "x": %r,\n   "re": %r,\n   "im": %r\n  }'
 _SEGMENT = ['\n  {\n   "a": %r,\n   "b": %r,\n   "coeffs": ['
             + ",".join(['\n    [\n     %r,\n     %r\n    ]'] * n)
@@ -212,5 +237,5 @@ def dump_measure(obj, path):
     if base is not obj:
         vals.append(obj.period)
         text += ',\n "periodic": {\n  "period": %r\n }'
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite(path) as fh:
         fh.write((text + "\n}\n") % tuple(map(float, vals)))

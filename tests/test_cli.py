@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import os
 
 import pytest
 
 from weakgordon import cli
+from weakgordon import gordon as go
 from weakgordon import measure as me
 from weakgordon import measure_io as mio
 from weakgordon.errors import RepresentationError, ValidationError
@@ -168,6 +171,43 @@ class TestExitCodes:
         assert rc == 4
         assert "resource budget exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sharpness", "--m-max", "2", "--out", "missing/rep.csv"],
+        ["--meta", "missing/meta.json", "seminorm", "--measure", "dirac.json",
+         "--interval", "-1,1"],
+        ["seminorm", "--measure", ".", "--interval", "-1,1"],
+    ], ids=["out", "meta", "directory-as-measure"])
+    def test_file_error_exit_2(self, workdir, capsys, argv):
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_outputs_to_dev_null(self, workdir):
+        # a character device is written but not cut
+        assert cli.run(["--meta", "/dev/null", "sharpness", "--m-max", "2",
+                        "--out", "/dev/null"]) == 0
+
+
+class TestRewrite:
+    def test_shorter_outputs_equal_fresh_ones(self, workdir, monkeypatch):
+        # a long CSV and a long meta.json, rewritten by a command with
+        # shorter ones, hold the bytes that command writes to fresh paths
+        assert cli.run(["sharpness", "--m-max", "2", "--out", "rep.csv",
+                        "--plot", "trace.csv"]) == 0
+        before = [(workdir / name).stat().st_size for name in ("trace.csv", "meta.json")]
+        argv = ["propagate", "--measure", "dirac.json", "--z", "0,0", "--from", "0",
+                "--init", "1,0,0,0", "--grid", "-0.5:0.5:0.25", "--out", "trace.csv"]
+        assert cli.run(argv) == 0
+        fresh = workdir / "fresh"
+        fresh.mkdir()
+        (fresh / "dirac.json").write_text(DIRAC)
+        monkeypatch.chdir(fresh)
+        assert cli.run(argv) == 0
+        for name, size in zip(("trace.csv", "meta.json"), before):
+            assert (workdir / name).read_bytes() == (fresh / name).read_bytes()
+            assert (fresh / name).stat().st_size < size
+
 
 class TestQuasiperiodicCommand:
     def test_report(self, workdir):
@@ -178,6 +218,25 @@ class TestQuasiperiodicCommand:
         assert rc == 0
         text = (workdir / "q.csv").read_text()
         assert "dominates,1" in text
+
+    @pytest.mark.parametrize("doubled, flag", [(False, "1"), (True, "0")])
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_dominates_is_scale_free(self, workdir, monkeypatch, k, doubled, flag):
+        # both bases' weights times 2^k scale the defect and the bound exactly;
+        # a defect doubled above the bound by about 0.3 at unit scale stays
+        # not dominated at 2^-40, where an absolute slack of 1e-12 covered it
+        for name, base in (("base1.json", [(0.125, 0.5), (0.6, -0.3)]),
+                           ("base2.json", [(0.25, -0.7), (0.8125, 0.4), (0.9, 0.15)])):
+            atoms = [(x, w * 2.0 ** k) for x, w in base]
+            mio.dump_measure(me.PeriodicMeasure(me.make_measure(atoms, (), (0.0, 1.0)), 1.0),
+                             workdir / name)
+        if doubled:
+            defect = go.translation_defect
+            monkeypatch.setattr(go, "translation_defect", lambda *args: dataclasses.replace(
+                res := defect(*args), lower=2.0 * res.lower, upper=2.0 * res.upper))
+        assert cli.run(["quasiperiodic", "--alpha-levels", "4", "--base1", "base1.json",
+                        "--base2", "base2.json", "--m", "2", "--out", "q.csv"]) == 0
+        assert (workdir / "q.csv").read_text().splitlines()[-1] == f"dominates,{flag}"
 
     def test_nonperiodic_base_exit_2(self, workdir):
         rc = cli.run(

@@ -334,3 +334,35 @@ def test_writer_is_indent_one_json(mu, tmp_path_factory):
     text = path.read_text()
     assert text == reference_text(mu)
     assert mio.parse_measure(text) == mu
+
+
+# ---------------------------------------------------------------------------
+# `rewrite`: over an existing file in place, cut to the new length
+
+
+def test_rewritten_measure_file_equals_a_fresh_one(tmp_path):
+    long = me.make_measure([(0.125 * k, 1.0 + 0.5j) for k in range(-40, 40)],
+                           [(5.5, 6.0, (1.0, -2.0, 0.5))], (-6, 6))
+    short = me.make_measure([(0.0, 1.0)], (), (-1, 1))
+    mio.dump_measure(long, tmp_path / "m.json")
+    mio.dump_measure(short, tmp_path / "m.json")
+    mio.dump_measure(short, tmp_path / "fresh.json")
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert mio.load_measure(tmp_path / "m.json") == short
+
+
+def test_exception_inside_rewrite_leaves_only_the_new_prefix(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old text, much longer than the new one\n" * 100)
+    with pytest.raises(RuntimeError, match="midway"):
+        with mio.rewrite(path) as fh:
+            fh.write("new\n")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"new\n"
+
+
+def test_rewrite_creates_a_missing_file(tmp_path):
+    path = tmp_path / "new.txt"
+    with mio.rewrite(path) as fh:
+        fh.write("line one\nline two\n")
+    assert path.read_bytes() == b"line one\nline two\n"
