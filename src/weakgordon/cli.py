@@ -1,24 +1,34 @@
-"""Command-line front end.
+"""Weak Gordon seminorms and eigenvalue-exclusion certificates.
 
-Subcommands: seminorm, propagate, gordon-scan, quasiperiodic, sharpness,
-mollify.  Every run writes a machine-readable meta.json sidecar with the
-tool version, parameters and certificates.  Outputs are decimal text at 17
-significant digits, so identical configurations give byte-identical files.
+The command line, `weakgordon [--meta PATH] COMMAND [OPTIONS]`, with the
+subcommands seminorm, propagate, gordon-scan, quasiperiodic, sharpness and
+mollify.  One table, `_COMMANDS`, holds each subcommand's function and its
+options (destination, converter, default or `_REQUIRED`, help text), and one
+parser, `_parse`, reads argv against it.  An option is `--name value` or
+`--name=value`; the value is the next token whatever it starts with, so
+`--interval -1,1` works, and a later repeat of an option wins.  `--help` (on
+the group and on each subcommand) and `--version` are built from the table
+and the command docstrings.
 
-Exit codes: 0 success, 2 parse/validation error or a file that cannot be
-read or written (OSError), 3 numerical-tolerance failure, 4 resource budget
-exceeded (including RepresentationError).
+Every run writes a machine-readable meta.json sidecar with the tool version,
+parameters and certificates.  Outputs are decimal text at 17 significant
+digits, so identical configurations give byte-identical files.
+
+Exit codes: 0 success (also after --help and --version), 2 a usage error
+(one `Error: ...` line on stderr), a validation error or a file that cannot
+be read or written (OSError), 3 numerical-tolerance failure, 4 resource
+budget exceeded (including RepresentationError).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from itertools import chain, repeat
 
-import click
 import numpy as np
 
 from . import __version__
@@ -34,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .propagator import propagate
-from .seminorm import interval_seminorm, window_seminorm
+from .seminorm import SeminormStats, interval_seminorm, window_seminorm
 
 
 def _fmt(x) -> str:
@@ -82,8 +92,8 @@ def _write_csv(path, header, columns, footer_lines=()):
             fh.write(line + "\n")
 
 
-def _write_meta(ctx, subcommand, params, certificates, stats=None):
-    path = ctx.obj.get("meta") or "meta.json"
+def _write_meta(meta, subcommand, params, certificates, stats=None):
+    path = meta or "meta.json"
     doc = {
         "tool": "weakgordon",
         "version": __version__,
@@ -109,53 +119,34 @@ def _load_local(path, window=None):
     return obj
 
 
-def _parse_pair(s, name):
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"--{name} expects two comma-separated values")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_list(s, name):
+def _floats(value, name, form=None):
+    """The numbers of an option value.  With a `form` such as "a,b" or
+    "a:b:step" the value must have its shape; without one it is a comma
+    list whose empty items are skipped."""
+    sep = ":" if form and ":" in form else ","
+    parts = value.split(sep)
+    if form is None:
+        parts = [v for v in parts if v.strip()]
+    elif len(parts) != form.count(sep) + 1:
+        raise ValidationError(f"--{name} expects {form}")
     try:
-        return [float(v) for v in s.split(",") if v.strip()]
+        return [float(v) for v in parts]
     except ValueError as e:
         raise ValidationError(f"--{name}: {e}") from e
 
 
-@click.group()
-@click.option("--meta", type=click.Path(), default=None, help="meta sidecar path")
-@click.version_option(__version__)
-@click.pass_context
-def main(ctx, meta):
-    """Weak Gordon seminorms and eigenvalue-exclusion certificates."""
-    ctx.ensure_object(dict)
-    ctx.obj["meta"] = meta
-
-
-@main.command("seminorm")
-@click.option("--measure", "measure_path", required=True, type=click.Path(exists=True))
-@click.option("--interval", required=True, help="a,b")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--window-at", "window_at", type=float, default=None,
-              help="evaluate the single window [a-1, a+1] instead of the sup")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="dump a -> N(a) samples")
-@click.pass_context
-def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
+def seminorm_cmd(meta, measure_path, interval, tol, window_at, csv_path):
     """Certified seminorm over an interval; prints
     `lower upper c_re c_im witness_a`."""
-    a, b = _parse_pair(interval, "interval")
+    a, b = _floats(interval, "interval", "a,b")
     mu = _load_local(measure_path, (a, b))
     if window_at is not None:
         res = window_seminorm(mu, window_at)
     else:
         res = interval_seminorm(mu, (a, b), tol)
     witness_a = 0.5 * (res.witness_window[0] + res.witness_window[1])
-    click.echo(
-        f"{_fmt(res.lower)} {_fmt(res.upper)} {_fmt(res.minimizer_c.real)} "
-        f"{_fmt(res.minimizer_c.imag)} {_fmt(witness_a)}"
-    )
+    print(f"{_fmt(res.lower)} {_fmt(res.upper)} {_fmt(res.minimizer_c.real)} "
+          f"{_fmt(res.minimizer_c.imag)} {_fmt(witness_a)}")
     stats = res.stats
     if csv_path:
         if b - a > 2.0:
@@ -172,9 +163,9 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
                    [centers, [w.lower for w in ws], [w.upper for w in ws]])
         stats = sum((w.stats for w in ws if w is not res), stats)
     _write_meta(
-        ctx,
+        meta,
         "seminorm",
-        {"measure": str(measure_path), "interval": [a, b], "tol": tol,
+        {"measure": measure_path, "interval": [a, b], "tol": tol,
          "window_at": window_at},
         {"lower": res.lower, "upper": res.upper,
          "grid_step": res.certificate.grid_step,
@@ -184,25 +175,11 @@ def seminorm_cmd(ctx, measure_path, interval, tol, window_at, csv_path):
     )
 
 
-@main.command("propagate")
-@click.option("--measure", "measure_path", required=True, type=click.Path(exists=True))
-@click.option("--z", required=True, help="re,im")
-@click.option("--from", "s_from", required=True, type=float)
-@click.option("--init", required=True, help="u0re,u0im,du0re,du0im")
-@click.option("--grid", required=True, help="a:b:step")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.pass_context
-def propagate_cmd(ctx, measure_path, z, s_from, init, grid, tol, out):
+def propagate_cmd(meta, measure_path, z, s_from, init, grid, tol, out):
     """Propagate an initial state along a grid; writes t,u_re,u_im,du_re,du_im."""
-    zr, zi = _parse_pair(z, "z")
-    parts = [float(v) for v in init.split(",")]
-    if len(parts) != 4:
-        raise ValidationError("--init expects u0re,u0im,du0re,du0im")
-    gp = grid.split(":")
-    if len(gp) != 3:
-        raise ValidationError("--grid expects a:b:step")
-    ga, gb, gs = float(gp[0]), float(gp[1]), float(gp[2])
+    zr, zi = _floats(z, "z", "re,im")
+    parts = _floats(init, "init", "u0re,u0im,du0re,du0im")
+    ga, gb, gs = _floats(grid, "grid", "a:b:step")
     if gs <= 0 or gb <= ga:
         raise ValidationError("--grid needs a < b and step > 0")
     pts = np.arange(ga, gb + gs / 2, gs)
@@ -214,27 +191,19 @@ def propagate_cmd(ctx, measure_path, z, s_from, init, grid, tol, out):
     _write_csv(out, ["t", "u_re", "u_im", "du_re", "du_im"],
                [tr.grid, tr.u.real, tr.u.imag, tr.du.real, tr.du.imag])
     _write_meta(
-        ctx,
+        meta,
         "propagate",
-        {"measure": str(measure_path), "z": [zr, zi], "from": s_from,
-         "init": parts, "grid": [ga, gb, gs], "tol": tol, "out": str(out)},
+        {"measure": measure_path, "z": [zr, zi], "from": s_from,
+         "init": parts, "grid": [ga, gb, gs], "tol": tol, "out": out},
         {"jumps": len(tr.jump_log)},
         asdict(tr.stats),
     )
 
 
-@main.command("gordon-scan")
-@click.option("--measure", "measure_path", required=True, type=click.Path(exists=True))
-@click.option("--periods", required=True, help="p1,p2,...")
-@click.option("--C", "weight", type=float, default=None, help="Gordon weight for ratios")
-@click.option("--r-grid", "r_grid", required=True, help="r1,r2,...")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.pass_context
-def gordon_scan_cmd(ctx, measure_path, periods, weight, r_grid, tol, out):
+def gordon_scan_cmd(meta, measure_path, periods, weight, r_grid, tol, out):
     """Translation-defect scan with C_mu / E_mu estimates."""
-    ps = _parse_list(periods, "periods")
-    rs = _parse_list(r_grid, "r-grid")
+    ps = _floats(periods, "periods")
+    rs = _floats(r_grid, "r-grid")
     if not ps:
         raise ValidationError("--periods must be nonempty")
     pmax = max(ps)
@@ -251,28 +220,20 @@ def gordon_scan_cmd(ctx, measure_path, periods, weight, r_grid, tol, out):
         footer,
     )
     _write_meta(
-        ctx,
+        meta,
         "gordon-scan",
-        {"measure": str(measure_path), "periods": ps, "C": weight,
-         "r_grid": rs, "tol": tol, "out": str(out)},
+        {"measure": measure_path, "periods": ps, "C": weight,
+         "r_grid": rs, "tol": tol, "out": out},
         {
             "C_mu": rep.C_mu_estimate if math.isfinite(rep.C_mu_estimate) else "inf",
             "E_mu": rep.E_mu_estimate if math.isfinite(rep.E_mu_estimate) else "inf",
             "defect_brackets": [[r.defect.lower, r.defect.upper] for r in rep.rows],
         },
+        asdict(sum((r.defect.stats for r in rep.rows), SeminormStats())),
     )
 
 
-@main.command("quasiperiodic")
-@click.option("--alpha-levels", "levels", type=int, default=4, show_default=True)
-@click.option("--base1", required=True, type=click.Path(exists=True))
-@click.option("--base2", required=True, type=click.Path(exists=True))
-@click.option("--m", "m_level", type=int, default=2, show_default=True,
-              help="convergent level supplying the test period")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.pass_context
-def quasiperiodic_cmd(ctx, levels, base1, base2, m_level, tol, out):
+def quasiperiodic_cmd(meta, levels, base1, base2, m_level, tol, out):
     """Quasiperiodic example: rational-approximation certificates and the
     translation-defect bound at the level-m convergent period."""
     b1 = mio.load_measure(base1)
@@ -280,6 +241,9 @@ def quasiperiodic_cmd(ctx, levels, base1, base2, m_level, tol, out):
     if not isinstance(b1, me.PeriodicMeasure) or not isinstance(b2, me.PeriodicMeasure):
         raise ValidationError("base1/base2 must be periodic measure files")
     alpha = cons.liouville_alpha(levels)
+    if not 1 <= m_level <= len(alpha.convergents):
+        raise ValidationError(
+            f"--m must be in [1, {len(alpha.convergents)}], got {m_level}")
     conv = alpha.convergents[m_level - 1]
     p_m = float(conv.numerator)
     window = (-p_m - 1.0, 2.0 * p_m + 1.0)
@@ -301,24 +265,17 @@ def quasiperiodic_cmd(ctx, levels, base1, base2, m_level, tol, out):
     ]
     _write_csv(out, ["m", "p", "q", "certificate", "cert_ok"], zip(*rows), footer)
     _write_meta(
-        ctx,
+        meta,
         "quasiperiodic",
-        {"alpha_levels": levels, "base1": str(base1), "base2": str(base2),
-         "m": m_level, "tol": tol, "out": str(out)},
+        {"alpha_levels": levels, "base1": base1, "base2": base2,
+         "m": m_level, "tol": tol, "out": out},
         {"alpha_proxy": str(q.alpha_proxy), "period": p_m,
          "defect": [defect.lower, defect.upper], "bound": bound},
+        asdict(defect.stats),
     )
 
 
-@main.command("sharpness")
-@click.option("--m-max", "m_max", type=int, default=3, show_default=True)
-@click.option("--C", "weight", type=float, default=0.9, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-@click.option("--plot", "plot_path", type=click.Path(), default=None,
-              help="CSV of the eigenfunction on the first two level windows")
-@click.pass_context
-def sharpness_cmd(ctx, m_max, weight, tol, out, plot_path):
+def sharpness_cmd(meta, m_max, weight, tol, out, plot_path):
     """Sharpness construction report: defects, weighted ratios, residuals."""
     S = cons.sharpness_construction(m_max)
     rep = cons.sharpness_report(S, weight, tol=tol)
@@ -358,10 +315,10 @@ def sharpness_cmd(ctx, m_max, weight, tol, out, plot_path):
         ts, us = cons.eigenfunction_trace(S, win, step=0.01)
         _write_csv(plot_path, ["t", "u"], [ts, us])
     _write_meta(
-        ctx,
+        meta,
         "sharpness",
-        {"m_max": m_max, "C": weight, "tol": tol, "out": str(out),
-         "plot": plot_path and str(plot_path)},
+        {"m_max": m_max, "C": weight, "tol": tol, "out": out,
+         "plot": plot_path},
         {"C_mu_estimate": rep.C_mu_estimate, "E_mu_estimate": rep.E_mu_estimate,
          "eigen_residual": rep.eigen_residual,
          "residual_window": list(rep.residual_window),
@@ -369,47 +326,178 @@ def sharpness_cmd(ctx, m_max, weight, tol, out, plot_path):
     )
 
 
-@main.command("mollify")
-@click.option("--measure", "measure_path", required=True, type=click.Path(exists=True))
-@click.option("--n", "order", required=True, type=int)
-@click.option("--out", required=True, type=click.Path())
-@click.pass_context
-def mollify_cmd(ctx, measure_path, order, out):
+def mollify_cmd(meta, measure_path, order, out):
     """Write the mollified measure (piecewise-cubic density) as JSON."""
     mu = _load_local(measure_path)
     mol, err = me.mollify_with_error(mu, order)
     mio.dump_measure(mol, out)
     _write_meta(
-        ctx,
+        meta,
         "mollify",
-        {"measure": str(measure_path), "n": order, "out": str(out)},
+        {"measure": measure_path, "n": order, "out": out},
         {"sup_error_bound": err, "segments": len(mol.segments)},
     )
 
 
+def _existing(path):
+    """An input path, which must exist."""
+    if not os.path.exists(path):
+        raise ValueError(f"Path {path!r} does not exist.")
+    return path
+
+
+_REQUIRED = object()  # the default of an option that must be given
+
+# option -> (destination, converter, default or _REQUIRED, help); a str
+# value passes through os.fspath, which only marks it a path in --help
+_GROUP = {"--meta": ("meta", os.fspath, None, "meta sidecar path")}
+_COMMANDS = {
+    "seminorm": (seminorm_cmd, {
+        "--measure": ("measure_path", _existing, _REQUIRED, ""),
+        "--interval": ("interval", str, _REQUIRED, "a,b"),
+        "--tol": ("tol", float, 1e-9, ""),
+        "--window-at": ("window_at", float, None,
+                        "evaluate the single window [a-1, a+1] instead of the sup"),
+        "--csv": ("csv_path", os.fspath, None, "dump a -> N(a) samples"),
+    }),
+    "propagate": (propagate_cmd, {
+        "--measure": ("measure_path", _existing, _REQUIRED, ""),
+        "--z": ("z", str, _REQUIRED, "re,im"),
+        "--from": ("s_from", float, _REQUIRED, ""),
+        "--init": ("init", str, _REQUIRED, "u0re,u0im,du0re,du0im"),
+        "--grid": ("grid", str, _REQUIRED, "a:b:step"),
+        "--tol": ("tol", float, 1e-8, ""),
+        "--out": ("out", os.fspath, _REQUIRED, ""),
+    }),
+    "gordon-scan": (gordon_scan_cmd, {
+        "--measure": ("measure_path", _existing, _REQUIRED, ""),
+        "--periods": ("periods", str, _REQUIRED, "p1,p2,..."),
+        "--C": ("weight", float, None, "Gordon weight for ratios"),
+        "--r-grid": ("r_grid", str, _REQUIRED, "r1,r2,..."),
+        "--tol": ("tol", float, 1e-9, ""),
+        "--out": ("out", os.fspath, _REQUIRED, ""),
+    }),
+    "quasiperiodic": (quasiperiodic_cmd, {
+        "--alpha-levels": ("levels", int, 4, ""),
+        "--base1": ("base1", _existing, _REQUIRED, ""),
+        "--base2": ("base2", _existing, _REQUIRED, ""),
+        "--m": ("m_level", int, 2, "convergent level supplying the test period"),
+        "--tol": ("tol", float, 1e-9, ""),
+        "--out": ("out", os.fspath, _REQUIRED, ""),
+    }),
+    "sharpness": (sharpness_cmd, {
+        "--m-max": ("m_max", int, 3, ""),
+        "--C": ("weight", float, 0.9, ""),
+        "--tol": ("tol", float, 1e-9, ""),
+        "--out": ("out", os.fspath, _REQUIRED, ""),
+        "--plot": ("plot_path", os.fspath, None,
+                   "CSV of the eigenfunction on the first two level windows"),
+    }),
+    "mollify": (mollify_cmd, {
+        "--measure": ("measure_path", _existing, _REQUIRED, ""),
+        "--n": ("order", int, _REQUIRED, ""),
+        "--out": ("out", os.fspath, _REQUIRED, ""),
+    }),
+}
+_METAVAR = {float: "FLOAT", int: "INTEGER", str: "TEXT", os.fspath: "PATH", _existing: "PATH"}
+
+
+class _UsageError(Exception):
+    """A malformed command line (exit 2)."""
+
+
+def _parse(argv):
+    """The subcommand's function and keyword arguments read from argv, or
+    None once --help or --version has been answered.  Group options come
+    before the subcommand, the subcommand's after it."""
+    args, command, spec, raw, meta = list(argv), None, _GROUP, {}, None
+    while args or command is None:
+        if not args or not args[0].startswith("-"):
+            if command is not None:
+                raise _UsageError(f"Got unexpected extra argument ({args[0]})")
+            if not args:
+                raise _UsageError("Missing command.")
+            command = args.pop(0)
+            if command not in _COMMANDS:
+                raise _UsageError(f"No such command {command!r}.")
+            meta, spec, raw = raw.get("--meta"), _COMMANDS[command][1], {}
+            continue
+        name, eq, value = args.pop(0).partition("=")
+        if name == "--help" or name == "--version" and command is None:
+            print(_help(command) if name == "--help" else f"weakgordon, version {__version__}")
+            return None
+        if name not in spec:
+            raise _UsageError(f"No such option {name!r}.")
+        if not eq:
+            if not args:
+                raise _UsageError(f"Option {name!r} requires an argument.")
+            value = args.pop(0)
+        raw[name] = value
+    kwargs = {"meta": meta}
+    for name, (dest, convert, default, _) in spec.items():
+        if name not in raw:
+            if default is _REQUIRED:
+                raise _UsageError(f"Missing option {name!r}.")
+            kwargs[dest] = default
+            continue
+        try:
+            kwargs[dest] = convert(raw[name])
+        except ValueError as e:
+            why = e if convert is _existing else (
+                f"{raw[name]!r} is not a valid {_METAVAR[convert].lower()}.")
+            raise _UsageError(f"Invalid value for {name!r}: {why}") from None
+    return _COMMANDS[command][0], kwargs
+
+
+def _help(command):
+    """The --help text of the group (command None) or of one subcommand."""
+    if command is None:
+        usage, doc, spec = "[OPTIONS] COMMAND [ARGS]...", __doc__.partition("\n")[0], _GROUP
+    else:
+        usage, (fn, spec) = f"{command} [OPTIONS]", _COMMANDS[command]
+        doc = "\n  ".join(line.strip() for line in fn.__doc__.splitlines())
+    rows = []
+    for name, (_, convert, default, text) in spec.items():
+        mark = ("[required]" if default is _REQUIRED else
+                "" if default is None else f"[default: {default}]")
+        rows.append((f"{name} {_METAVAR[convert]}", "  ".join(filter(None, (text, mark)))))
+    if command is None:
+        rows.append(("--version", "Show the version and exit."))
+    rows.append(("--help", "Show this message and exit."))
+    width = max(len(a) for a, _ in rows)
+    lines = [f"Usage: weakgordon {usage}", "", "  " + doc, "", "Options:",
+             *(f"  {a:<{width}}  {b}".rstrip() for a, b in rows)]
+    if command is None:
+        lines += ["", "Commands:", *(f"  {name:<13}  {' '.join(fn.__doc__.split())}"
+                                    for name, (fn, _) in _COMMANDS.items())]
+    return "\n".join(lines)
+
+
 def run(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping; argv defaults to
+    sys.argv[1:], as the console script calls it."""
     try:
-        main.main(args=argv, standalone_mode=False, obj={})
+        call = _parse(sys.argv[1:] if argv is None else argv)
+        if call is not None:
+            call[0](**call[1])
         return 0
-    except click.exceptions.Exit as e:
-        return e.exit_code
-    except click.exceptions.Abort:
+    except _UsageError as e:
+        print(f"Error: {e}", file=sys.stderr)
         return 2
-    except click.ClickException as e:
-        e.show()
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
         return 2
     except (ValidationError, DomainError) as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except ToleranceError as e:
-        click.echo(f"tolerance failure: {e}", err=True)
+        print(f"tolerance failure: {e}", file=sys.stderr)
         return 3
     except (ResourceError, RepresentationError) as e:
-        click.echo(f"resource budget exceeded: {e}", err=True)
+        print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 4
     except OSError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

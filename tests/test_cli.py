@@ -189,6 +189,128 @@ class TestExitCodes:
                         "--out", "/dev/null"]) == 0
 
 
+SEMINORM = ["seminorm", "--measure", "dirac.json", "--interval", "-1,1"]
+QUASI = ["quasiperiodic", "--base1", "comb.json", "--base2", "comb.json", "--out", "q.csv"]
+PROPAGATE = ["propagate", "--measure", "dirac.json", "--z", "0,0", "--from", "0", "--init",
+             "1,0,0,0", "--grid", "-0.5:0.5:0.25", "--out", "trace.csv"]
+USAGE_ERRORS = [
+    ([], "command"),
+    (["nope"], "'nope'"),
+    (["seminorm", "--interval", "-1,1"], "'--measure'"),
+    (SEMINORM + ["--tol", "x"], "'--tol'"),
+    (QUASI + ["--m", "x"], "'--m'"),
+    (["seminorm", "--meas", "dirac.json", "--interval", "-1,1"], "'--meas'"),
+    (["seminorm", "--measure", "nope.json", "--interval", "-1,1"], "'--measure'"),
+    (["quasiperiodic", "--base1", "nope.json", "--base2", "comb.json", "--out", "q.csv"],
+     "'--base1'"),
+    (SEMINORM + ["stray"], "stray"),
+    (SEMINORM + ["--tol"], "'--tol'"),
+    (SEMINORM + ["--meta", "m.json"], "'--meta'"),
+]
+USAGE_ERROR_IDS = ["no-command", "unknown-command", "missing-required", "bad-float", "bad-int",
+                   "abbreviation", "missing-measure-file", "missing-base1-file",
+                   "extra-positional", "missing-value", "meta-after-command"]
+
+
+class TestCommandLine:
+    """How argv is read: exit 0 for the runs, help and version below; exit 2
+    for a malformed command line, with a message on stderr that names the
+    option or command, nothing on stdout and no file written."""
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["--help"], ["--meta", "--version", "seminorm", "propagate", "gordon-scan",
+                      "quasiperiodic", "sharpness", "mollify"]),
+        (["seminorm", "--help"], ["--measure", "--interval", "--tol", "1e-09", "--window-at",
+                                  "--csv"]),
+        (["quasiperiodic", "--help"], ["--alpha-levels", "4", "--base1", "--base2", "--m",
+                                       "2", "--tol", "1e-09", "--out"]),
+        (["--version"], ["0.1.0"]),
+    ], ids=["group-help", "seminorm-help", "quasiperiodic-help", "version"])
+    def test_help_and_version(self, workdir, capsys, argv, shown):
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert all(word in out for word in shown)
+        assert not (workdir / "meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["seminorm", "--measure=dirac.json", "--interval=-1,1"],
+        # the first --interval lies outside the measure's window
+        ["seminorm", "--measure", "dirac.json", "--interval", "5,6", "--interval", "-1,1"],
+    ], ids=["equals-form", "last-repeat-wins"])
+    def test_seminorm_forms(self, workdir, capsys, argv):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == "1 1 -1 0 0\n"
+        meta = json.loads((workdir / "meta.json").read_text())
+        assert meta["parameters"]["interval"] == [-1.0, 1.0]
+
+    def test_values_may_start_with_a_dash(self, workdir):
+        assert cli.run(["propagate", "--measure", "dirac.json", "--z", "-0.5,-0.25",
+                        "--from", "-0.25", "--init", "-1,0,0.5,-1", "--grid", "-0.5:0.5:0.25",
+                        "--out", "trace.csv"]) == 0
+        params = json.loads((workdir / "meta.json").read_text())["parameters"]
+        assert (params["z"], params["from"], params["init"]) == (
+            [-0.5, -0.25], -0.25, [-1.0, 0.0, 0.5, -1.0])
+
+    @pytest.mark.parametrize("argv, name", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
+    def test_usage_errors_exit_2(self, workdir, capsys, argv, name):
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and name.lower() in err.lower()
+        assert not any(workdir.glob("m*.json")) and not (workdir / "q.csv").exists()
+
+    @pytest.mark.parametrize("argv, name", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
+    def test_usage_error_is_one_line(self, workdir, capsys, argv, name):
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, option", [
+        (SEMINORM + ["--interval", "-1,x"], "--interval"),
+        (PROPAGATE + ["--z", "a,0"], "--z"),
+        (PROPAGATE + ["--init", "1,0,0,"], "--init"),
+        (PROPAGATE + ["--grid", "0:x:1"], "--grid"),
+        (["gordon-scan", "--measure", "comb.json", "--periods", "1,y", "--r-grid", "1",
+          "--out", "scan.csv"], "--periods"),
+    ])
+    def test_bad_number_in_a_list_exit_2(self, workdir, capsys, argv, option):
+        # a list value's numbers are read by the command: exit 2 with an
+        # `error:` line, as for its shape
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+
+    def test_help_is_built_from_the_table(self, capsys):
+        for command, (fn, spec) in cli._COMMANDS.items():
+            assert cli.run([command, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert fn.__doc__.splitlines()[0] in out
+            for name, (_dest, _convert, default, text) in spec.items():
+                line = next(line for line in out.splitlines()
+                            if line.startswith(f"  {name} "))
+                assert text in line
+                assert ("[required]" in line) == (default is cli._REQUIRED)
+                assert (f"[default: {default}]" in line) == (
+                    default not in (None, cli._REQUIRED))
+
+    @pytest.mark.parametrize("code, rc, out", [
+        ("import weakgordon.cli, sys; assert 'click' not in sys.modules", 0, ""),
+        (None, 0, "weakgordon, version 0.1.0\n"),
+    ], ids=["no-click-import", "module-version"])
+    def test_in_a_fresh_process(self, code, rc, out):
+        # the second runs `python -m weakgordon.cli --version`, so run(None)
+        # reads sys.argv
+        import subprocess
+        import sys
+
+        import weakgordon
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakgordon.__file__)))
+        argv = ["-c", code] if code else ["-m", "weakgordon.cli", "--version"]
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
+
+
 class TestRewrite:
     def test_shorter_outputs_equal_fresh_ones(self, workdir, monkeypatch):
         # a long CSV and a long meta.json, rewritten by a command with
@@ -237,6 +359,13 @@ class TestQuasiperiodicCommand:
         assert cli.run(["quasiperiodic", "--alpha-levels", "4", "--base1", "base1.json",
                         "--base2", "base2.json", "--m", "2", "--out", "q.csv"]) == 0
         assert (workdir / "q.csv").read_text().splitlines()[-1] == f"dominates,{flag}"
+
+    @pytest.mark.parametrize("m", ["0", "-1", "5"])
+    def test_level_outside_the_convergents_exit_2(self, workdir, capsys, m):
+        # 4 alpha levels give 4 convergents; 0 and -1 once indexed from the end
+        assert cli.run(QUASI + ["--alpha-levels", "4", "--m", m]) == 2
+        assert capsys.readouterr().err == f"error: --m must be in [1, 4], got {m}\n"
+        assert not (workdir / "q.csv").exists()
 
     def test_nonperiodic_base_exit_2(self, workdir):
         rc = cli.run(
@@ -505,3 +634,31 @@ def test_atom_only_meta_counts_the_exact_cells(workdir):
     assert stats == asdict(res.stats)
     assert stats["exact_cells"] > 0 and stats["envelope_vertices"] > 0
     assert stats["median_steps"] == stats["l1_evaluations"] == 0
+
+
+def test_defect_scans_write_their_summed_stats(workdir):
+    # gordon-scan and quasiperiodic sidecars hold the counts of their
+    # translation defects, summed, as the library calls give them
+    from dataclasses import asdict
+
+    from weakgordon import constructions as cons
+    from weakgordon import seminorm as sn
+
+    _atom_files(workdir)
+    assert cli.run(["gordon-scan", "--measure", "atoms.json", "--periods", "1.5,2,3",
+                    "--r-grid", "1,2", "--tol", "1e-6", "--out", "scan.csv"]) == 0
+    rep = go.exclusion_bound(mio.load_measure(workdir / "atoms.json"), [1.5, 2.0, 3.0],
+                             [1.0, 2.0], tol=1e-6)
+    scan = sum((r.defect.stats for r in rep.rows), sn.SeminormStats())
+    assert json.loads((workdir / "meta.json").read_text())["stats"] == asdict(scan)
+
+    assert cli.run(["quasiperiodic", "--alpha-levels", "4", "--base1", "base1.json",
+                    "--base2", "base2.json", "--m", "3", "--out", "q.csv"]) == 0
+    alpha = cons.liouville_alpha(4)
+    p = float(alpha.convergents[2].numerator)
+    q = cons.quasiperiodic_measure(mio.load_measure(workdir / "base1.json"),
+                                   mio.load_measure(workdir / "base2.json"), alpha,
+                                   (-p - 1.0, 2.0 * p + 1.0))
+    defect = go.translation_defect(q.measure, p, 1e-9)
+    assert json.loads((workdir / "meta.json").read_text())["stats"] == asdict(defect.stats)
+    assert scan.exact_cells > 0 and defect.stats.exact_cells > 0
