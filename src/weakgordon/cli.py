@@ -3,16 +3,21 @@
 The command line, `weakgordon [--meta PATH] COMMAND [OPTIONS]`, with the
 subcommands seminorm, propagate, gordon-scan, quasiperiodic, sharpness and
 mollify.  One table, `_COMMANDS`, holds each subcommand's function and its
-options (destination, converter, default or `_REQUIRED`, help text), and one
-parser, `_parse`, reads argv against it.  An option is `--name value` or
+options (destination, converter, default or `_REQUIRED`, help text); a list
+option's converter is its form, such as "a,b" or "a:b:step".  One parser,
+`_parse`, reads argv against it.  An option is `--name value` or
 `--name=value`; the value is the next token whatever it starts with, so
-`--interval -1,1` works, and a later repeat of an option wins.  `--help` (on
-the group and on each subcommand) and `--version` are built from the table
-and the command docstrings.
+`--interval -1,1` works, and a later repeat of an option wins.  Every number
+must be finite.  `--help` (on the group and on each subcommand) and
+`--version` are built from the table and the command docstrings, with a list
+option's form as its metavar.
 
-Every run writes a machine-readable meta.json sidecar with the tool version,
-parameters and certificates.  Outputs are decimal text at 17 significant
-digits, so identical configurations give byte-identical files.
+A command takes the parsed values and returns its certificates and work
+counts; `run` then writes the machine-readable meta.json sidecar with the
+tool version, the parameters (every option of the table, named without its
+dashes and with `_` for `-`, with its parsed value), the certificates and the
+counts.  Outputs are decimal text at 17 significant digits, so identical
+configurations give byte-identical files.
 
 Exit codes: 0 success (also after --help and --version), 2 a usage error
 (one `Error: ...` line on stderr), a validation error or a file that cannot
@@ -42,6 +47,7 @@ from .errors import (
     ResourceError,
     ToleranceError,
     ValidationError,
+    check_tol,
 )
 from .propagator import propagate
 from .seminorm import SeminormStats, interval_seminorm, window_seminorm
@@ -92,8 +98,7 @@ def _write_csv(path, header, columns, footer_lines=()):
             fh.write(line + "\n")
 
 
-def _write_meta(meta, subcommand, params, certificates, stats=None):
-    path = meta or "meta.json"
+def _write_meta(meta, subcommand, params, certificates, stats):
     doc = {
         "tool": "weakgordon",
         "version": __version__,
@@ -102,9 +107,9 @@ def _write_meta(meta, subcommand, params, certificates, stats=None):
         "certificates": certificates,
     }
     if stats is not None:
-        doc["stats"] = stats
+        doc["stats"] = asdict(stats)
     # one write: json.dump would hand the file one call per token
-    with mio.rewrite(path) as fh:
+    with mio.rewrite(meta or "meta.json") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
@@ -119,26 +124,41 @@ def _load_local(path, window=None):
     return obj
 
 
-def _floats(value, name, form=None):
-    """The numbers of an option value.  With a `form` such as "a,b" or
-    "a:b:step" the value must have its shape; without one it is a comma
-    list whose empty items are skipped."""
-    sep = ":" if form and ":" in form else ","
+def _finite(text):
+    """A number, which must be finite: nan and ±inf are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
+def _tol(text):
+    """A tolerance: positive, with `check_tol`'s message also for nan, and finite."""
+    tol = float(text)
+    check_tol(tol)
+    return _finite(tol)
+
+
+def _floats(value, name, form):
+    """The finite numbers of the value of list option `name` in its form:
+    "p1,p2,..." is a comma list whose empty items are skipped, and a fixed
+    form such as "a,b" or "a:b:step" gives the value its shape."""
+    sep = ":" if ":" in form else ","
     parts = value.split(sep)
-    if form is None:
+    if form.endswith("..."):
         parts = [v for v in parts if v.strip()]
     elif len(parts) != form.count(sep) + 1:
-        raise ValidationError(f"--{name} expects {form}")
+        raise ValidationError(f"{name} expects {form}")
     try:
-        return [float(v) for v in parts]
+        return [_finite(v) for v in parts]
     except ValueError as e:
-        raise ValidationError(f"--{name}: {e}") from e
+        raise ValidationError(f"{name}: {e}") from e
 
 
-def seminorm_cmd(meta, measure_path, interval, tol, window_at, csv_path):
+def seminorm_cmd(measure_path, interval, tol, window_at, csv_path):
     """Certified seminorm over an interval; prints
     `lower upper c_re c_im witness_a`."""
-    a, b = _floats(interval, "interval", "a,b")
+    a, b = interval
     mu = _load_local(measure_path, (a, b))
     if window_at is not None:
         res = window_seminorm(mu, window_at)
@@ -162,53 +182,32 @@ def seminorm_cmd(meta, measure_path, interval, tol, window_at, csv_path):
         _write_csv(csv_path, ["a", "N_lower", "N_upper"],
                    [centers, [w.lower for w in ws], [w.upper for w in ws]])
         stats = sum((w.stats for w in ws if w is not res), stats)
-    _write_meta(
-        meta,
-        "seminorm",
-        {"measure": measure_path, "interval": [a, b], "tol": tol,
-         "window_at": window_at},
-        {"lower": res.lower, "upper": res.upper,
-         "grid_step": res.certificate.grid_step,
-         "lipschitz": res.certificate.lipschitz,
-         "error_bound": res.certificate.error_bound},
-        asdict(stats),
-    )
+    return ({"lower": res.lower, "upper": res.upper,
+             "grid_step": res.certificate.grid_step,
+             "lipschitz": res.certificate.lipschitz,
+             "error_bound": res.certificate.error_bound}, stats)
 
 
-def propagate_cmd(meta, measure_path, z, s_from, init, grid, tol, out):
+def propagate_cmd(measure_path, z, s_from, init, grid, tol, out):
     """Propagate an initial state along a grid; writes t,u_re,u_im,du_re,du_im."""
-    zr, zi = _floats(z, "z", "re,im")
-    parts = _floats(init, "init", "u0re,u0im,du0re,du0im")
-    ga, gb, gs = _floats(grid, "grid", "a:b:step")
+    ga, gb, gs = grid
     if gs <= 0 or gb <= ga:
         raise ValidationError("--grid needs a < b and step > 0")
     pts = np.arange(ga, gb + gs / 2, gs)
     mu = _load_local(measure_path, (min(ga, s_from) - 0.5, max(gb, s_from) + 0.5))
-    tr = propagate(
-        mu, complex(zr, zi), s_from, (complex(parts[0], parts[1]), complex(parts[2], parts[3])),
-        pts, tol,
-    )
+    tr = propagate(mu, complex(*z), s_from, (complex(*init[:2]), complex(*init[2:])), pts, tol)
     _write_csv(out, ["t", "u_re", "u_im", "du_re", "du_im"],
                [tr.grid, tr.u.real, tr.u.imag, tr.du.real, tr.du.imag])
-    _write_meta(
-        meta,
-        "propagate",
-        {"measure": measure_path, "z": [zr, zi], "from": s_from,
-         "init": parts, "grid": [ga, gb, gs], "tol": tol, "out": out},
-        {"jumps": len(tr.jump_log)},
-        asdict(tr.stats),
-    )
+    return {"jumps": len(tr.jump_log)}, tr.stats
 
 
-def gordon_scan_cmd(meta, measure_path, periods, weight, r_grid, tol, out):
+def gordon_scan_cmd(measure_path, periods, weight, r_grid, tol, out):
     """Translation-defect scan with C_mu / E_mu estimates."""
-    ps = _floats(periods, "periods")
-    rs = _floats(r_grid, "r-grid")
-    if not ps:
+    if not periods:
         raise ValidationError("--periods must be nonempty")
-    pmax = max(ps)
+    pmax = max(periods)
     mu = _load_local(measure_path, (-pmax - 1.0, 2.0 * pmax + 1.0))
-    rep = go.exclusion_bound(mu, ps, rs, C=weight, tol=tol)
+    rep = go.exclusion_bound(mu, periods, r_grid, C=weight, tol=tol)
     footer = [
         f"C_mu,{_fmt(rep.C_mu_estimate)}",
         f"E_mu,{_fmt(rep.E_mu_estimate)}",
@@ -219,21 +218,14 @@ def gordon_scan_cmd(meta, measure_path, periods, weight, r_grid, tol, out):
         zip(*rep.row_table()),
         footer,
     )
-    _write_meta(
-        meta,
-        "gordon-scan",
-        {"measure": measure_path, "periods": ps, "C": weight,
-         "r_grid": rs, "tol": tol, "out": out},
-        {
-            "C_mu": rep.C_mu_estimate if math.isfinite(rep.C_mu_estimate) else "inf",
-            "E_mu": rep.E_mu_estimate if math.isfinite(rep.E_mu_estimate) else "inf",
-            "defect_brackets": [[r.defect.lower, r.defect.upper] for r in rep.rows],
-        },
-        asdict(sum((r.defect.stats for r in rep.rows), SeminormStats())),
-    )
+    return ({
+        "C_mu": rep.C_mu_estimate if math.isfinite(rep.C_mu_estimate) else "inf",
+        "E_mu": rep.E_mu_estimate if math.isfinite(rep.E_mu_estimate) else "inf",
+        "defect_brackets": [[r.defect.lower, r.defect.upper] for r in rep.rows],
+    }, sum((r.defect.stats for r in rep.rows), SeminormStats()))
 
 
-def quasiperiodic_cmd(meta, levels, base1, base2, m_level, tol, out):
+def quasiperiodic_cmd(levels, base1, base2, m_level, tol, out):
     """Quasiperiodic example: rational-approximation certificates and the
     translation-defect bound at the level-m convergent period."""
     b1 = mio.load_measure(base1)
@@ -264,36 +256,16 @@ def quasiperiodic_cmd(meta, levels, base1, base2, m_level, tol, out):
         f"dominates,{1 if defect.upper <= dominance_cap else 0}",
     ]
     _write_csv(out, ["m", "p", "q", "certificate", "cert_ok"], zip(*rows), footer)
-    _write_meta(
-        meta,
-        "quasiperiodic",
-        {"alpha_levels": levels, "base1": base1, "base2": base2,
-         "m": m_level, "tol": tol, "out": out},
-        {"alpha_proxy": str(q.alpha_proxy), "period": p_m,
-         "defect": [defect.lower, defect.upper], "bound": bound},
-        asdict(defect.stats),
-    )
+    return ({"alpha_proxy": str(q.alpha_proxy), "period": p_m,
+             "defect": [defect.lower, defect.upper], "bound": bound}, defect.stats)
 
 
-def sharpness_cmd(meta, m_max, weight, tol, out, plot_path):
+def sharpness_cmd(m_max, weight, tol, out, plot_path):
     """Sharpness construction report: defects, weighted ratios, residuals."""
     S = cons.sharpness_construction(m_max)
     rep = cons.sharpness_report(S, weight, tol=tol)
-    rows = [
-        (
-            r.m,
-            r.l,
-            r.p,
-            r.log_defect,
-            r.log_paper_bound,
-            r.log_weighted_ratio,
-            r.measured_defect[0],
-            r.measured_defect[1],
-            r.mass_diff_measured,
-            r.mass_diff_closed,
-        )
-        for r in rep.rows
-    ]
+    rows = [(r.m, r.l, r.p, r.log_defect, r.log_paper_bound, r.log_weighted_ratio,
+             *r.measured_defect, r.mass_diff_measured, r.mass_diff_closed) for r in rep.rows]
     footer = [
         f"C_mu,{_fmt(rep.C_mu_estimate)}",
         f"E_mu,{_fmt(rep.E_mu_estimate)}",
@@ -307,36 +279,21 @@ def sharpness_cmd(meta, m_max, weight, tol, out, plot_path):
         footer,
     )
     if plot_path:
-        win = (
-            (-2.0 * S.periods[1], 2.0 * S.periods[1])
-            if m_max >= 2
-            else (-S.periods[0], S.periods[0])
-        )
-        ts, us = cons.eigenfunction_trace(S, win, step=0.01)
+        half = 2.0 * S.periods[1] if m_max >= 2 else S.periods[0]
+        ts, us = cons.eigenfunction_trace(S, (-half, half), step=0.01)
         _write_csv(plot_path, ["t", "u"], [ts, us])
-    _write_meta(
-        meta,
-        "sharpness",
-        {"m_max": m_max, "C": weight, "tol": tol, "out": out,
-         "plot": plot_path},
-        {"C_mu_estimate": rep.C_mu_estimate, "E_mu_estimate": rep.E_mu_estimate,
-         "eigen_residual": rep.eigen_residual,
-         "residual_window": list(rep.residual_window),
-         "r_profile": [list(x) for x in rep.r_profile]},
-    )
+    return ({"C_mu_estimate": rep.C_mu_estimate, "E_mu_estimate": rep.E_mu_estimate,
+             "eigen_residual": rep.eigen_residual,
+             "residual_window": list(rep.residual_window),
+             "r_profile": [list(x) for x in rep.r_profile]}, None)
 
 
-def mollify_cmd(meta, measure_path, order, out):
+def mollify_cmd(measure_path, order, out):
     """Write the mollified measure (piecewise-cubic density) as JSON."""
     mu = _load_local(measure_path)
     mol, err = me.mollify_with_error(mu, order)
     mio.dump_measure(mol, out)
-    _write_meta(
-        meta,
-        "mollify",
-        {"measure": measure_path, "n": order, "out": out},
-        {"sup_error_bound": err, "segments": len(mol.segments)},
-    )
+    return {"sup_error_bound": err, "segments": len(mol.segments)}, None
 
 
 def _existing(path):
@@ -348,33 +305,34 @@ def _existing(path):
 
 _REQUIRED = object()  # the default of an option that must be given
 
-# option -> (destination, converter, default or _REQUIRED, help); a str
-# value passes through os.fspath, which only marks it a path in --help
+# option -> (destination, converter, default or _REQUIRED, help).  The
+# converter of a list option is its form, read by `_floats`; a str value
+# passes through os.fspath, which only marks it a path in --help.
 _GROUP = {"--meta": ("meta", os.fspath, None, "meta sidecar path")}
 _COMMANDS = {
     "seminorm": (seminorm_cmd, {
         "--measure": ("measure_path", _existing, _REQUIRED, ""),
-        "--interval": ("interval", str, _REQUIRED, "a,b"),
-        "--tol": ("tol", float, 1e-9, ""),
-        "--window-at": ("window_at", float, None,
+        "--interval": ("interval", "a,b", _REQUIRED, ""),
+        "--tol": ("tol", _tol, 1e-9, ""),
+        "--window-at": ("window_at", _finite, None,
                         "evaluate the single window [a-1, a+1] instead of the sup"),
         "--csv": ("csv_path", os.fspath, None, "dump a -> N(a) samples"),
     }),
     "propagate": (propagate_cmd, {
         "--measure": ("measure_path", _existing, _REQUIRED, ""),
-        "--z": ("z", str, _REQUIRED, "re,im"),
-        "--from": ("s_from", float, _REQUIRED, ""),
-        "--init": ("init", str, _REQUIRED, "u0re,u0im,du0re,du0im"),
-        "--grid": ("grid", str, _REQUIRED, "a:b:step"),
-        "--tol": ("tol", float, 1e-8, ""),
+        "--z": ("z", "re,im", _REQUIRED, ""),
+        "--from": ("s_from", _finite, _REQUIRED, ""),
+        "--init": ("init", "u0re,u0im,du0re,du0im", _REQUIRED, ""),
+        "--grid": ("grid", "a:b:step", _REQUIRED, ""),
+        "--tol": ("tol", _tol, 1e-8, ""),
         "--out": ("out", os.fspath, _REQUIRED, ""),
     }),
     "gordon-scan": (gordon_scan_cmd, {
         "--measure": ("measure_path", _existing, _REQUIRED, ""),
-        "--periods": ("periods", str, _REQUIRED, "p1,p2,..."),
-        "--C": ("weight", float, None, "Gordon weight for ratios"),
-        "--r-grid": ("r_grid", str, _REQUIRED, "r1,r2,..."),
-        "--tol": ("tol", float, 1e-9, ""),
+        "--periods": ("periods", "p1,p2,...", _REQUIRED, ""),
+        "--C": ("weight", _finite, None, "Gordon weight for ratios"),
+        "--r-grid": ("r_grid", "r1,r2,...", _REQUIRED, ""),
+        "--tol": ("tol", _tol, 1e-9, ""),
         "--out": ("out", os.fspath, _REQUIRED, ""),
     }),
     "quasiperiodic": (quasiperiodic_cmd, {
@@ -382,13 +340,13 @@ _COMMANDS = {
         "--base1": ("base1", _existing, _REQUIRED, ""),
         "--base2": ("base2", _existing, _REQUIRED, ""),
         "--m": ("m_level", int, 2, "convergent level supplying the test period"),
-        "--tol": ("tol", float, 1e-9, ""),
+        "--tol": ("tol", _tol, 1e-9, ""),
         "--out": ("out", os.fspath, _REQUIRED, ""),
     }),
     "sharpness": (sharpness_cmd, {
         "--m-max": ("m_max", int, 3, ""),
-        "--C": ("weight", float, 0.9, ""),
-        "--tol": ("tol", float, 1e-9, ""),
+        "--C": ("weight", _finite, 0.9, ""),
+        "--tol": ("tol", _tol, 1e-9, ""),
         "--out": ("out", os.fspath, _REQUIRED, ""),
         "--plot": ("plot_path", os.fspath, None,
                    "CSV of the eigenfunction on the first two level windows"),
@@ -399,7 +357,8 @@ _COMMANDS = {
         "--out": ("out", os.fspath, _REQUIRED, ""),
     }),
 }
-_METAVAR = {float: "FLOAT", int: "INTEGER", str: "TEXT", os.fspath: "PATH", _existing: "PATH"}
+_METAVAR = {_finite: "FLOAT", _tol: "FLOAT", int: "INTEGER", os.fspath: "PATH",
+            _existing: "PATH"}
 
 
 class _UsageError(Exception):
@@ -407,9 +366,10 @@ class _UsageError(Exception):
 
 
 def _parse(argv):
-    """The subcommand's function and keyword arguments read from argv, or
-    None once --help or --version has been answered.  Group options come
-    before the subcommand, the subcommand's after it."""
+    """The subcommand, its keyword arguments, its sidecar parameters and the
+    --meta path read from argv, or None once --help or --version has been
+    answered.  Group options come before the subcommand, the subcommand's
+    after it."""
     args, command, spec, raw, meta = list(argv), None, _GROUP, {}, None
     while args or command is None:
         if not args or not args[0].startswith("-"):
@@ -433,20 +393,24 @@ def _parse(argv):
                 raise _UsageError(f"Option {name!r} requires an argument.")
             value = args.pop(0)
         raw[name] = value
-    kwargs = {"meta": meta}
+    kwargs, params = {}, {}
     for name, (dest, convert, default, _) in spec.items():
         if name not in raw:
             if default is _REQUIRED:
                 raise _UsageError(f"Missing option {name!r}.")
-            kwargs[dest] = default
-            continue
-        try:
-            kwargs[dest] = convert(raw[name])
-        except ValueError as e:
-            why = e if convert is _existing else (
-                f"{raw[name]!r} is not a valid {_METAVAR[convert].lower()}.")
-            raise _UsageError(f"Invalid value for {name!r}: {why}") from None
-    return _COMMANDS[command][0], kwargs
+            value = default
+        else:
+            try:
+                value = (_floats(raw[name], name, convert) if isinstance(convert, str)
+                         else convert(raw[name]))
+            except (ValidationError, DomainError):
+                raise  # `_floats`' and `check_tol`'s own messages
+            except ValueError as e:
+                why = e if convert is _existing else (
+                    f"{raw[name]!r} is not a valid {_METAVAR[convert].lower()}.")
+                raise _UsageError(f"Invalid value for {name!r}: {why}") from None
+        kwargs[dest] = params[name[2:].replace("-", "_")] = value
+    return command, kwargs, params, meta
 
 
 def _help(command):
@@ -460,7 +424,8 @@ def _help(command):
     for name, (_, convert, default, text) in spec.items():
         mark = ("[required]" if default is _REQUIRED else
                 "" if default is None else f"[default: {default}]")
-        rows.append((f"{name} {_METAVAR[convert]}", "  ".join(filter(None, (text, mark)))))
+        rows.append((f"{name} {_METAVAR.get(convert, convert)}",
+                     "  ".join(filter(None, (text, mark)))))
     if command is None:
         rows.append(("--version", "Show the version and exit."))
     rows.append(("--help", "Show this message and exit."))
@@ -479,7 +444,8 @@ def run(argv=None) -> int:
     try:
         call = _parse(sys.argv[1:] if argv is None else argv)
         if call is not None:
-            call[0](**call[1])
+            command, kwargs, params, meta = call
+            _write_meta(meta, command, params, *_COMMANDS[command][0](**kwargs))
         return 0
     except _UsageError as e:
         print(f"Error: {e}", file=sys.stderr)
@@ -487,7 +453,7 @@ def run(argv=None) -> int:
     except KeyboardInterrupt:
         print(file=sys.stderr)
         return 2
-    except (ValidationError, DomainError) as e:
+    except (ValidationError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ToleranceError as e:
@@ -496,9 +462,6 @@ def run(argv=None) -> int:
     except (ResourceError, RepresentationError) as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -244,7 +244,9 @@ def sharpness_construction(m_max: int) -> SharpnessConstruction:
     the shared arc-slope helper, so equal local geometries give bitwise
     equal masses.
     """
-    if not (1 <= m_max <= MAX_LEVELS):
+    if m_max < 1:
+        raise DomainError(f"m_max must be at least 1, got {m_max}")
+    if m_max > MAX_LEVELS:
         raise ResourceError(f"m_max must be in [1, {MAX_LEVELS}], got {m_max}")
     lengths, periods = gap_lengths(m_max)
 

@@ -44,6 +44,13 @@ def segments_overlap(end, start):
     return start < end - 1e-15 * max(1.0, abs(end))
 
 
+def span_slack(a, b):
+    """The rounding room of a span built from the ends a and b, at their
+    scale: 1e-12 * max(1, |a|, |b|).  A span may overhang the window by it,
+    and lengths and chained ends that agree up to it are taken as equal."""
+    return 1e-12 * max(1.0, abs(a), abs(b))
+
+
 @dataclass(frozen=True)
 class Segment:
     """Density piece rho(t) = sum coeffs[k] * (t - start)^k on (start, end]."""
@@ -120,11 +127,11 @@ class LocalMeasure:
         return segs[bisect_right(segs, a, key=_END):bisect_left(segs, b, key=_START)]
 
     def check_span(self, lo, hi, what):
-        """Raise DomainError unless [lo, hi] lies in the window up to an
-        overhang of 1e-12 * max(1, |window ends|), where the measure is 0."""
+        """Raise DomainError unless lo <= hi and [lo, hi] lies in the window
+        up to an overhang of its `span_slack`, where the measure is 0."""
         wlo, whi = self.window
-        slack = 1e-12 * max(1.0, abs(wlo), abs(whi))
-        if not (wlo - slack <= lo and hi <= whi + slack):
+        slack = span_slack(wlo, whi)
+        if not (wlo - slack <= lo <= hi <= whi + slack):
             raise DomainError(f"{what} [{lo}, {hi}] not inside window [{wlo}, {whi}]")
 
     @property
@@ -445,8 +452,8 @@ class SlidingMass:
         (0 for none), so the candidates are sorted only for the root
         search."""
         span = hi - lo
-        # a span built from its ends rounds at their scale, like check_span's
-        if width > span + 1e-12 * max(1.0, abs(lo), abs(hi)):
+        # a span built from its ends rounds at their scale
+        if width > span + span_slack(lo, hi):
             raise DomainError(f"width {width} exceeds window span {span}")
         width = min(width, span)
         xs, starts, pieces = self._xs, self._starts, self._pieces

@@ -75,8 +75,7 @@ class TransferMatrix:
     stats: WalkStats = WalkStats()
 
     def __matmul__(self, other):
-        # the slack of `LocalMeasure.check_span`, relative to the ends' scale
-        if abs(other.target - self.source) > 1e-12 * max(1.0, abs(other.target), abs(self.source)):
+        if abs(other.target - self.source) > me.span_slack(other.target, self.source):
             raise DomainError("transfer matrices do not chain")
         return TransferMatrix(
             self.entries @ other.entries,

@@ -653,8 +653,8 @@ def interval_seminorm(
     length = hi - lo
     if mu.is_zero():
         return SeminormResult(0.0, 0.0, 0j, (lo, hi), SeminormCertificate(0, 0, 0))
-    # one window when I is 2 long up to the rounding of its ends (check_span's slack)
-    if length <= 2.0 + 1e-12 * max(1.0, abs(lo), abs(hi)):
+    # one window when I is 2 long up to the rounding of its ends
+    if length <= 2.0 + me.span_slack(lo, hi):
         vlo, vup, c, stats = _window_value(mu, lo, hi)
         return SeminormResult(
             vlo, vup, c, (lo, hi), SeminormCertificate(0.0, 0.0, vup - vlo), stats

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from itertools import chain
 
 import pytest
 
@@ -70,6 +71,15 @@ class TestSeminormCommand:
             args = ["seminorm", "--measure", "dirac.json", "--interval", "-1,1", "--tol", tol]
             assert cli.run(args) == 2
             assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["1,-1", "2,-2"])
+    def test_reversed_interval_exit_2(self, workdir, capsys, interval):
+        # the atom at 0 once gave a seminorm of 0 over the reversed span
+        mio.dump_measure(me.make_measure([(0.0, 0.45)], (), (-2, 2)), workdir / "wide.json")
+        assert cli.run(["seminorm", "--measure", "wide.json", "--interval", interval]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not inside window" in err
+        assert not (workdir / "meta.json").exists()
 
 
 class TestPropagateCommand:
@@ -159,6 +169,12 @@ class TestSharpnessCommand:
 
     def test_budget_exit_4(self, workdir):
         assert cli.run(["sharpness", "--m-max", "9", "--out", "rep.csv"]) == 4
+
+    def test_no_levels_exit_2(self, workdir, capsys):
+        # below one level is outside the domain, not over the budget
+        assert cli.run(["sharpness", "--m-max", "0", "--out", "rep.csv"]) == 2
+        assert capsys.readouterr().err == "error: m_max must be at least 1, got 0\n"
+        assert not (workdir / "rep.csv").exists()
 
 
 class TestExitCodes:
@@ -279,6 +295,21 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, option", [
+        (PROPAGATE + ["--z", "nan,0"], "--z"),
+        (PROPAGATE + ["--grid", "-1:inf:0.5"], "--grid"),
+        (PROPAGATE + ["--from", "-inf"], "--from"),
+        (["gordon-scan", "--measure", "comb.json", "--periods", "1", "--r-grid", "1",
+          "--C", "nan", "--out", "scan.csv"], "--C"),
+        (SEMINORM + ["--tol", "inf"], "--tol"),
+        (SEMINORM + ["--window-at", "nan"], "--window-at"),
+    ], ids=["z-nan", "grid-inf", "from-inf", "C-nan", "tol-inf", "window-at-nan"])
+    def test_non_finite_number_exit_2(self, workdir, capsys, argv, option):
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and option in err and err.count("\n") == 1
+        assert not any(workdir.glob("*.csv")) and not (workdir / "meta.json").exists()
+
     def test_help_is_built_from_the_table(self, capsys):
         for command, (fn, spec) in cli._COMMANDS.items():
             assert cli.run([command, "--help"]) == 0
@@ -309,6 +340,50 @@ class TestCommandLine:
         proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                               text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
+
+
+# each command with every option given, and the parameters its sidecar holds
+SIDECAR_RUNS = {
+    "seminorm": ({"--measure": "dirac.json", "--interval": "-1,1", "--tol": "1e-8",
+                  "--window-at": "0", "--csv": "scan.csv"},
+                 {"measure": "dirac.json", "interval": [-1.0, 1.0], "tol": 1e-8,
+                  "window_at": 0.0, "csv": "scan.csv"}),
+    "propagate": ({"--measure": "dirac.json", "--z": "0.5,-0.25", "--from": "0",
+                   "--init": "1,0,0,0", "--grid": "-0.5:0.5:0.25", "--tol": "1e-9",
+                   "--out": "trace.csv"},
+                  {"measure": "dirac.json", "z": [0.5, -0.25], "from": 0.0,
+                   "init": [1.0, 0.0, 0.0, 0.0], "grid": [-0.5, 0.5, 0.25], "tol": 1e-9,
+                   "out": "trace.csv"}),
+    "gordon-scan": ({"--measure": "comb.json", "--periods": "1,,2", "--C": "0.5",
+                     "--r-grid": "1,2", "--tol": "1e-8", "--out": "scan.csv"},
+                    {"measure": "comb.json", "periods": [1.0, 2.0], "C": 0.5,
+                     "r_grid": [1.0, 2.0], "tol": 1e-8, "out": "scan.csv"}),
+    "quasiperiodic": ({"--alpha-levels": "3", "--base1": "comb.json", "--base2": "comb.json",
+                       "--m": "2", "--tol": "1e-8", "--out": "q.csv"},
+                      {"alpha_levels": 3, "base1": "comb.json", "base2": "comb.json",
+                       "m": 2, "tol": 1e-8, "out": "q.csv"}),
+    "sharpness": ({"--m-max": "2", "--C": "0.5", "--tol": "1e-8", "--out": "rep.csv",
+                   "--plot": "trace.csv"},
+                  {"m_max": 2, "C": 0.5, "tol": 1e-8, "out": "rep.csv", "plot": "trace.csv"}),
+    "mollify": ({"--measure": "dirac.json", "--n": "4", "--out": "mol.json"},
+                {"measure": "dirac.json", "n": 4, "out": "mol.json"}),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_sidecar_parameters_are_the_table_options(workdir, command):
+    # every option of the table, named without its dashes and with _ for -,
+    # holds its parsed value: given, or its default when left out
+    options, parsed = SIDECAR_RUNS[command]
+    spec = cli._COMMANDS[command][1]
+    assert set(options) == set(spec)
+    key = {name: name[2:].replace("-", "_") for name in spec}
+    assert cli.run([command, *chain.from_iterable(options.items())]) == 0
+    assert json.loads((workdir / "meta.json").read_text())["parameters"] == parsed
+    required = [name for name in spec if spec[name][2] is cli._REQUIRED]
+    assert cli.run([command, *chain.from_iterable((n, options[n]) for n in required)]) == 0
+    assert json.loads((workdir / "meta.json").read_text())["parameters"] == {
+        key[name]: parsed[key[name]] if name in required else spec[name][2] for name in spec}
 
 
 class TestRewrite:

@@ -185,6 +185,11 @@ class TestSharpnessConstruction:
         with pytest.raises(ResourceError):
             cons.sharpness_construction(6)
 
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_no_levels_is_outside_the_domain(self, m_max):
+        with pytest.raises(DomainError, match="at least 1"):
+            cons.sharpness_construction(m_max)
+
 
 class TestTwoAtomDefect:
     def test_identity_against_seminorm(self, rng):

@@ -1,6 +1,6 @@
-"""The one span rule, `LocalMeasure.check_span`: a span may overhang the
-window by 1e-12 * max(1, |window ends|) at either end, and the measure is
-zero on the overhang.
+"""The one span rule, `LocalMeasure.check_span`: a span needs lo <= hi, may
+overhang the window by 1e-12 * max(1, |window ends|) at either end, and the
+measure is zero on the overhang.
 
 Each of the 13 entry points that asks whether a span lies inside the window
 calls it.  Per entry point: a span past the slack raises, a span within it
@@ -141,6 +141,23 @@ def test_overhang_past_the_slack_raises(name, side):
 def test_nan_span_raises():
     with pytest.raises(DomainError):
         me.cumulative_pieces(_measure(-1.0, 1.0), float("nan"), 0.5)
+
+
+# entry points whose span's ends are the caller's, in the caller's order
+REVERSIBLE = {
+    "restrict": lambda mu, lo, hi: me.restrict(mu, (lo, hi)),
+    "total_variation": lambda mu, lo, hi: me.total_variation(mu, (lo, hi)),
+    "cumulative_pieces": lambda mu, lo, hi: me.cumulative_pieces(mu, lo, hi),
+    "interval_seminorm": lambda mu, lo, hi: sn.interval_seminorm(mu, (lo, hi), 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REVERSIBLE))
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (2.0, -2.0), (0.5, 0.5 - 1e-9)])
+def test_reversed_span_raises(name, lo, hi):
+    # both ends lie in the window; only their order is wrong
+    with pytest.raises(DomainError, match="not inside window"):
+        REVERSIBLE[name](_measure(-2.0, 2.0), lo, hi)
 
 
 # ---------------------------------------------------------------------------
