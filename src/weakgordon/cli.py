@@ -160,6 +160,7 @@ def seminorm_cmd(measure_path, interval, tol, window_at, csv_path):
     `lower upper c_re c_im witness_a`."""
     a, b = interval
     mu = _load_local(measure_path, (a, b))
+    mu.check_span(a, b, "interval")
     if window_at is not None:
         res = window_seminorm(mu, window_at)
     else:

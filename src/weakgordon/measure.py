@@ -12,7 +12,9 @@ complex one is integrated by `poly.integral_abs`, whose Gauss rule is exact
 up to its 1e-13 quadrature tolerance.  Every |mu| mass and sliding-window
 mass supremum, here and in the seminorm layer, is read from one sweep,
 `SlidingMass`, which builds its prefix sums once; `abs_mass` builds it for
-|mu| on a span.
+|mu| on a span.  Only this layer makes Segments: a span cut is
+`_clipped_segments`, a cut at a piecewise-affine function's pieces is
+`affine_products`, and Hermite cubics come from `_hermite_segments`.
 
 Everything here is immutable and pure; values can be shared freely.
 """
@@ -340,15 +342,12 @@ def add_measures(m1: LocalMeasure, m2: LocalMeasure) -> LocalMeasure:
     lo, hi = max(m1.lo, m2.lo), min(m1.hi, m2.hi)
     if not lo < hi:
         raise DomainError("measure windows do not overlap")
-    atoms = ()
-    segs = []
+    atoms, segs = (), ()
     for m in (m1, m2):
         # atoms on the closed window [lo, hi]
         atoms += m.atoms[bisect_left(m.atoms, lo, key=_POS):bisect_right(m.atoms, hi, key=_POS)]
-        for s in m.segments_meeting(lo, hi):
-            a, b = max(s.start, lo), min(s.end, hi)
-            segs.append(Segment(a, b, poly.shift_origin(s.coeffs, a - s.start)))
-    return LocalMeasure(atoms, tuple(segs), (lo, hi))
+        segs += _clipped_segments(m, lo, hi)
+    return LocalMeasure(atoms, segs, (lo, hi))
 
 
 def subtract(m1: LocalMeasure, m2: LocalMeasure) -> LocalMeasure:
@@ -466,8 +465,8 @@ class SlidingMass:
         candidates = {a_lo, a_hi}
         for b in {lo, hi}.union(xs[first:last], starts[p0:p1], self._ends[p0:p1]):
             for a in (b, b - width):
-                if a_lo - 1e-15 <= a <= a_hi + 1e-15:
-                    candidates.add(min(max(a, a_lo), a_hi))
+                if a_lo <= a <= a_hi:
+                    candidates.add(a)
 
         best = 0.0
         for a in candidates:
@@ -613,10 +612,7 @@ class PiecewiseAffine:
         return max(abs(y) for y in self.ys)
 
     def slope_sup(self):
-        return max(
-            abs(y1 - y0) / (x1 - x0)
-            for (x0, x1, y0, y1) in zip(self.xs[:-1], self.xs[1:], self.ys[:-1], self.ys[1:])
-        )
+        return max(abs(slope) for *_, slope in self.pieces())
 
     def pieces(self):
         """Affine pieces as (x0, x1, value_at_x0, slope)."""
@@ -635,25 +631,25 @@ def multiply_lipschitz(mu: LocalMeasure, psi: PiecewiseAffine) -> LocalMeasure:
     """
     atoms = tuple((x, psi(x) * w) for x, w in mu.atoms)
     segs = []
-    cuts_psi = list(psi.xs)
-    for s in mu.segments_meeting(psi.xs[0], psi.xs[-1]):
-        cuts = sorted({s.start, s.end} | {c for c in cuts_psi if s.start < c < s.end})
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + b)
-            if mid < psi.xs[0] or mid > psi.xs[-1]:
-                continue  # outside support, psi = 0
-            i = min(bisect_right(psi.xs, mid), len(psi.xs) - 1)
-            x0 = psi.xs[i - 1]
-            y0 = psi.ys[i - 1]
-            slope = (psi.ys[i] - y0) / (psi.xs[i] - x0)
-            base = poly.shift_origin(s.coeffs, a - s.start)
-            affine = (y0 + slope * (a - x0), slope)
-            prod = poly.trim(poly.multiply(base, affine))
-            if len(prod) <= MAX_DEGREE + 1:
-                segs.append(Segment(a, b, prod))
-            else:
-                segs.extend(_cubic_resample(a, b, prod))
+    for a, b, prod in affine_products(mu, psi):
+        if len(prod) <= MAX_DEGREE + 1:
+            segs.append(Segment(a, b, prod))
+        else:
+            segs += _cubic_resample(a, b, prod)
     return LocalMeasure(atoms, tuple(segs), mu.window)
+
+
+def affine_products(mu: LocalMeasure, u: PiecewiseAffine):
+    """The density of mu times u: for each density segment and affine piece
+    of u that meet, (a, b, p) with (a, b) their overlap and p, in t - a, the
+    segment's polynomial times the piece (trimmed, degree <= MAX_DEGREE + 1)."""
+    pieces = u.pieces()
+    for s in mu.segments_meeting(*u.support):
+        for x0, x1, y0, slope in pieces:
+            a, b = max(s.start, x0), min(s.end, x1)
+            if a < b:
+                base = poly.shift_origin(s.coeffs, a - s.start)
+                yield a, b, poly.trim(poly.multiply(base, (y0 + slope * (a - x0), slope)))
 
 
 # relative accuracy of the Hermite cubics of `_cubic_resample` and the most
@@ -676,16 +672,17 @@ def _cubic_resample(a, b, coeffs):
             f"degree reduction needs {n} cells, budget {_RESAMPLE_BUDGET}"
         )
     d = poly.derivative(coeffs)
-    out = []
     # the last node is b itself, so the pieces end where the next segment begins
     nodes = [a + (b - a) * k / n for k in range(n)] + [b]
-    for x0, x1 in zip(nodes, nodes[1:]):
-        f0 = poly.evaluate(coeffs, x0 - a)
-        f1 = poly.evaluate(coeffs, x1 - a)
-        d0 = poly.evaluate(d, x0 - a)
-        d1 = poly.evaluate(d, x1 - a)
-        out.append(Segment(x0, x1, poly.trim(poly.hermite_cubic(x0, x1, f0, d0, f1, d1))))
-    return out
+    return _hermite_segments(
+        nodes, [(poly.evaluate(coeffs, x - a), poly.evaluate(d, x - a)) for x in nodes])
+
+
+def _hermite_segments(nodes, values):
+    """The Hermite cubic Segments between consecutive nodes, from the
+    (value, slope) pairs at the nodes."""
+    return [Segment(x0, x1, poly.trim(poly.hermite_cubic(x0, x1, f0, d0, f1, d1)))
+            for x0, x1, (f0, d0), (f1, d1) in zip(nodes, nodes[1:], values, values[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +780,8 @@ def mollify_with_error(mu: LocalMeasure, n: int):
         )
         # the last node is x1 itself, so the cell's pieces end where the next begins
         nodes = [x0 + cell_h * k for k in range(m)] + [x1]
-        vals = [_mollified_value_and_slope(mu, n, x, kern, kern_d) for x in nodes]
-        for a, b, (f0, d0), (f1, d1) in zip(nodes, nodes[1:], vals, vals[1:]):
-            segs.append(Segment(a, b, poly.trim(poly.hermite_cubic(a, b, f0, d0, f1, d1))))
+        segs += _hermite_segments(
+            nodes, [_mollified_value_and_slope(mu, n, x, kern, kern_d) for x in nodes])
     return LocalMeasure((), tuple(segs), (lo, hi)), err_bound
 
 

@@ -79,22 +79,14 @@ def multiply(a, b):
 def shift_origin(coeffs, d):
     """Re-expand p(x) as q(y) with x = y + d, i.e. q(y) = p(y + d).
 
-    Used when a segment's local origin moves from t0 to t0 + d.
+    Used when a segment's local origin moves from t0 to t0 + d.  Repeated
+    synthetic division by (x - d): pass i leaves q's coefficient i in c[i].
     """
-    n = len(coeffs)
-    out = [0 * coeffs[0]] * n
-    for k in range(n - 1, -1, -1):
-        # Horner in (y + d): out <- out * (y + d) + c_k
-        new = [0 * coeffs[0]] * n
-        for j in range(n):
-            if out[j] == 0:
-                continue
-            if j + 1 < n:
-                new[j + 1] += out[j]
-            new[j] += out[j] * d
-        new[0] += coeffs[k]
-        out = new
-    return tuple(out)
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += d * c[j + 1]
+    return tuple(c)
 
 
 def antiderivative(coeffs):

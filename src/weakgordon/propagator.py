@@ -483,12 +483,14 @@ def derivative_sup_bound(mu, trace: SolutionTrace, interval) -> DerivativeChain:
     <= sqrt(3) M^(3/2) ||u||_2 on a unit interval, M = ||mu||_unif + 2.
 
     Sampled sup/L2 norms carry the trace resolution; the comparisons allow
-    a 1e-9 relative slack for that.
+    a 1e-9 relative slack for that.  Grid points and atoms are matched to
+    the interval up to its `measure.span_slack`.
     """
     a, b = float(interval[0]), float(interval[1])
     if abs((b - a) - 1.0) > 1e-9:
         raise DomainError(f"interval {interval} must have unit length")
-    sel = (trace.grid >= a - 1e-12) & (trace.grid <= b + 1e-12)
+    room = me.span_slack(a, b)
+    sel = (trace.grid >= a - room) & (trace.grid <= b + room)
     if not np.any(sel):
         raise DomainError("interval not resolved by the trace grid")
     xs = trace.grid[sel]
@@ -499,7 +501,7 @@ def derivative_sup_bound(mu, trace: SolutionTrace, interval) -> DerivativeChain:
     for x, w, jump in trace.jump_log:
         if a <= x <= b:
             i = int(np.argmin(np.abs(xs - x)))
-            if abs(xs[i] - x) <= 1e-12:
+            if abs(xs[i] - x) <= room:
                 sup_du = max(sup_du, abs(dus[i] - jump))  # left derivative
     l2_u = float(np.sqrt(np.trapezoid(np.abs(us) ** 2, xs)))
     l2_du = float(np.sqrt(np.trapezoid(np.abs(dus) ** 2, xs)))
@@ -698,10 +700,11 @@ def solution_difference(mu1, mu2, z, u1_initial, grid, tol: float = 1e-8):
 
 def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionTrace, s, t, tol=1e-8):
     """First component of T1(t,s) v(s) + int_s^t T1(t,r)(0, u2(r)) dnu(r),
-    the variation-of-constants identity anchored at s."""
+    the variation-of-constants identity anchored at s, which must be a grid
+    point of tr1 up to the `measure.span_slack` of [s, t]."""
     nu = me.subtract(mu1, mu2)
     i_s = int(np.argmin(np.abs(tr1.grid - s)))
-    if abs(tr1.grid[i_s] - s) > 1e-12:
+    if abs(tr1.grid[i_s] - s) > me.span_slack(s, t):
         raise DomainError("s must be a trace grid point")
     s, t = float(s), float(t)
     a, b = min(s, t), max(s, t)

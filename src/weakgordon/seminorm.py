@@ -765,14 +765,8 @@ def test_functional(mu: me.LocalMeasure, u: me.PiecewiseAffine) -> complex:
     total = 0j
     for x, w in mu.atoms:
         total += w * u(x)
-    for s in mu.segments_meeting(slo, shi):
-        for x0, x1, y0, slope in u.pieces():
-            a, b = max(s.start, x0), min(s.end, x1)
-            if b <= a:
-                continue
-            dens = poly.shift_origin(s.coeffs, a - s.start)
-            aff = (y0 + slope * (a - x0), slope)
-            total += poly.integral(poly.multiply(dens, aff), 0.0, b - a)
+    for a, b, prod in me.affine_products(mu, u):
+        total += poly.integral(prod, 0.0, b - a)
     return complex(total)
 
 

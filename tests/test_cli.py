@@ -81,6 +81,18 @@ class TestSeminormCommand:
         assert out == "" and "not inside window" in err
         assert not (workdir / "meta.json").exists()
 
+    @pytest.mark.parametrize("csv", [[], ["--csv", "scan.csv"]], ids=["line", "csv"])
+    @pytest.mark.parametrize("interval", ["1,-1", "5,9"])
+    def test_window_at_checks_the_interval(self, workdir, capsys, interval, csv):
+        # --window-at evaluates one window, but the interval must still be a
+        # span inside the measure's window
+        mio.dump_measure(me.make_measure([(0.0, 0.45)], (), (-2, 2)), workdir / "wide.json")
+        assert cli.run(["seminorm", "--measure", "wide.json", "--interval", interval,
+                        "--window-at", "0", *csv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not inside window" in err
+        assert not (workdir / "meta.json").exists() and not (workdir / "scan.csv").exists()
+
 
 class TestPropagateCommand:
     def test_trace_columns(self, workdir):

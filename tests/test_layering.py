@@ -1,8 +1,11 @@
 """Module boundaries: no weakgordon module reads a private name of another,
-and only `measure_io.rewrite` opens a file for writing.
+only `measure` constructs a `Segment`, and only `measure_io.rewrite` opens a
+file for writing.
 
 The |mu| sweep, for one, stays behind `measure.SlidingMass`; a layer that
-needs more of another exposes it under a public name.
+needs more of another exposes it under a public name.  Segment cuts stay in
+the measure layer: the others walk what it yields (`affine_products`,
+`cumulative_pieces`) or build measures through `make_measure`.
 """
 
 import ast
@@ -46,6 +49,30 @@ def test_private_reads_are_found():
               "y = mu._norm_unif\n")
     assert sorted(private_reads(source)) == [
         "measure._abs_segments", "poly._MAX_PANELS", "seminorm._l1"]
+
+
+def segment_constructions(source):
+    """Calls that construct a measure Segment: `Segment(...)` or
+    `module.Segment(...)`, as source text."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Segment"
+                 or getattr(node.func, "attr", None) == "Segment")]
+
+
+def test_only_measure_constructs_segments():
+    found = {path.name: segment_constructions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "measure.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    assert segment_constructions((PACKAGE / "measure.py").read_text())
+
+
+def test_segment_constructions_are_found():
+    source = ("from . import measure as me\nfrom .measure import Segment\n"
+              "a = Segment(0.0, 1.0, (1.0,))\nb = me.Segment(s0, s1, c)\n"
+              "c = poly.Piece(0.0, 1.0, (1.0,))\nd = me.make_measure((), segs, w)\n")
+    assert segment_constructions(source) == ["Segment(0.0, 1.0, (1.0,))",
+                                             "me.Segment(s0, s1, c)"]
 
 
 WRITE_MODES = set("wax+")

@@ -1,5 +1,6 @@
-"""poly.abs_pieces, the one root split behind |mu| and |phi - c|, and
-poly.real_roots_in against an exact reference."""
+"""poly.abs_pieces, the one root split behind |mu| and |phi - c|,
+poly.real_roots_in against an exact reference, and poly.shift_origin
+against its former Horner form."""
 
 import math
 import struct
@@ -214,3 +215,52 @@ def test_rising_objective_is_the_shifted_value_and_slope(sign):
         v, dv = f(y)
         assert v == pytest.approx(sign * (poly.evaluate(c, y) - level), rel=1e-14)
         assert dv == pytest.approx(sign * poly.evaluate(poly.derivative(c), y), rel=1e-14)
+
+
+def _horner_shift(coeffs, d):
+    """The former `poly.shift_origin`: Horner in (y + d), out <- out (y + d)
+    + c_k, skipping zero terms.  The reference the synthetic division must
+    equal."""
+    n = len(coeffs)
+    out = [0 * coeffs[0]] * n
+    for k in range(n - 1, -1, -1):
+        new = [0 * coeffs[0]] * n
+        for j in range(n):
+            if out[j] == 0:
+                continue
+            if j + 1 < n:
+                new[j + 1] += out[j]
+            new[j] += out[j] * d
+        new[0] += coeffs[k]
+        out = new
+    return tuple(out)
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def shift_cases(draw):
+    """Degree 0-8, real or complex, with zeros and -0.0 among the parts;
+    d of either sign, or a zero."""
+    part = st.one_of(_SIGNED_ZEROS, st.floats(-1e3, 1e3))
+    deg = draw(st.integers(0, 8))
+    coeffs = draw(st.lists(part, min_size=deg + 1, max_size=deg + 1))
+    if draw(st.booleans()):
+        coeffs = [complex(re, draw(part)) for re in coeffs]
+    return tuple(coeffs), draw(st.one_of(_SIGNED_ZEROS, st.floats(-10.0, 10.0)))
+
+
+def _parts(coeffs):
+    return [x for c in coeffs for x in ((c.real, c.imag) if isinstance(c, complex) else (c,))]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(shift_cases())
+def test_taylor_shift_equals_the_horner_form(case):
+    coeffs, d = case
+    got, want = poly.shift_origin(coeffs, d), _horner_shift(coeffs, d)
+    assert got == want
+    # only the sign of a zero may differ, and only where a part is zero
+    if all(_parts(coeffs)):
+        assert list(map(_bits, _parts(got))) == list(map(_bits, _parts(want)))

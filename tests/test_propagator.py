@@ -324,6 +324,17 @@ class TestGrowthBounds:
             chain = pr.derivative_sup_bound(me.zero_measure((-1, 1)), tr, (-0.5, 0.5))
             assert chain.holds == (True, False, True)
 
+    @pytest.mark.parametrize("shift", [0.0, 2.0**17])
+    def test_atom_an_ulp_off_its_grid_point(self, shift):
+        # the jump at an atom one ulp off its grid point still gives the
+        # left derivative -9 there, also where positions round at 1.5e-11
+        grid = np.linspace(-0.5, 0.5, 11) + shift
+        du = np.ones(11)
+        tr = pr.SolutionTrace(grid, np.ones(11), du, ((math.nextafter(grid[5], math.inf), 1.0, 10.0),))
+        chain = pr.derivative_sup_bound(me.zero_measure((shift - 1.0, shift + 1.0)), tr,
+                                        (shift - 0.5, shift + 0.5))
+        assert chain.sup_du == 9.0
+
     def test_cosh_closed_form_chain(self):
         # mu = lambda, z = 0 on [0, 1]: u = cosh, ||u'||_inf = sinh 1 <= 3 cosh 1
         lam = me.lebesgue((-0.5, 1.5))
@@ -421,6 +432,22 @@ class TestSolutionDifference:
         tr1 = pr.propagate(mu1, 0.2, 0.0, (1.0, 0.1), grid)
         tr2 = pr.propagate(mu2, 0.2, 0.0, (0.8, -0.2), grid)
         val = pr.variation_of_constants_value(mu1, mu2, 0.2, tr1, tr2, 0.0, 2.0)
+        direct = tr1.u[-1] - tr2.u[-1]
+        assert abs(val - direct) <= 1e-6 * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize("shift", [0.0, 2.0**17])
+    def test_anchor_an_ulp_off_its_grid_point(self, shift):
+        # near 2^17 positions round at 1.5e-11: an anchor one ulp below its
+        # grid value still names that grid point
+        window = (-4.0, 4.0)
+        mu2 = me.make_measure([(0.75, 0.5)], [(-4.0, 4.0, (0.2, 0.05, -0.01, 0.002))], window)
+        mu1 = me.add_measures(mu2, me.make_measure((), [(0.0, 2.0, (0.3,))], window))
+        mu1, mu2 = me.translate(mu1, -shift), me.translate(mu2, -shift)
+        grid = np.linspace(-2.0, 2.0, 9) + shift
+        tr1 = pr.propagate(mu1, 0.2, shift, (1.0, 0.1), grid)
+        tr2 = pr.propagate(mu2, 0.2, shift, (0.8, -0.2), grid)
+        s = math.nextafter(shift - 1.0, -math.inf)
+        val = pr.variation_of_constants_value(mu1, mu2, 0.2, tr1, tr2, s, shift + 2.0)
         direct = tr1.u[-1] - tr2.u[-1]
         assert abs(val - direct) <= 1e-6 * max(1.0, abs(direct))
 

@@ -175,6 +175,18 @@ class TestTestFunctional:
             r = sn.interval_seminorm(mu, (a - 1.5, a + 1.5), tol=1e-3)
             assert abs(sn.test_functional(mu, u)) <= r.upper + 1e-10
 
+    def test_is_the_mass_of_the_product(self, rng):
+        # the integral of u against mu is the total mass of u mu; densities
+        # of degree <= 2 keep the products cubic, so none is resampled
+        for _ in range(30):
+            mu = random_measure(rng, window=(-3, 3), max_segments=3, complex_weights=True,
+                                density_degree=2)
+            u = random_affine_test_function(rng, float(rng.uniform(-1.5, 1.5)))
+            prod = me.multiply_lipschitz(mu, u)
+            mass = (sum(w for _, w in prod.atoms)
+                    + sum(s.integral_over(s.start, s.end) for s in prod.segments))
+            assert abs(sn.test_functional(mu, u) - mass) <= 1e-12 * me.total_variation(prod)
+
 
 class TestMedianProperties:
     def test_median_optimality(self, rng):
@@ -735,6 +747,18 @@ def test_complex_window_under_unit_mass_bound(case):
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_edge_windows_under_unit_mass_bound(name):
     _check_unit_mass_bound(*EDGE_CASES[name])
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_test_functionals_under_the_window_value(name):
+    # u vanishes at the ends of its support [a - 1, a + 1] and has slopes
+    # <= 1, so |int u dmu| = |int u' (phi - c)| <= int |phi - c| for every c
+    mu, wlo, whi = EDGE_CASES[name]
+    a = 0.5 * (wlo + whi)
+    bound = sn.window_seminorm(mu, a).upper + 1e-12 * max(1.0, me.total_variation(mu, (wlo, whi)))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        assert abs(sn.test_functional(mu, random_affine_test_function(rng, a))) <= bound
 
 
 # ---------------------------------------------------------------------------
