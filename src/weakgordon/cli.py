@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -54,26 +54,7 @@ from .seminorm import SeminormStats, interval_seminorm, window_seminorm
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{_fmt(x.real)} {_fmt(x.imag)}"
     return "%.17g" % float(x)
-
-
-def _column(cells):
-    """The %-format of a CSV column and its cell lists: text as is, numbers
-    as `_fmt` prints them, a column with complex cells as two numbers.  A
-    numeric array is told by its dtype; other cells are scanned."""
-    if isinstance(cells, np.ndarray):
-        if cells.dtype.kind in "biuf":
-            return "%.17g", [cells.tolist()]
-        if cells.dtype.kind == "c":
-            return "%.17g %.17g", [cells.real.tolist(), cells.imag.tolist()]
-    cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
-    if all(map(isinstance, cells, repeat(str))):
-        return "%s", [cells]
-    if any(map(isinstance, cells, repeat(complex))):
-        return "%.17g %.17g", [[v.real for v in cells], [v.imag for v in cells]]
-    return "%.17g", [cells]
 
 
 # rows formatted by one %-format at a time: large enough to pay for the
@@ -82,13 +63,10 @@ _CSV_BLOCK = 4096
 
 
 def _write_csv(path, header, columns, footer_lines=()):
-    """A CSV table given by its columns: the format is chosen once per
-    column, and each block of rows interleaves the cells of the columns."""
-    fmts, cells = [], []
-    for fmt, parts in map(_column, columns):
-        fmts.append(fmt)
-        cells.extend(parts)
-    row = ",".join(fmts) + "\n"
+    """A CSV table given by its columns of real numbers, each cell printed
+    as `%.17g`: each block of rows interleaves the cells of the columns."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    row = ",".join(["%.17g"] * len(cells)) + "\n"
     with mio.rewrite(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK):
@@ -249,7 +227,7 @@ def quasiperiodic_cmd(levels, base1, base2, m_level, tol, out):
     rows = []
     for mm, cv, cert, ok in alpha.approximation_certificate():
         rows.append((mm, float(cv.numerator), float(cv.denominator), float(cert),
-                     "1" if ok else "0"))
+                     1 if ok else 0))
     footer = [
         f"defect_lo,{_fmt(defect.lower)}",
         f"defect_hi,{_fmt(defect.upper)}",

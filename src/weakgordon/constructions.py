@@ -29,6 +29,10 @@ GAP_FACTOR = 5
 
 MAX_LEVELS = 5
 
+# the most bits of a partial quotient, and atoms of a quasiperiodic measure
+BIT_BUDGET = 1_000_000
+ATOM_BUDGET = 200_000
+
 
 # ---------------------------------------------------------------------------
 # Liouville number via explosive continued fractions
@@ -56,7 +60,7 @@ class LiouvilleAlpha:
         return out
 
 
-def liouville_alpha(levels: int, bit_budget: int = 1_000_000) -> LiouvilleAlpha:
+def liouville_alpha(levels: int) -> LiouvilleAlpha:
     """Continued fraction [0; a_1, a_2, ...] with a_1 = 1 and
     a_{m+1} = max(1, m^(q_m)), in exact integer arithmetic.
 
@@ -77,10 +81,10 @@ def liouville_alpha(levels: int, bit_budget: int = 1_000_000) -> LiouvilleAlpha:
                 f"the next partial quotient would dwarf any budget"
             )
         bits_next = float(q_cur) * math.log2(max(m, 2))
-        if bits_next > bit_budget:
+        if bits_next > BIT_BUDGET:
             raise ResourceError(
                 f"partial quotient at level {m + 1} needs ~{bits_next:.0f} bits, "
-                f"budget {bit_budget}"
+                f"budget {BIT_BUDGET}"
             )
         a = max(1, m**q_cur)
         quotients.append(a)
@@ -104,7 +108,6 @@ def quasiperiodic_measure(
     alpha: LiouvilleAlpha,
     window,
     level: int | None = None,
-    atom_budget: int = 200_000,
 ) -> QuasiperiodicMeasure:
     """mu = mu1 + mu2 with mu1 period-1 and mu2 rescaled to period alpha.
 
@@ -120,9 +123,9 @@ def quasiperiodic_measure(
     lo, hi = window
     n_copies = (hi - lo) * (1.0 + 1.0 / target)
     n_atoms = (len(base1.base.atoms) + len(base2.base.atoms)) * n_copies
-    if n_atoms > atom_budget:
+    if n_atoms > ATOM_BUDGET:
         raise ResourceError(
-            f"window {window} needs ~{n_atoms:.0f} atoms, budget {atom_budget}"
+            f"window {window} needs ~{n_atoms:.0f} atoms, budget {ATOM_BUDGET}"
         )
     m1 = me.materialize_periodic(base1, window)
     m2 = me.materialize_periodic(base2_scaled, window)
@@ -319,9 +322,9 @@ class SharpnessReport:
     rate_tail: tuple  # (m, p_m, rate) closed-form tail beyond m_max
 
 
-def eigen_residual(S: SharpnessConstruction, window, step: float = 0.5) -> float:
+def eigen_residual(S: SharpnessConstruction, window) -> float:
     """Sup over consecutive grid pairs of the re-anchored one-step
-    propagation mismatch at z = -1.
+    propagation mismatch at z = -1, on a grid of step 0.5.
 
     Each step starts from the closed-form state, crosses the constructed
     atoms, and is compared with the closed-form state at the next point;
@@ -333,7 +336,7 @@ def eigen_residual(S: SharpnessConstruction, window, step: float = 0.5) -> float
         # the outermost support points carry no atom in the truncation (their
         # outward arcs live at the next level), so the check must stay inside
         raise DomainError(f"window {window} not strictly inside the construction")
-    grid = set(np.arange(a, b + step / 2, step).tolist())
+    grid = set(np.arange(a, b + 0.25, 0.5).tolist())
     grid.update(x for x in S.support if a <= x <= b)
     grid.update(x + 0.5 for x in S.support if a <= x + 0.5 <= b)
     pts = sorted(grid)

@@ -14,9 +14,13 @@ mass supremum, here and in the seminorm layer, is read from one sweep,
 `SlidingMass`, which builds its prefix sums once; `abs_mass` builds it for
 |mu| on a span.  Only this layer makes Segments: a span cut is
 `_clipped_segments`, a cut at a piecewise-affine function's pieces is
-`affine_products`, and Hermite cubics come from `_hermite_segments`.
+`affine_products`, and Hermite cubics come from `_hermite_segments`; the
+pieces of a span between its ends, atoms and segment ends are walked by
+`span_pieces`, for `cumulative_pieces` and the propagator's walk.
 
-Everything here is immutable and pure; values can be shared freely.
+Everything here is immutable and pure, but for two caches on a measure that
+are not part of its value (`_norm_unif`, `walk_plans`); values can be shared
+freely.
 """
 
 from __future__ import annotations
@@ -546,7 +550,24 @@ def norm_unif(mu: LocalMeasure, r: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cumulative primitive pieces (shared with the seminorm layer)
+# span and cumulative primitive pieces (shared with seminorm and propagator)
+
+
+def span_pieces(mu: LocalMeasure, a: float, b: float):
+    """The pieces of mu between consecutive cuts x0 < x1 of [a, b], cut at
+    a, b, the atoms and the segment ends: yields (x0, x1, the segment on
+    (x0, x1) or None, the weight of the atom at x1 or None)."""
+    atoms = dict(mu.atoms_in(a, b))
+    segs = mu.segments_meeting(a, b)
+    cuts = sorted({a, b} | atoms.keys() | {max(s.start, a) for s in segs}
+                  | {min(s.end, b) for s in segs})
+    k = 0
+    for x0, x1 in zip(cuts, cuts[1:]):
+        # segment ends are cuts: the covering segment is the first not ended
+        while k < len(segs) and segs[k].end <= x0:
+            k += 1
+        covered = k < len(segs) and segs[k].start <= x0
+        yield x0, x1, segs[k] if covered else None, atoms.get(x1)
 
 
 def cumulative_pieces(mu: LocalMeasure, wlo: float, whi: float):
@@ -556,26 +577,17 @@ def cumulative_pieces(mu: LocalMeasure, wlo: float, whi: float):
     covering [wlo, whi).  Degree <= 4.
     """
     mu.check_span(wlo, whi, "span")
-    atom_map = dict(mu.atoms_in(wlo, whi))
-    segs = mu.segments_meeting(wlo, whi)
-    cuts = sorted({wlo, whi} | atom_map.keys() | {max(s.start, wlo) for s in segs}
-                  | {min(s.end, whi) for s in segs})
-    pieces = []
-    cum = 0j
-    k = 0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t0 in atom_map:
-            cum += atom_map[t0]
-        # segment ends are cuts: the covering segment is the first not ended
-        while k < len(segs) and segs[k].end <= t0:
-            k += 1
-        if k == len(segs) or segs[k].start > t0:
+    pieces, cum = [], 0j
+    for t0, t1, s, w in span_pieces(mu, wlo, whi):
+        if s is None:
             coeffs = (cum,)
         else:
-            density = poly.shift_origin(segs[k].coeffs, t0 - segs[k].start)
+            density = poly.shift_origin(s.coeffs, t0 - s.start)
             coeffs = poly.add((cum,), poly.antiderivative(density))
         pieces.append((t0, t1, poly.trim(coeffs)))
         cum = poly.evaluate(coeffs, t1 - t0)
+        if w is not None:
+            cum += w
     return pieces
 
 
@@ -659,12 +671,10 @@ _RESAMPLE_BUDGET = 16384
 
 
 def _cubic_resample(a, b, coeffs):
-    """Approximate a real/complex degree-4 polynomial piece by Hermite cubics."""
+    """Approximate a real/complex polynomial piece of degree exactly 4 (a
+    trimmed product of `affine_products`) by Hermite cubics."""
     scale_ref = max(poly.sup_abs_on(coeffs, 0.0, b - a), 1e-300)
-    c4 = coeffs[4] if len(coeffs) > 4 else 0.0
-    f4 = 24.0 * abs(c4)
-    if f4 == 0.0:
-        return [Segment(a, b, poly.trim(coeffs[:4]))]
+    f4 = 24.0 * abs(coeffs[4])
     h = (384.0 * _RESAMPLE_REL_TOL * scale_ref / f4) ** 0.25
     n = max(1, int(math.ceil((b - a) / h)))
     if n > _RESAMPLE_BUDGET:

@@ -9,20 +9,21 @@ are traceless-exponentials or exact unipotents, so the Wronskian certificate
 accumulates only factor-level rounding.
 
 One walker, `_walk`, turns the stretch between two points into a flat list
-of factors plus marks.  It loops over the measure's pieces (cut at the ends,
-segment ends and atoms), splicing in the sample points inside a piece as its
-cells, one factor each; an atom is its own unipotent factor.  Everything
-that does not depend on z, the loop included, is a plan (`_walk_plan`) that
-the measure keeps for its last few paths (`LocalMeasure.walk_plans`), so a
-sweep over z on one path walks it once; per z only the factors are made, and
-they have the bits of a walk from scratch.  Only a walk with Magnus steps
+of factors plus marks.  It loops over the measure's pieces
+(`measure.span_pieces`, cut at the ends, segment ends and atoms), splicing
+in the sample points inside a piece as its cells, one factor each; an atom
+is its own unipotent factor.  Everything that does not depend on z, the
+loop included, is a plan (`_walk_plan`) that the measure keeps for its last
+few paths (`LocalMeasure.walk_plans`), so a sweep over z on one path walks
+it once; per z only the factors are made, and they have the bits of a walk
+from scratch.  Only a walk with Magnus steps
 touches NumPy (`_magnus_plan` once, `_magnus_factors` per z, each one pass
 over columns).  To the left the factors are inverted and reversed.  A factor
 is a 4-tuple (F00, F01, F10, F11) of Python complex numbers, and the grid
 enters as Python floats, so the folds are scalar arithmetic:
 `_transfer_along` folds the walk into matrices, `transfer_matrix` included;
-`propagate` folds it once, recording the state after every factor.  Both
-count what the walks applied (`WalkStats`).
+`propagate` folds the state from mark to mark.  Both count what the walks
+applied (`WalkStats`).
 
 Both variation-of-constants checks, `solution_difference` (the by-parts
 form) and `variation_of_constants_value` (the direct form), share one
@@ -268,48 +269,41 @@ class _WalkPlan:
 
 def _walk_plan(mu, a, b, tol, samples):
     """The `_WalkPlan` over [a, b] with the sorted samples in it."""
-    segments = mu.segments_meeting(a, b)
-    atoms = dict(mu.atoms_in(a, b))
-    cut = sorted({a, b} | {max(s.start, a) for s in segments} | {min(s.end, b) for s in segments}
-                 | atoms.keys())
-    # a segment's constant density, or None where it needs Magnus steps
-    consts = [None if any(s.coeffs[1:]) else s.coeffs[0] for s in segments]
     j = 1 if samples and samples[0] == a else 0
     factors, marks = [], [(0, a, None)] if j else []
-    cells, keys = [], {}  # keys: (segment or None, length) -> its index
-    pieces, seg, starts, ends = [], [], [], []  # Magnus pieces (factor, cell, count); columns
-    k, last = 0, len(segments)
-    for x0, x1 in zip(cut, cut[1:]):
-        # segment ends are cuts: the covering segment is the first not ended
-        while k < last and segments[k].end <= x0:
-            k += 1
+    # constant cells by (number of their segment or None, length): one hash per piece
+    cells, keys, numbers = [], {}, {}
+    pieces, segments, seg, starts, ends = [], {}, [], [], []  # Magnus pieces; their columns
+    for x0, x1, s, w in me.span_pieces(mu, a, b):
         j1, i = bisect_left(samples, x1, j), len(factors)
         inner = samples[j:j1]  # the samples inside the piece cut it into cells
         if inner:
             marks += zip(range(i + 1, i + 1 + len(inner)), inner, repeat(None))
-        covered = k < last and segments[k].start <= x0
         pts = [x0, *inner, x1]
-        if covered and consts[k] is None:
+        if s is not None and any(s.coeffs[1:]):
             pieces.append((i, len(starts), len(pts) - 1))
-            seg += [k] * (len(pts) - 1)
+            seg += [segments.setdefault(s, len(segments))] * (len(pts) - 1)
             starts += pts[:-1]
             ends += pts[1:]
         else:
-            d = k if covered else None
+            d = numbers.setdefault(s, len(numbers))
             cells += [(i + c, keys.setdefault((d, y - x), len(keys)))
                       for c, (x, y) in enumerate(zip(pts, pts[1:]))]
         factors += [None] * (len(pts) - 1)
-        if x1 in atoms:
-            marks.append((len(factors), x1, atoms[x1]))
-            factors.append((1 + 0j, 0j, complex(atoms[x1]), 1 + 0j))
+        if w is not None:
+            marks.append((len(factors), x1, w))
+            factors.append((1 + 0j, 0j, complex(w), 1 + 0j))
         j = j1
         if j < len(samples) and samples[j] == x1:
             marks.append((len(factors), x1, None))
             j += 1
-    magnus = _magnus_plan(segments, seg, starts, ends, tol**0.25) if pieces else None
-    stats = WalkStats(len(atoms), len(cells), magnus.steps if pieces else 0, len(starts))
-    return _WalkPlan(factors, cells, [(None if d is None else consts[d], h) for d, h in keys],
-                     pieces, magnus, tuple(marks), stats)
+    magnus = _magnus_plan(list(segments), seg, starts, ends, tol**0.25) if pieces else None
+    # the factors that are no cell are the atoms
+    stats = WalkStats(len(factors) - len(cells) - len(starts), len(cells),
+                      magnus.steps if pieces else 0, len(starts))
+    density = [None if s is None else s.coeffs[0] for s in numbers]
+    return _WalkPlan(factors, cells, [(density[d], h) for d, h in keys], pieces, magnus,
+                     tuple(marks), stats)
 
 
 # the walk plans a measure keeps (`LocalMeasure.walk_plans`), oldest dropped first
@@ -395,8 +389,8 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     """Solution trace with u(s) = initial[0], u'(s+) = initial[1].
 
     The grid must lie inside the window; s need not be a grid point.  Each
-    side of s is one walk, folded once into the state after every factor;
-    the grid states and the atom jumps are read off by mark index.
+    side of s is one walk, folded from mark to mark: the state at each grid
+    point is recorded at its mark, and each atom applies its jump at its own.
     """
     check_tol(tol)
     grid = np.sort(np.asarray(grid, dtype=float), kind="stable")
@@ -415,22 +409,21 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
             continue
         factors, _, marks, counts = _walk(mu, z, *sorted((s, side[-1])), tol, side, backward)
         stats += counts
-        # the state after every factor; an atom applies as its jump (walking
-        # left removes it), as (1, 0, w, 1) could flip the sign of a zero
-        v, dv = state0
-        trace, done = [state0], 0
-        for i, x, w in [m for m in marks if m[2] is not None] + [(len(factors), None, None)]:
+        # fold up to each mark: a sample records the state, an atom applies
+        # as its jump (walking left removes it), as (1, 0, w, 1) could flip
+        # the sign of a zero
+        (v, dv), done, at = state0, 0, {}
+        for i, x, w in marks:
             for f00, f01, f10, f11 in factors[done:i]:
                 v, dv = f00 * v + f01 * dv, f10 * v + f11 * dv
-                trace.append((v, dv))
+            done = i
             if w is None:
-                break
+                at[x] = (v, dv)
+                continue
             jump = w * v
             jumps.append((x, w, jump))
             dv = dv - jump if backward else dv + jump
-            trace.append((v, dv))
             done = i + 1
-        at = {x: trace[i] for i, x, w in marks if w is None}
         states += [at[x] for x in (side[::-1] if backward else side)]
     jumps.sort(key=lambda j: j[0])
     u, du = zip(*states)
@@ -533,34 +526,23 @@ class StabilityBound:
         )
 
 
-def stability_bound(
-    mu1,
-    mu2,
-    z,
-    alpha: int,
-    beta: int,
-    u2_sup: float,
-    c: float | None = None,
-    omega: float | None = None,
-    tol: float = 1e-6,
-) -> StabilityBound:
+def stability_bound(mu1, mu2, z, alpha: int, beta: int, u2_sup: float,
+                    tol: float = 1e-6) -> StabilityBound:
     """Dominating function for |u1 - u2| on [alpha, beta] under the matched
     initial condition, from the weak seminorm of nu = mu1 - mu2.
 
     The constant is assembled as C0 * sum_{k>=1} 2k e^{-omega(k-1)} with
-    C0 = 1 + (||mu2 - z lambda||_unif + 2)/omega; defaults (c, omega) =
-    (e^omega, ||mu1 - z lambda||_unif + 1) always satisfy the exponential
-    Dirichlet-derivative bound.
+    C0 = 1 + (||mu2 - z lambda||_unif + 2)/omega, where (c, omega) =
+    (e^omega, ||mu1 - z lambda||_unif + 1) satisfy the exponential
+    Dirichlet-derivative bound; the result records both.
     """
     if not (float(alpha).is_integer() and float(beta).is_integer()):
         raise DomainError("alpha, beta must be integers")
     alpha, beta = int(alpha), int(beta)
     if alpha > -1 or beta < 1:
         raise DomainError("need alpha <= -1 and beta >= 1")
-    if omega is None:
-        omega = me.norm_unif(spectral_shift(mu1, z)) + 1.0
-    if c is None:
-        c = math.exp(omega)
+    omega = me.norm_unif(spectral_shift(mu1, z)) + 1.0
+    c = math.exp(omega)
     nu = me.subtract(mu1, mu2)
     nu_norm = interval_seminorm(nu, (alpha, beta), tol).upper
     m2 = me.norm_unif(spectral_shift(mu2, z))
@@ -632,7 +614,7 @@ def _voc_setup(mu1, mu2, z, anchor, state, a, b, points, tol):
     cuts = sorted({a, b, anchor, *points} | inner)
     edges = []
     for x0, x1 in zip(cuts, cuts[1:]):
-        n = math.ceil((x1 - x0) / 2.0)
+        n = max(1, math.ceil((x1 - x0) / 2.0))  # (x1 - x0) / 2 may round to 0
         edges += [x0 + (x1 - x0) * k / n for k in range(n)]
     edges = np.array(edges + cuts[-1:])
     half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from weakgordon import measure as me
 from weakgordon import poly
 from weakgordon import seminorm as sn
+from weakgordon.errors import ToleranceError
 
 from test_median import measure_windows
 
@@ -228,3 +229,14 @@ def test_complex_bracket_holds_the_part_values(case):
             sn.window_seminorm(_part(mu, lambda v: v.imag), a).upper)
     assert res.lower <= m * (1 + 1e-12)
     assert m <= res.upper * (1 + 1e-12)
+
+
+def test_node_cap_raises_instead_of_a_wide_bracket():
+    # a complex window brackets its value in [M/2, M], so the gap of an
+    # interval of length 3 at tol 1e-3 stays open: the cap of 10 nodes ends
+    # the refinement with a ToleranceError, not with a bracket wider than tol
+    mu = me.make_measure([(-1.0, 0.5), (0.5, -0.25 + 0.1j)],
+                         [(-2.5, -1.0, (0.3, 0.1 + 0.2j, -0.2, 0.05)), (0.0, 1.25, (0.7,))],
+                         (-3, 3))
+    with pytest.raises(ToleranceError, match="after 10 refinement nodes"):
+        sn.interval_seminorm(mu, (-1.5, 1.5), 1e-3, max_nodes=10)

@@ -3,8 +3,9 @@ only `measure` constructs a `Segment`, and only `measure_io.rewrite` opens a
 file for writing.
 
 The |mu| sweep, for one, stays behind `measure.SlidingMass`; a layer that
-needs more of another exposes it under a public name.  Segment cuts stay in
-the measure layer: the others walk what it yields (`affine_products`,
+needs more of another exposes it under a public name, as `span_pieces` is
+for the propagator's walk.  Segment cuts stay in the measure layer: the
+others walk what it yields (`span_pieces`, `affine_products`,
 `cumulative_pieces`) or build measures through `make_measure`.
 """
 

@@ -451,6 +451,20 @@ class TestSolutionDifference:
         direct = tr1.u[-1] - tr2.u[-1]
         assert abs(val - direct) <= 1e-6 * max(1.0, abs(direct))
 
+    def test_anchor_a_subnormal_off_its_grid_point(self):
+        # the stretch from the anchor -5e-324 to the breakpoint 0 halves to
+        # 0: it is still one panel, so the anchor stays a node
+        window = (-4.0, 4.0)
+        mu2 = me.make_measure([(0.75, 0.5)], [(-4.0, 4.0, (0.2, 0.05, -0.01, 0.002))], window)
+        mu1 = me.add_measures(mu2, me.make_measure((), [(0.0, 2.0, (0.3,))], window))
+        grid = np.linspace(-2.0, 2.0, 9)
+        tr1 = pr.propagate(mu1, 0.2, 0.0, (1.0, 0.1), grid)
+        tr2 = pr.propagate(mu2, 0.2, 0.0, (0.8, -0.2), grid)
+        s = math.nextafter(0.0, -math.inf)
+        val = pr.variation_of_constants_value(mu1, mu2, 0.2, tr1, tr2, s, 2.0)
+        direct = tr1.u[-1] - tr2.u[-1]
+        assert abs(val - direct) <= 1e-9 * max(1.0, abs(direct))
+
     def test_degenerate_inputs(self):
         mu1 = me.dirac(0.3, 0.2, (-3.0, 3.0))
         mu2 = me.dirac(-0.4, 0.1, (-3.0, 3.0))
