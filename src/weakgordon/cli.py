@@ -22,7 +22,7 @@ configurations give byte-identical files.
 Exit codes: 0 success (also after --help and --version), 2 a usage error
 (one `Error: ...` line on stderr), a validation error or a file that cannot
 be read or written (OSError), 3 numerical-tolerance failure, 4 resource
-budget exceeded (including RepresentationError).
+budget exceeded (including RepresentationError and MemoryError).
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def sharpness_cmd(m_max, weight, tol, out, plot_path):
         footer,
     )
     if plot_path:
-        half = 2.0 * S.periods[1] if m_max >= 2 else S.periods[0]
+        half = 2.0 * S.periods[1]
         ts, us = cons.eigenfunction_trace(S, (-half, half), step=0.01)
         _write_csv(plot_path, ["t", "u"], [ts, us])
     return ({"C_mu_estimate": rep.C_mu_estimate, "E_mu_estimate": rep.E_mu_estimate,
@@ -438,7 +438,7 @@ def run(argv=None) -> int:
     except ToleranceError as e:
         print(f"tolerance failure: {e}", file=sys.stderr)
         return 3
-    except (ResourceError, RepresentationError) as e:
+    except (ResourceError, RepresentationError, MemoryError) as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 4
 

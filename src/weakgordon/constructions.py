@@ -29,10 +29,6 @@ GAP_FACTOR = 5
 
 MAX_LEVELS = 5
 
-# the most bits of a partial quotient, and atoms of a quasiperiodic measure
-BIT_BUDGET = 1_000_000
-ATOM_BUDGET = 200_000
-
 
 # ---------------------------------------------------------------------------
 # Liouville number via explosive continued fractions
@@ -42,7 +38,6 @@ ATOM_BUDGET = 200_000
 class LiouvilleAlpha:
     partial_quotients: tuple
     convergents: tuple  # Fractions p_m / q_m, m = 1..levels
-    B: float
 
     @property
     def alpha(self) -> Fraction:
@@ -50,13 +45,13 @@ class LiouvilleAlpha:
         return self.convergents[-1]
 
     def approximation_certificate(self):
-        """Exact-rational check |alpha - p_m/q_m| * m^(q_m) <= B for m < M."""
+        """Exact-rational check |alpha - p_m/q_m| * m^(q_m) <= 1 for m < M."""
         alpha = self.alpha
         out = []
         for m, conv in enumerate(self.convergents[:-1], start=1):
             err = abs(alpha - conv)
             bound = err * (m ** conv.denominator)
-            out.append((m, conv, bound, bound <= Fraction(int(self.B))))
+            out.append((m, conv, bound, bound <= 1))
         return out
 
 
@@ -65,7 +60,11 @@ def liouville_alpha(levels: int) -> LiouvilleAlpha:
     a_{m+1} = max(1, m^(q_m)), in exact integer arithmetic.
 
     The defining inequality |alpha - p_m/q_m| <= m^(-q_m) follows from
-    |alpha - p_m/q_m| <= 1/(q_m q_{m+1}) <= 1/a_{m+1}, so B = 1.
+    |alpha - p_m/q_m| <= 1/(q_m q_{m+1}) <= 1/a_{m+1}.
+
+    The denominators run q = 1, 2, 9, 177149, ...: level 5 builds a partial
+    quotient 4^177149 of 354,298 bits, and a level past 5 raises
+    ResourceError, as its quotient m^(q_m) would have more than 2^63 bits.
     """
     if levels < 2:
         raise DomainError(f"need at least 2 levels, got {levels}")
@@ -80,18 +79,12 @@ def liouville_alpha(levels: int) -> LiouvilleAlpha:
                 f"denominator q_{m} already has {q_cur.bit_length()} bits; "
                 f"the next partial quotient would dwarf any budget"
             )
-        bits_next = float(q_cur) * math.log2(max(m, 2))
-        if bits_next > BIT_BUDGET:
-            raise ResourceError(
-                f"partial quotient at level {m + 1} needs ~{bits_next:.0f} bits, "
-                f"budget {BIT_BUDGET}"
-            )
         a = max(1, m**q_cur)
         quotients.append(a)
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
         convergents.append(Fraction(p_cur, q_cur))
-    return LiouvilleAlpha(tuple(quotients), tuple(convergents), 1.0)
+    return LiouvilleAlpha(tuple(quotients), tuple(convergents))
 
 
 @dataclass(frozen=True)
@@ -107,26 +100,18 @@ def quasiperiodic_measure(
     base2: me.PeriodicMeasure,
     alpha: LiouvilleAlpha,
     window,
-    level: int | None = None,
 ) -> QuasiperiodicMeasure:
     """mu = mu1 + mu2 with mu1 period-1 and mu2 rescaled to period alpha.
 
-    alpha enters only through its exact rational proxy (a convergent); the
-    proxy actually used is recorded in the result.
+    alpha enters only through its exact rational proxy, its last
+    convergent, which the result records.  Each part is materialised on the
+    window within `measure.ATOM_BUDGET` (else ResourceError).
     """
     if abs(base1.period - 1.0) > 1e-12:
         raise DomainError("base1 must have period 1")
-    proxy = alpha.convergents[-1 if level is None else level - 1]
-    target = float(proxy)
-    r = base2.period / target
+    proxy = alpha.alpha
+    r = base2.period / float(proxy)
     base2_scaled = me.PeriodicMeasure(me.scale(base2.base, r), base2.period / r)
-    lo, hi = window
-    n_copies = (hi - lo) * (1.0 + 1.0 / target)
-    n_atoms = (len(base1.base.atoms) + len(base2.base.atoms)) * n_copies
-    if n_atoms > ATOM_BUDGET:
-        raise ResourceError(
-            f"window {window} needs ~{n_atoms:.0f} atoms, budget {ATOM_BUDGET}"
-        )
     m1 = me.materialize_periodic(base1, window)
     m2 = me.materialize_periodic(base2_scaled, window)
     return QuasiperiodicMeasure(me.add_measures(m1, m2), proxy, m1, m2)
@@ -319,7 +304,6 @@ class SharpnessReport:
     C_mu_estimate: float
     E_mu_estimate: float
     r_profile: tuple
-    rate_tail: tuple  # (m, p_m, rate) closed-form tail beyond m_max
 
 
 def eigen_residual(S: SharpnessConstruction, window) -> float:
@@ -349,29 +333,20 @@ def eigen_residual(S: SharpnessConstruction, window) -> float:
     return worst
 
 
-def rate_tail(m_from: int, m_to: int):
-    """Closed-form Gordon rates -(1/p_m) ln defect_m for the gap schedule,
-    m >= 2, evaluated in log space (valid far beyond materialisable m)."""
-    out = []
-    lengths, periods = gap_lengths(m_to)
-    for m in range(max(m_from, 2), m_to + 1):
-        l, p = lengths[m - 1], periods[m - 1]
-        if p > 1e280:
-            break
-        out.append((m, float(p), -log_interchange_defect(m, float(l)) / p))
-    return out
-
-
 def sharpness_report(S: SharpnessConstruction, C: float, tol: float = 1e-9) -> SharpnessReport:
     """Per-level defect table, eigen-residual and exclusion ingredients.
 
     Defect/rate columns for m >= 2 use the proven interchange closed form in
     log space (the materialised cross-check is the measured_defect bracket);
     the m = 1 row uses the constructed jump difference directly, since the
-    four-point interchange hypothesis fails there.
+    four-point interchange hypothesis fails there.  The report needs
+    m_max >= 2: at m_max = 1 the point t_1 is the outermost support point,
+    which carries no atom.
     """
     if not 0 < C < 1:
         raise DomainError(f"need 0 < C < 1, got {C}")
+    if S.m_max < 2:
+        raise DomainError(f"the sharpness report needs m_max >= 2, got {S.m_max}")
     idx = {x: i for i, x in enumerate(S.support)}
     rows = []
     for m in range(1, S.m_max + 1):
@@ -405,22 +380,22 @@ def sharpness_report(S: SharpnessConstruction, C: float, tol: float = 1e-9) -> S
             )
         )
 
-    half = 2 * S.periods[1] if S.m_max >= 2 else S.periods[0]
-    half = min(half, S.support[-1] - 1.0)
+    half = min(2 * S.periods[1], S.support[-1] - 1.0)
     res_win = (-half, half)
     resid = eigen_residual(S, res_win)
 
-    tail = rate_tail(2, 40)
-    rates = [r for _, _, r in tail]
-    if rows and math.isfinite(rows[0].log_defect):
+    # the closed-form Gordon rates -(1/p_m) ln defect_m of levels 2..40, in
+    # log space far beyond the materialisable ones (p_40 is about 1.9e134),
+    # and the constructed rate of level 1
+    lengths, periods = gap_lengths(40)
+    rates = [-log_interchange_defect(m, float(l)) / p
+             for m, l, p in zip(range(2, 41), lengths[1:], periods[1:])]
+    if math.isfinite(rows[0].log_defect):
         rates.append(-rows[0].log_defect / rows[0].p)
     c_est = max(rates)
-    r_grid = [1.0] + [float(p) for p in S.periods[: min(2, S.m_max)]]
-    profile = tuple((float(r), me.norm_unif(S.measure, float(r))) for r in r_grid)
+    profile = tuple((r, me.norm_unif(S.measure, r)) for r in (1.0, *S.periods[:2]))
     e_est = c_est * c_est - min(v for _, v in profile)
-    return SharpnessReport(
-        C, tuple(rows), resid, res_win, c_est, e_est, profile, tuple(tail)
-    )
+    return SharpnessReport(C, tuple(rows), resid, res_win, c_est, e_est, profile)
 
 
 def eigenfunction_trace(S: SharpnessConstruction, window, step: float = 0.01):

@@ -33,12 +33,15 @@ from itertools import accumulate
 from operator import attrgetter, itemgetter, le, lt
 
 from . import poly
-from .errors import DomainError, RepresentationError, ValidationError
+from .errors import DomainError, RepresentationError, ResourceError, ValidationError
 
 MAX_DEGREE = 3
 
 # normalisation of the bump (1 - x^2)^3 on (-1, 1):  integral = 32/35
 MOLLIFIER_NORM = 35.0 / 32.0
+
+# the most copies of base atoms and segments `materialize_periodic` makes
+ATOM_BUDGET = 200_000
 
 _POS, _WEIGHT = itemgetter(0), itemgetter(1)
 _START, _END, _COEFFS = attrgetter("start"), attrgetter("end"), attrgetter("coeffs")
@@ -86,8 +89,6 @@ class Segment:
     def abs_integral_over(self, a, b):
         a = max(a, self.start)
         b = min(b, self.end)
-        if b <= a:
-            return 0.0
         return poly.integral_abs(self.coeffs, a - self.start, b - self.start)
 
 
@@ -751,8 +752,6 @@ def mollify_with_error(mu: LocalMeasure, n: int):
     lo, hi = mu.lo + half, mu.hi - half
     if not lo < hi:
         raise DomainError("window too small for mollification margins")
-    if mu.is_zero():
-        return zero_measure((lo, hi)), 0.0
 
     kern = _kernel_coeffs(n)
     kern_d = poly.derivative(kern)
@@ -821,11 +820,22 @@ class PeriodicMeasure:
 
 
 def materialize_periodic(P: PeriodicMeasure, window) -> LocalMeasure:
-    """Union of all period shifts of the base intersecting the window."""
+    """Union of all period shifts of the base intersecting the window.
+
+    Raises ResourceError when the shifts it walks, about (hi - lo) / p + 6,
+    times the base's atoms and segments (at least one, as an empty base
+    still walks its shifts) exceed `ATOM_BUDGET`.  The count is a float, so
+    a period far below the window's scale raises too."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise DomainError(f"invalid window {window}")
     p = P.period
+    items = len(P.base.atoms) + len(P.base.segments)
+    shifts = (hi - lo) / p + 6.0
+    if shifts * max(items, 1) > ATOM_BUDGET:
+        raise ResourceError(
+            f"window {window} needs {shifts:.3g} shifts of period {p} with {items} "
+            f"atoms and segments each, budget {ATOM_BUDGET}")
     k0 = int(math.floor((lo - p) / p)) - 1
     k1 = int(math.ceil(hi / p)) + 1
     atoms = []

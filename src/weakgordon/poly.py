@@ -215,7 +215,7 @@ def _roots_in(c, lo, hi):
         else:
             sq = math.sqrt(disc)
             q = -0.5 * (a1 + math.copysign(sq, a1))
-            raw = [q / a2, a0 / q] if q != 0.0 else [0.0, -a1 / a2]
+            raw = [q / a2, a0 / q]  # |q| >= sqrt(disc) / 2 > 0
     return sorted({x for x in raw if lo < x < hi})
 
 

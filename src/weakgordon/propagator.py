@@ -43,7 +43,7 @@ from itertools import repeat
 import numpy as np
 
 from . import measure as me
-from .errors import DomainError, ToleranceError, check_tol
+from .errors import DomainError, ResourceError, ToleranceError, check_tol
 from .seminorm import interval_seminorm, window_seminorm
 
 _SQRT3 = math.sqrt(3.0)
@@ -162,30 +162,36 @@ def _magnus_steps(plan, z):
 @dataclass(frozen=True)
 class _MagnusPlan:
     """The z-independent part of `_magnus_factors`: p at both Gauss nodes
-    of every step, the step lengths, each cell's first step and, when some
-    cell has several steps, the product tree (its size, where each step
-    goes, and per level the cut and the cells whose products are done)."""
+    of every step, the step lengths, each cell's first step and the product
+    tree (its size, where each step goes, and per level the cut and the
+    cells whose products are done)."""
 
     p1: np.ndarray
     p2: np.ndarray
     h: np.ndarray
     first: np.ndarray
     steps: int
-    tree: tuple | None
+    tree: tuple
 
 
 def _magnus_plan(segments, seg, x0, x1, root):
     """The `_MagnusPlan` of the cells, one pass over their columns.
 
     Cell j runs from x0[j] to x1[j] on segments[seg[j]] in n = ceil((x1 -
-    x0) / root) equal steps, at least one.  One step is its own product;
-    else a product tree pads each cell with identities to its own power of
-    two, and every cell goes up one level per pass.
+    x0) / root) equal steps, at least one.  A product tree pads each cell
+    with identities to its own power of two, and every cell goes up one
+    level per pass; when every cell is one step the tree has height 0 and
+    its product is the step itself.  More than `_MAX_MAGNUS_STEPS` steps in
+    all raise ResourceError, counted before any step array is made.
     """
     seg, x0, length = np.array(seg), np.array(x0), np.array(x1) - x0
     x0 = x0 - np.array([s.start for s in segments])[seg]  # local offsets
-    n = np.maximum(np.ceil(length / root), 1.0).astype(np.int64)
-    h, steps = length / n, int(n.sum())
+    n = np.maximum(np.ceil(length / root), 1.0)
+    total = n.sum()  # as a float: a count past int64 must not wrap before the check
+    if total > _MAX_MAGNUS_STEPS:
+        raise ResourceError(f"the walk needs {total:.3g} Magnus steps, budget {_MAX_MAGNUS_STEPS}")
+    n = n.astype(np.int64)
+    h, steps = length / n, int(total)
     padded = [tuple(s.coeffs) + (0j,) * (me.MAX_DEGREE + 1 - len(s.coeffs)) for s in segments]
     coeffs = np.array(padded, dtype=complex).T.copy()  # by degree: gathers from contiguous rows
     first = np.cumsum(n) - n
@@ -200,8 +206,6 @@ def _magnus_plan(segments, seg, x0, x1, root):
         return acc
 
     p1, p2 = p_at(x0 + (0.5 - _SQRT3 / 6.0) * h), p_at(x0 + (0.5 + _SQRT3 / 6.0) * h)
-    if steps == len(n):
-        return _MagnusPlan(p1, p2, h, first, steps, None)
     # the largest padded size first, so each cell starts at a multiple of its size
     size = 1 << np.frexp(n - 1)[1]
     order = np.argsort(-size, kind="stable")
@@ -226,8 +230,6 @@ def _magnus_factors(plan, z):
     F_1.  Returns the factors and each cell's summed |det F - 1|."""
     F = _magnus_steps(plan, z)
     defects = np.add.reduceat(np.abs(F[0] * F[3] - F[1] * F[2] - 1.0), plan.first).tolist()
-    if plan.tree is None:
-        return list(zip(*(f.tolist() for f in F))), defects
     size, pos, levels = plan.tree
     level = [np.full(size, pad, dtype=complex) for pad in (1, 0, 0, 1)]
     for entries, f in zip(level, F):
@@ -308,6 +310,8 @@ def _walk_plan(mu, a, b, tol, samples):
 
 # the walk plans a measure keeps (`LocalMeasure.walk_plans`), oldest dropped first
 _PLANS_KEPT = 8
+# the most Magnus steps of one walk: their arrays take about 200 bytes a step
+_MAX_MAGNUS_STEPS = 1_000_000
 
 
 def _walk(mu, z, a, b, tol, markers=(), backward=False):
@@ -683,11 +687,15 @@ def solution_difference(mu1, mu2, z, u1_initial, grid, tol: float = 1e-8):
 def variation_of_constants_value(mu1, mu2, z, tr1: SolutionTrace, tr2: SolutionTrace, s, t, tol=1e-8):
     """First component of T1(t,s) v(s) + int_s^t T1(t,r)(0, u2(r)) dnu(r),
     the variation-of-constants identity anchored at s, which must be a grid
-    point of tr1 up to the `measure.span_slack` of [s, t]."""
+    point of tr1, and of tr2 at the same index, up to the
+    `measure.span_slack` of [s, t]."""
     nu = me.subtract(mu1, mu2)
     i_s = int(np.argmin(np.abs(tr1.grid - s)))
-    if abs(tr1.grid[i_s] - s) > me.span_slack(s, t):
+    room = me.span_slack(s, t)
+    if abs(tr1.grid[i_s] - s) > room:
         raise DomainError("s must be a trace grid point")
+    if i_s >= len(tr2.grid) or abs(tr2.grid[i_s] - s) > room:
+        raise DomainError("s must be a grid point of tr2 at its index in tr1")
     s, t = float(s), float(t)
     a, b = min(s, t), max(s, t)
     _, ((xs, ws), _), at = _voc_setup(mu1, mu2, z, s, (tr2.u[i_s], tr2.du[i_s]), a, b, (), tol)

@@ -638,12 +638,14 @@ def interval_seminorm(
       density counts with |Re rho| + |Im rho| >= |rho|), the |phi - c|
       sups to one built on `_l1_pieces` per incumbent c.
 
-    `lower` is the window value at the witness a*; `upper` is the largest of
-    `lower`, the exact cell maxima and the settled node bounds.  So
-    upper - lower <= tol (plus the complex bracket width), and it is 0 up to
-    rounding when every cell is exact.  The certificate holds the narrowest
-    node of the list as `grid_step` (0 when no cell is refined), |mu|(I) as
-    `lipschitz` (the global bound) and upper - lower as `error_bound`.
+    `lower` is the window value at the witness a*, whose window [a* - 1,
+    a* + 1] is `witness_window` (I itself when |I| <= 2), for the zero
+    measure too; `upper` is the largest of `lower`, the exact cell maxima
+    and the settled node bounds.  So upper - lower <= tol (plus the complex
+    bracket width), and it is 0 up to rounding when every cell is exact.
+    The certificate holds the narrowest node of the list as `grid_step` (0
+    when no cell is refined), |mu|(I) as `lipschitz` (the global bound) and
+    upper - lower as `error_bound`.
     `stats` sums the work of the window evaluations and counts the exact
     cells and the envelope vertices their walks passed.
     """
@@ -651,8 +653,6 @@ def interval_seminorm(
     lo, hi = float(interval[0]), float(interval[1])
     mu.check_span(lo, hi, "interval")
     length = hi - lo
-    if mu.is_zero():
-        return SeminormResult(0.0, 0.0, 0j, (lo, hi), SeminormCertificate(0, 0, 0))
     # one window when I is 2 long up to the rounding of its ends
     if length <= 2.0 + me.span_slack(lo, hi):
         vlo, vup, c, stats = _window_value(mu, lo, hi)

@@ -63,6 +63,11 @@ class TestSeminormCommand:
             stats.append(json.loads((workdir / "meta.json").read_text())["stats"])
         assert stats[0] == stats[1] and stats[0]["l1_evaluations"] > 0
 
+    def test_empty_interval_is_the_zero_window(self, workdir, capsys):
+        # [1, 1] holds no piece of phi: value 0, c = 0, witness centre 1
+        assert cli.run(["seminorm", "--measure", "dirac.json", "--interval", "1,1"]) == 0
+        assert capsys.readouterr() == ("0 0 0 0 1\n", "")
+
     def test_missing_file_exit_2(self, workdir):
         assert cli.run(["seminorm", "--measure", "nope.json", "--interval", "-1,1"]) == 2
 
@@ -188,6 +193,13 @@ class TestSharpnessCommand:
         assert capsys.readouterr().err == "error: m_max must be at least 1, got 0\n"
         assert not (workdir / "rep.csv").exists()
 
+    def test_one_level_exit_2(self, workdir, capsys):
+        # the report reads level 1's interchange atoms, which one level lacks
+        assert cli.run(["sharpness", "--m-max", "1", "--out", "rep.csv"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the sharpness report needs m_max >= 2, got 1\n")
+        assert not (workdir / "rep.csv").exists()
+
 
 class TestExitCodes:
     def test_representation_error_exit_4(self, workdir, monkeypatch, capsys):
@@ -235,6 +247,30 @@ class TestExitCodes:
         assert cli.run(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in workdir.iterdir()) == ["comb.json", "dirac.json"]
+
+    @pytest.mark.parametrize("extra, message", [
+        # the step count overflows int64
+        (["--tol", "1e-300"], "the walk needs 5e+74 Magnus steps, budget 1000000"),
+        (["--tol", "1e-60"], "the walk needs 5e+14 Magnus steps, budget 1000000"),
+        # a 2e15-point grid is a MemoryError where NumPy allocates it
+        (["--grid", "-1:1:1e-15"], "Unable to allocate 14.2 PiB for an array with shape "
+                                   "(2000000000000001,) and data type float64"),
+        (["--measure", "fine.json"], "window (-1.0, 1.0) needs 2.5e+05 shifts of period 8e-06 "
+                                     "with 1 atoms and segments each, budget 200000"),
+    ], ids=["magnus-steps-past-int64", "magnus-steps", "grid-memory", "periodic-copies"])
+    def test_resource_errors_exit_4(self, workdir, capsys, extra, message):
+        # slope.json has a non-constant density, so the walk takes Magnus
+        # steps; fine.json repeats one atom every 8e-6
+        mio.dump_measure(me.make_measure((), [(-2.0, 2.0, (0.5, 0.25))], (-2, 2)),
+                         workdir / "slope.json")
+        mio.dump_measure(me.PeriodicMeasure(me.dirac(0.0, 1.0, (0.0, 8e-6)), 8e-6),
+                         workdir / "fine.json")
+        argv = ["propagate", "--measure", "slope.json", "--z", "0,0", "--from", "0", "--init",
+                "1,0,0,0", "--grid", "-0.5:0.5:0.25", "--out", "trace.csv", *extra]
+        assert cli.run(argv) == 4
+        assert capsys.readouterr() == ("", f"resource budget exceeded: {message}\n")
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "comb.json", "dirac.json", "fine.json", "slope.json"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_outputs_to_dev_null(self, workdir):

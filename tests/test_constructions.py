@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -48,9 +49,8 @@ class TestQuasiperiodic:
 
     def test_degenerate_alpha_one(self):
         L = cons.liouville_alpha(4)
-        q = cons.quasiperiodic_measure(
-            self._unit_comb(), self._unit_comb(), L, (-3, 3), level=1
-        )
+        L = dataclasses.replace(L, convergents=L.convergents[:1])
+        q = cons.quasiperiodic_measure(self._unit_comb(), self._unit_comb(), L, (-3, 3))
         assert q.alpha_proxy == 1
         assert all(w == 2.0 for _, w in q.measure.atoms)
 
@@ -303,3 +303,26 @@ class TestSharpnessReport:
         grid = np.array([0.0, S.periods[0]])
         tr = pr.propagate(S.measure, -1.0, 0.0, (u0, du0), grid)
         assert abs(tr.u[1] - 0.5) <= 1e-10
+
+
+_S2 = cons.sharpness_construction(2)
+_COMB2 = me.PeriodicMeasure(me.make_measure([(0.0, 1.0)], (), (0, 2)), 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cons.quasiperiodic_measure(_COMB2, _COMB2, cons.liouville_alpha(2), (-1, 1)),
+     "base1 must have period 1"),
+    (lambda: cons.interior_solution(1.0, 1.0, 0.0, 0.0), "arc length must be positive, got 0.0"),
+    (lambda: cons.mass_difference(-1.0, 1.0, 1.0), "need b, c, L > 0"),
+    (lambda: cons.eigen_residual(_S2, (_S2.support[0], 0.0)),
+     f"window {(_S2.support[0], 0.0)} not strictly inside the construction"),
+    (lambda: cons.sharpness_report(_S2, 1.5), "need 0 < C < 1, got 1.5"),
+    # t_1 = 5 is then the outermost support point, which carries no atom
+    (lambda: cons.sharpness_report(cons.sharpness_construction(1), 0.9),
+     "the sharpness report needs m_max >= 2, got 1"),
+], ids=["quasiperiodic-base1", "arc-length", "mass-difference", "residual-window",
+        "report-weight", "report-one-level"])
+def test_raise_paths(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

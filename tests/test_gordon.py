@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from weakgordon import gordon as go
@@ -52,6 +54,12 @@ class TestRatioAndEstimate:
         d = go.translation_defect(mu, 2.0, tol=1e-4)
         assert go.gordon_ratio(mu, 2.0, C=0.0, tol=1e-4) == pytest.approx(d.upper, rel=1e-6)
 
+    def test_ratio_past_float_range_is_inf(self):
+        # e^(C p) times the defect would overflow: the ratio is +inf
+        mu = me.make_measure([(0.0, 1.0)], (), (-3, 6))
+        assert go.translation_defect(mu, 2.0).upper == 1.0
+        assert go.gordon_ratio(mu, 2.0, C=400.0) == math.inf
+
     def test_periodic_flagged_infinite(self):
         P = me.PeriodicMeasure(me.make_measure([(0.5, 1.0)], (), (0, 1)), 1.0)
         mu = me.materialize_periodic(P, (-8, 16))
@@ -91,11 +99,13 @@ class TestPeriodicApproximant:
         p = 3.0
         P = me.PeriodicMeasure(me.make_measure([(0.7, 1.0), (2.1, -0.5)], (), (0, p)), p)
         mu = me.materialize_periodic(P, (-2 * p, 3 * p))
-        approx = go.periodic_approximant(mu, p, a=1.0)
-        mat = me.materialize_periodic(approx, (-p, 2 * p))
-        diff = me.subtract(me.restrict(mat, (-p, 2 * p)), me.restrict(mu, (-p, 2 * p)))
-        assert all(abs(w) <= 1e-12 for _, w in diff.atoms)
-        assert not diff.segments
+        # a = p/2: psi is a tent with no plateau
+        for a in (1.0, p / 2):
+            approx = go.periodic_approximant(mu, p, a=a)
+            mat = me.materialize_periodic(approx, (-p, 2 * p))
+            diff = me.subtract(me.restrict(mat, (-p, 2 * p)), me.restrict(mu, (-p, 2 * p)))
+            assert all(abs(w) <= 1e-12 for _, w in diff.atoms)
+            assert not diff.segments
 
     def test_agreement_on_plateau(self, rng):
         for _ in range(10):
@@ -136,6 +146,21 @@ class TestPeriodicApproximant:
         mu = random_measure(rng, window=(-8, 16))
         with pytest.raises(DomainError):
             go.periodic_approximant(mu, 6.0, a=4.0)
+
+
+_ATOM = me.dirac(0.0, 1.0, (-2.0, 4.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: go.translation_defect(_ATOM, 0.0), "period must be positive, got 0.0"),
+    (lambda: go.estimate_C_mu(_ATOM, []), "empty period list"),
+    (lambda: go.exclusion_bound(_ATOM, [1.0], []), "empty r grid"),
+    (lambda: go.periodic_approximant(_ATOM, 2.0, 0.0), "need 0 < a <= p/2, got a=0.0, p=2.0"),
+], ids=["defect-period", "no-periods", "no-r-grid", "approximant-ramp"])
+def test_raise_paths(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestScalingCovariance:

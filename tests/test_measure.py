@@ -10,7 +10,13 @@ from weakgordon import measure as me
 from weakgordon import poly
 from weakgordon import propagator as pr
 from weakgordon import seminorm as sn
-from weakgordon.errors import DomainError, ToleranceError, ValidationError
+from weakgordon.errors import (
+    DomainError,
+    RepresentationError,
+    ResourceError,
+    ToleranceError,
+    ValidationError,
+)
 
 from conftest import random_measure
 
@@ -610,3 +616,75 @@ def test_constructors_sort_atoms_by_position(seed):
         assert all(any(s.coeffs) for s in m.segments), name
         assert all(s.end <= t.start for s, t in zip(m.segments, m.segments[1:])), name
         assert name == "mollify" or xs, name
+
+
+_UNIT = me.dirac(0.5, 1.0, (0.0, 1.0))
+_COMB = me.make_measure([(0.0, 1.0)], (), (0.0, 1.0))
+
+
+def _resample_over(budget, monkeypatch):
+    """multiply_lipschitz of t^3 by a ramp, whose degree-4 product takes 500
+    Hermite cells, under a cell budget; by the Chebyshev bound no degree-4
+    piece takes more than about 1,700, so only a lowered budget is reached."""
+    monkeypatch.setattr(me, "_RESAMPLE_BUDGET", budget)
+    mu = me.make_measure((), [(0.0, 1.0, (0.0, 0.0, 0.0, 1.0))], (0.0, 1.0))
+    return me.multiply_lipschitz(mu, me.PiecewiseAffine((0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: me.Segment(1.0, 1.0, (1.0,)), ValidationError, "segment [1.0, 1.0] is empty"),
+    (lambda: me.Segment(0.0, 1.0, (1.0,) * 5), ValidationError,
+     "segment degree 4 exceeds cap 3"),
+    (lambda: me.make_measure(), ValidationError, "window is required"),
+    (lambda: me.make_measure((), (), (1, 1)), ValidationError, "invalid window [1.0, 1.0]"),
+    (lambda: me.make_measure([(math.nan, 1.0)], (), (0, 1)), ValidationError,
+     "atom with non-finite position or weight"),
+    (lambda: me.make_measure((), [(0.0, 2.0, (1.0,))], (0, 1)), ValidationError,
+     "segment [0.0, 2.0] outside window [0.0, 1.0]"),
+    (lambda: me.make_measure((), [(0.0, 1.0, (math.inf,))], (0, 1)), ValidationError,
+     "segment with non-finite coefficient"),
+    (lambda: me.add_measures(_UNIT, me.translate(_UNIT, -2.0)), DomainError,
+     "measure windows do not overlap"),
+    (lambda: me.norm_unif(_UNIT, 0.0), DomainError, "r must be positive, got 0.0"),
+    (lambda: me.PiecewiseAffine((0.0,), (1.0,)), ValidationError,
+     "need matching xs/ys with at least two points"),
+    (lambda: me.PiecewiseAffine((0.0, 0.0), (1.0, 1.0)), ValidationError,
+     "breakpoints must be strictly increasing"),
+    (lambda: me.mollify_with_error(_UNIT, 0), DomainError,
+     "mollification order must be a positive integer, got 0"),
+    (lambda: me.PeriodicMeasure(_COMB, 0.0), ValidationError, "period must be positive, got 0.0"),
+    (lambda: me.PeriodicMeasure(me.lebesgue((0.0, 1.0)), 0.5), ValidationError,
+     "base segment [0.0, 1.0] outside [0, 0.5]"),
+    (lambda: me.materialize_periodic(me.PeriodicMeasure(_COMB, 1.0), (1.0, 1.0)), DomainError,
+     "invalid window (1.0, 1.0)"),
+    (lambda: me.materialize_periodic(me.PeriodicMeasure(me.dirac(0.0, 1.0, (0.0, 1e-5)), 1e-5),
+                                     (-1.0, 1.0)), ResourceError,
+     "window (-1.0, 1.0) needs 2e+05 shifts of period 1e-05 with 1 atoms and segments each, "
+     "budget 200000"),
+    # (1 - 0) / 5e-324 is past the float range
+    (lambda: me.materialize_periodic(me.PeriodicMeasure(me.dirac(0.0, 1.0, (0.0, 5e-324)), 5e-324),
+                                     (0.0, 1.0)), ResourceError,
+     "window (0.0, 1.0) needs inf shifts of period 5e-324 with 1 atoms and segments each, "
+     "budget 200000"),
+    # an empty base still walks every shift
+    (lambda: me.materialize_periodic(me.PeriodicMeasure(me.zero_measure((0.0, 1e-6)), 1e-6),
+                                     (0.0, 1.0)), ResourceError,
+     "window (0.0, 1.0) needs 1e+06 shifts of period 1e-06 with 0 atoms and segments each, "
+     "budget 200000"),
+    (lambda: me.fold_into_period(_UNIT, -1.0), DomainError, "period must be positive, got -1.0"),
+], ids=["segment-empty", "segment-degree", "no-window", "empty-window", "atom-nan",
+        "segment-outside", "segment-inf", "disjoint-windows", "norm-unif-r", "affine-one-point",
+        "affine-unsorted", "mollify-order", "period-zero", "base-segment-outside",
+        "materialize-empty-window", "materialize-budget", "materialize-subnormal-period",
+        "materialize-empty-base", "fold-period"])
+def test_raise_paths(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_resample_budget_raises(monkeypatch):
+    assert len(_resample_over(500, monkeypatch).segments) == 500
+    with pytest.raises(RepresentationError) as info:
+        _resample_over(499, monkeypatch)
+    assert str(info.value) == "degree reduction needs 500 cells, budget 499"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from weakgordon import measure as me
 from weakgordon import poly
 from weakgordon import propagator as pr
-from weakgordon.errors import DomainError, ToleranceError
+from weakgordon.errors import DomainError, ResourceError, ToleranceError
 
 import walk_oracle as wo
 from conftest import random_measure
@@ -514,6 +514,55 @@ def test_tol_must_be_positive(call):
     for tol in (0.0, -1e-8, math.nan):
         with pytest.raises(DomainError, match="tol must be positive"):
             call(mu, tol)
+
+
+def _voc_on_grids(n1, n2, s):
+    """variation_of_constants_value anchored at s, with tr1 on n1 and tr2 on
+    n2 equally spaced points of [-2, 2]."""
+    mu1 = me.make_measure([(0.3, 0.2)], [(-3.0, 3.0, (0.1, 0.05))], (-3.0, 3.0))
+    mu2 = me.dirac(-0.4, 0.1, (-3.0, 3.0))
+    tr1 = pr.propagate(mu1, 0.2, 0.0, (1.0, 0.1), np.linspace(-2.0, 2.0, n1))
+    tr2 = pr.propagate(mu2, 0.2, 0.0, (0.8, -0.2), np.linspace(-2.0, 2.0, n2))
+    return pr.variation_of_constants_value(mu1, mu2, 0.2, tr1, tr2, s, 1.5)
+
+
+_DIRAC = me.dirac(0.3, 0.2, (-3.0, 3.0))
+_SLOPE = me.make_measure((), [(-2.0, 2.0, (0.5, 0.25))], (-2.0, 2.0))
+_SHORT_TRACE = pr.propagate(_DIRAC, 0.0, 0.0, (1.0, 0.0), [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pr.transfer_steps(_DIRAC, 0.0, []), DomainError, "no points"),
+    (lambda: pr.propagate(_DIRAC, 0.0, 0.0, (1.0, 0.0), []), DomainError, "empty grid"),
+    (lambda: pr.propagate(_DIRAC, 0.0, 1.5, (1.0, 0.0), [0.0, 1.0]), DomainError,
+     "s must lie in the grid range"),
+    (lambda: pr.derivative_sup_bound(_DIRAC, _SHORT_TRACE, (0.0, 2.0)), DomainError,
+     "interval (0.0, 2.0) must have unit length"),
+    (lambda: pr.derivative_sup_bound(_DIRAC, _SHORT_TRACE, (0.5, 1.5)), DomainError,
+     "interval not resolved by the trace grid"),
+    (lambda: pr.stability_bound(_DIRAC, _DIRAC, 0.0, -1.5, 2, 1.0), DomainError,
+     "alpha, beta must be integers"),
+    (lambda: pr.solution_difference(_DIRAC, _DIRAC, 0.0, (1.0, 0.0), [0.5, 1.0]),
+     DomainError, "0 must lie in the grid range"),
+    (lambda: _voc_on_grids(9, 9, 0.3), DomainError, "s must be a trace grid point"),
+    # tr1's index of s names another point of tr2, or none
+    (lambda: _voc_on_grids(9, 5, -1.0), DomainError,
+     "s must be a grid point of tr2 at its index in tr1"),
+    (lambda: _voc_on_grids(9, 5, 0.5), DomainError,
+     "s must be a grid point of tr2 at its index in tr1"),
+    # the step count is checked as a float: 2e75 steps would wrap in int64
+    (lambda: pr.transfer_matrix(_SLOPE, 0.0, -1.0, 1.0, 1e-300), ResourceError,
+     "the walk needs 2e+75 Magnus steps, budget 1000000"),
+    (lambda: pr.propagate(_SLOPE, 0.0, 0.0, (1.0, 0.0), [-1.0, 1.0], 1e-60), ResourceError,
+     "the walk needs 1e+15 Magnus steps, budget 1000000"),
+], ids=["transfer-steps-no-points", "propagate-empty-grid", "propagate-s-outside",
+        "chain-not-unit", "chain-unresolved", "stability-non-integer", "difference-no-zero",
+        "voc-off-grid", "voc-other-tr2-point", "voc-past-tr2", "magnus-steps-past-int64",
+        "magnus-steps-past-budget"])
+def test_raise_paths(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,14 @@ class TestIntervalSeminorm:
         r = sn.interval_seminorm(me.subtract(lam, lam), (-3, 3), tol=1e-9)
         assert r.upper == 0.0
 
+    def test_zero_measure_takes_the_sweep(self):
+        # the witness is the sweep's window at the first cell end, the one
+        # cell is exact and the certificate's zeros are floats
+        r = sn.interval_seminorm(me.zero_measure((-3, 3)), (-3, 3))
+        cert = sn.SeminormCertificate(0.0, 0.0, 0.0)
+        assert repr(r) == repr(sn.SeminormResult(0.0, 0.0, 0j, (-3.0, -1.0), cert,
+                                                 sn.SeminormStats(exact_cells=1)))
+
     def test_short_interval_uses_own_length(self):
         # |I| < 2: same median formula on the shorter window
         mu = me.dirac(0.0, 1.0, (-2, 2))
@@ -816,3 +824,13 @@ def test_complex_brackets_are_translation_covariant(case):
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_edge_brackets_are_translation_covariant(name):
     _check_translation_covariance(*EDGE_CASES[name])
+
+
+@pytest.mark.parametrize("mu, c", [
+    (me.make_measure([(0.2, 0.5j)], (), (-2.0, 2.0)), 0.0),
+    (me.make_measure([(0.2, 0.5)], [(-1.0, 1.0, (0.3, 0.1))], (-2.0, 2.0)), 0.5 + 1e-3j),
+], ids=["complex-measure", "complex-constant"])
+def test_raise_paths(mu, c):
+    with pytest.raises(DomainError) as info:
+        sn.sliding_l1_sup(mu, c, (-1.0, 1.0), 1.0)
+    assert str(info.value) == "|phi - c| pieces need a real measure and constant"
