@@ -22,7 +22,7 @@ configurations give byte-identical files.
 Exit codes: 0 success (also after --help and --version), 2 a usage error
 (one `Error: ...` line on stderr), a validation error or a file that cannot
 be read or written (OSError), 3 numerical-tolerance failure, 4 resource
-budget exceeded (including RepresentationError and MemoryError).
+budget exceeded (ResourceError or MemoryError).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from . import measure as me
 from . import measure_io as mio
 from .errors import (
     DomainError,
-    RepresentationError,
     ResourceError,
     ToleranceError,
     ValidationError,
@@ -438,7 +437,7 @@ def run(argv=None) -> int:
     except ToleranceError as e:
         print(f"tolerance failure: {e}", file=sys.stderr)
         return 3
-    except (ResourceError, RepresentationError, MemoryError) as e:
+    except (ResourceError, MemoryError) as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 4
 

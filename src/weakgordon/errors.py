@@ -13,10 +13,6 @@ class ValidationError(WeakGordonError, ValueError):
     """A measure representation or input file violates its invariants."""
 
 
-class RepresentationError(WeakGordonError):
-    """A result cannot be represented within the degree/subdivision budget."""
-
-
 class ToleranceError(WeakGordonError, RuntimeError):
     """A certified computation could not reach the requested tolerance."""
 

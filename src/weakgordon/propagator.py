@@ -1,29 +1,23 @@
 """Transfer matrices and solution traces for -u'' + u mu = z u.
 
 State convention: the canonical state at t is (u(t), u'(t+)) with the
-right-continuous derivative.  An atom of weight w at x contributes the exact
-factor [[1, 0], [w, 1]]; a constant effective potential q = rho - z over
-length h contributes the even-in-sqrt(q) hyperbolic rotation; non-constant
-polynomial pieces use a two-point Gauss Magnus step (4th order).  All factors
-are traceless-exponentials or exact unipotents, so the Wronskian certificate
-accumulates only factor-level rounding.
+right-continuous derivative.  An atom of weight w at x is one rule, the jump
+u'(x+) - u'(x-) = w u(x) with u continuous, applied where the walk marks it.
+A constant effective potential q = rho - z over length h gives the
+even-in-sqrt(q) hyperbolic rotation; a non-constant polynomial piece gives
+two-point Gauss Magnus steps (4th order).  Every factor is a traceless
+exponential, so the Wronskian certificate accumulates only factor-level
+rounding.
 
 One walker, `_walk`, turns the stretch between two points into a flat list
-of factors plus marks.  It loops over the measure's pieces
-(`measure.span_pieces`, cut at the ends, segment ends and atoms), splicing
-in the sample points inside a piece as its cells, one factor each; an atom
-is its own unipotent factor.  Everything that does not depend on z, the
-loop included, is a plan (`_walk_plan`) that the measure keeps for its last
-few paths (`LocalMeasure.walk_plans`), so a sweep over z on one path walks
-it once; per z only the factors are made, and they have the bits of a walk
-from scratch.  Only a walk with Magnus steps
-touches NumPy (`_magnus_plan` once, `_magnus_factors` per z, each one pass
-over columns).  To the left the factors are inverted and reversed.  A factor
-is a 4-tuple (F00, F01, F10, F11) of Python complex numbers, and the grid
-enters as Python floats, so the folds are scalar arithmetic:
-`_transfer_along` folds the walk into matrices, `transfer_matrix` included;
-`propagate` folds the state from mark to mark.  Both count what the walks
-applied (`WalkStats`).
+of factors, one per cell, plus marks at the atoms and sample points; its
+z-independent plan is kept on the measure, and per z it gathers each cell's
+factor from a pool of the distinct ones.  A factor is a 4-tuple (F00, F01,
+F10, F11) of Python complex numbers and the grid enters as Python floats, so
+the folds are scalar arithmetic: `_transfer_along` folds the walk into
+matrices, `transfer_matrix` included, and `propagate` folds the state from
+mark to mark.  Both apply each atom's jump at its mark and count what the
+walks applied (`WalkStats`).
 
 Both variation-of-constants checks, `solution_difference` (the by-parts
 form) and `variation_of_constants_value` (the direct form), share one
@@ -38,7 +32,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -254,16 +248,13 @@ def _inv_unimodular(F):
 
 @dataclass(frozen=True)
 class _WalkPlan:
-    """The z-independent part of a walk over [a, b] (see `_walk`): the
-    factor list with the atoms in place, the constant cells (factor index,
-    index into `consts` of their distinct (density or None, length)), the
-    Magnus pieces (factor index, cell, count) with their `_MagnusPlan`, the
-    marks walking right and the `WalkStats`."""
+    """The z-independent part of a walk over [a, b] (see `_walk`): for each
+    cell in walking order its index into the per-z pool, the distinct
+    (density or None, length) of the constant cells, the `_MagnusPlan` of
+    the Magnus cells, the marks walking right and the `WalkStats`."""
 
-    factors: list
-    cells: list
+    source: list
     consts: list
-    pieces: list
     magnus: _MagnusPlan | None
     marks: tuple
     stats: WalkStats
@@ -272,40 +263,39 @@ class _WalkPlan:
 def _walk_plan(mu, a, b, tol, samples):
     """The `_WalkPlan` over [a, b] with the sorted samples in it."""
     j = 1 if samples and samples[0] == a else 0
-    factors, marks = [], [(0, a, None)] if j else []
-    # constant cells by (number of their segment or None, length): one hash per piece
-    cells, keys, numbers = [], {}, {}
-    pieces, segments, seg, starts, ends = [], {}, [], [], []  # Magnus pieces; their columns
+    marks = [(0, a, None)] if j else []
+    # a constant cell's source is the number of its (segment or None, length),
+    # one hash per piece; a Magnus cell's is None until the constants are counted
+    source, keys, numbers = [], {}, {}
+    segments, seg, starts, ends = {}, [], [], []  # the Magnus cells as columns
     for x0, x1, s, w in me.span_pieces(mu, a, b):
-        j1, i = bisect_left(samples, x1, j), len(factors)
+        j1, i = bisect_left(samples, x1, j), len(source)
         inner = samples[j:j1]  # the samples inside the piece cut it into cells
         if inner:
             marks += zip(range(i + 1, i + 1 + len(inner)), inner, repeat(None))
         pts = [x0, *inner, x1]
         if s is not None and any(s.coeffs[1:]):
-            pieces.append((i, len(starts), len(pts) - 1))
+            source += [None] * (len(pts) - 1)
             seg += [segments.setdefault(s, len(segments))] * (len(pts) - 1)
             starts += pts[:-1]
             ends += pts[1:]
         else:
             d = numbers.setdefault(s, len(numbers))
-            cells += [(i + c, keys.setdefault((d, y - x), len(keys)))
-                      for c, (x, y) in enumerate(zip(pts, pts[1:]))]
-        factors += [None] * (len(pts) - 1)
+            source += [keys.setdefault((d, y - x), len(keys)) for x, y in zip(pts, pts[1:])]
         if w is not None:
-            marks.append((len(factors), x1, w))
-            factors.append((1 + 0j, 0j, complex(w), 1 + 0j))
+            marks.append((len(source), x1, w))
         j = j1
         if j < len(samples) and samples[j] == x1:
-            marks.append((len(factors), x1, None))
+            marks.append((len(source), x1, None))
             j += 1
-    magnus = _magnus_plan(list(segments), seg, starts, ends, tol**0.25) if pieces else None
-    # the factors that are no cell are the atoms
-    stats = WalkStats(len(factors) - len(cells) - len(starts), len(cells),
-                      magnus.steps if pieces else 0, len(starts))
+    magnus = _magnus_plan(list(segments), seg, starts, ends, tol**0.25) if starts else None
+    # the pool holds the constants, then the Magnus cells in walking order
+    cells = count(len(keys))
+    source = [next(cells) if k is None else k for k in source]
+    stats = WalkStats(len(marks) - len(samples), len(source) - len(starts),
+                      magnus.steps if starts else 0, len(starts))
     density = [None if s is None else s.coeffs[0] for s in numbers]
-    return _WalkPlan(factors, cells, [(density[d], h) for d, h in keys], pieces, magnus,
-                     tuple(marks), stats)
+    return _WalkPlan(source, [(density[d], h) for d, h in keys], magnus, tuple(marks), stats)
 
 
 # the walk plans a measure keeps (`LocalMeasure.walk_plans`), oldest dropped first
@@ -321,19 +311,21 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     It runs in two stages.  The plan (`_walk_plan`) is all that does not
     depend on z, kept on mu for its path, tol and samples (the markers in
     [a, b]): the loop over the pieces between a, b, the segment ends and
-    the atoms, where the samples inside a piece cut it into cells, one
-    factor each; the atom factors and marks; the Magnus cells as columns
+    the atoms, where the samples inside a piece cut it into cells; the
+    marks; each cell's index into the pool; the Magnus cells as columns
     with p at every step's Gauss nodes (`_magnus_plan`).  Per z the walk
-    then makes one constant factor per distinct (density, length), the
-    Magnus steps and their product tree (`_magnus_factors`), and walking
-    left the inversion; every factor has the bits of a walk from scratch.
+    makes the pool, one constant factor per distinct (density, length) and
+    then the product of each Magnus cell's steps (`_magnus_factors`), and
+    gathers the factors from it, one per cell; every factor has the bits of
+    a walk from scratch.  Walking left inverts the pool and reverses the
+    cells, so F always applies on the left.
 
     Returns the factors in walking order, their step defects (a Magnus
     cell's summed |det F - 1|, else None), the marks (i, x, w) and the
-    `WalkStats`.  An atom of weight w at x is the factor (1, 0, w, 1) at
-    index i; a sample x (w None) follows the first i factors, at an atom the
-    atom too.  Walking left reverses and inverts the factors, so F always
-    applies on the left and a sample sees (u(x), u'(x+)) both ways.
+    `WalkStats`.  A mark follows the first i factors: an atom of weight w
+    at x, which is no factor but the jump u'(x+) - u'(x-) = w u(x), or a
+    sample x (w None).  At one x the atom comes first walking right and
+    last walking left, so a sample sees (u(x), u'(x+)) both ways.
     """
     samples = sorted(dict.fromkeys(markers))  # linear for markers in either order
     samples = samples[bisect_left(samples, a):bisect_right(samples, b)]
@@ -345,29 +337,27 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
         if len(mu.walk_plans) >= _PLANS_KEPT:
             del mu.walk_plans[next(iter(mu.walk_plans))]
         mu.walk_plans[key] = plan
-    consts = [_const_factor(-z if d is None else d - z, h) for d, h in plan.consts]
-    factors = plan.factors.copy()
-    for i, c in plan.cells:
-        factors[i] = consts[c]
-    defects = [None] * len(factors)
+    pool = [_const_factor(-z if d is None else d - z, h) for d, h in plan.consts]
+    defects = [None] * len(pool)
     if plan.magnus is not None:
         F, d = _magnus_factors(plan.magnus, z)
-        for i, j, m in plan.pieces:
-            factors[i:i + m], defects[i:i + m] = F[j:j + m], d[j:j + m]
-    if not backward:
-        return factors, defects, plan.marks, plan.stats
-    n = len(factors)
-    marks = tuple((n - i - (w is not None), x, w) for i, x, w in reversed(plan.marks))
-    return list(map(_inv_unimodular, reversed(factors))), defects[::-1], marks, plan.stats
+        pool += F
+        defects += d
+    source, marks = plan.source, plan.marks
+    if backward:
+        pool, source = list(map(_inv_unimodular, pool)), source[::-1]
+        marks = tuple((len(source) - i, x, w) for i, x, w in reversed(marks))
+    factors = list(map(pool.__getitem__, source))
+    return factors, list(map(defects.__getitem__, source)), marks, plan.stats
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
     """T(t, s) carrying (u(s), u'(s+)) to (u(t), u'(t+)).
 
     det_defect accumulates |det F - 1| over the elementary factors, each
-    Magnus step rather than the run it is folded into; each factor is an
-    exact unipotent or a closed-form traceless exponential, so the
-    certificate stays at rounding level per unit length.
+    Magnus step rather than the run it is folded into; each factor is a
+    closed-form traceless exponential and each atom a jump (no factor), so
+    the certificate stays at rounding level per unit length.
     """
     check_tol(tol)
     mu.check_span(min(s, t), max(s, t), "path")
@@ -414,8 +404,7 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
         factors, _, marks, counts = _walk(mu, z, *sorted((s, side[-1])), tol, side, backward)
         stats += counts
         # fold up to each mark: a sample records the state, an atom applies
-        # as its jump (walking left removes it), as (1, 0, w, 1) could flip
-        # the sign of a zero
+        # its jump (walking left removes it)
         (v, dv), done, at = state0, 0, {}
         for i, x, w in marks:
             for f00, f01, f10, f11 in factors[done:i]:
@@ -427,7 +416,6 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
             jump = w * v
             jumps.append((x, w, jump))
             dv = dv - jump if backward else dv + jump
-            done = i + 1
         states += [at[x] for x in (side[::-1] if backward else side)]
     jumps.sort(key=lambda j: j[0])
     u, du = zip(*states)
@@ -586,13 +574,17 @@ def _transfer_along(mu, z, base, points, tol, restart=False):
         t00, t01, t10, t11 = _EYE
         done = 0
         for i, x, w in marks:
-            if w is not None:
-                continue  # atoms are factors
             for (f00, f01, f10, f11), d in zip(factors[done:i], defects[done:i]):
                 t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
                                       f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
                 defect += abs(f00 * f11 - f01 * f10 - 1.0) if d is None else d
             done = i
+            if w is not None:  # the jump `propagate` applies, on both columns
+                if backward:
+                    t10, t11 = t10 - w * t00, t11 - w * t01
+                else:
+                    t10, t11 = t10 + w * t00, t11 + w * t01
+                continue
             out[x] = (t00, t01, t10, t11)
             if restart:
                 t00, t01, t10, t11 = _EYE

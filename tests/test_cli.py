@@ -9,7 +9,7 @@ from weakgordon import cli
 from weakgordon import gordon as go
 from weakgordon import measure as me
 from weakgordon import measure_io as mio
-from weakgordon.errors import RepresentationError, ToleranceError, ValidationError
+from weakgordon.errors import ToleranceError, ValidationError
 
 from walk_oracle import write_csv_rows
 
@@ -202,15 +202,6 @@ class TestSharpnessCommand:
 
 
 class TestExitCodes:
-    def test_representation_error_exit_4(self, workdir, monkeypatch, capsys):
-        def over_budget(*_args):
-            raise RepresentationError("degree reduction needs 20000 cells, budget 16384")
-
-        monkeypatch.setattr(me, "mollify_with_error", over_budget)
-        rc = cli.run(["mollify", "--measure", "dirac.json", "--n", "4", "--out", "m.json"])
-        assert rc == 4
-        assert "resource budget exceeded" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["sharpness", "--m-max", "2", "--out", "missing/rep.csv"],
         ["--meta", "missing/meta.json", "seminorm", "--measure", "dirac.json",

@@ -1,6 +1,7 @@
 """Module boundaries: no weakgordon module reads a private name of another,
-only `measure` constructs a `Segment`, and only `measure_io.rewrite` opens a
-file for writing.
+only `measure` constructs a `Segment`, only `measure_io.rewrite` opens a
+file for writing, and every error class is raised somewhere and caught by
+`cli.run`, which maps it to its exit code.
 
 The |mu| sweep, for one, stays behind `measure.SlidingMass`; a layer that
 needs more of another exposes it under a public name, as `span_pieces` is
@@ -123,3 +124,56 @@ def test_file_writes_are_found():
     assert sorted(file_writes(source)) == [
         "<module>: open('log', 'x+')", "dump: open(path, 'w')", "dump: open(path, mode=mode)",
         "dump: os.open(path, os.O_RDONLY)", "dump: p.open('a')", "dump: p.write_text('x')"]
+
+
+def _name(node):
+    """The last part of a dotted name: `ValidationError` for
+    `errors.ValidationError`."""
+    return ast.unparse(node).rsplit(".", 1)[-1]
+
+
+def unmapped_errors(sources, cli_source):
+    """The subclasses of WeakGordonError that the sources define and no
+    `raise` of theirs names, and those that no except clause of the CLI's
+    `run` catches by their own name or a base's: two sets of class names."""
+    trees = [ast.parse(source) for source in sources]
+    bases = {node.name: [_name(b) for b in node.bases] for tree in trees
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def lineage(name):
+        return {name}.union(*(lineage(b) for b in bases.get(name, ())))
+
+    classes = {name: lineage(name) for name in bases
+               if name != "WeakGordonError" and "WeakGordonError" in lineage(name)}
+    raised = {_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    run = next(node for node in ast.walk(ast.parse(cli_source))
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    caught = {_name(t) for node in ast.walk(run) if isinstance(node, ast.ExceptHandler)
+              and node.type is not None
+              for t in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])}
+    return ({name for name in classes if name not in raised},
+            {name for name, names in classes.items() if not names & caught})
+
+
+def test_every_error_is_raised_and_has_an_exit_code():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unmapped_errors(sources, (PACKAGE / "cli.py").read_text()) == (set(), set())
+
+
+def test_unraised_and_unmapped_errors_are_found():
+    errors = ("class WeakGordonError(Exception):\n    pass\n"
+              "class DomainError(WeakGordonError, ValueError):\n    pass\n"
+              "class SpecError(errors.DomainError):\n    pass\n"
+              "class UnusedError(WeakGordonError):\n    pass\n"
+              "class LostError(WeakGordonError, RuntimeError):\n    pass\n"
+              "class Unrelated(ValueError):\n    pass\n")
+    library = ("def f(x):\n    if x:\n        raise errors.DomainError('x')\n"
+               "    raise SpecError('y') from None\n"
+               "def g():\n    raise LostError\n")
+    cli = ("def run():\n    try:\n        f(1)\n    except (DomainError, OSError):\n"
+           "        return 2\n    except ValueError:\n        return 3\n"
+           "def other():\n    try:\n        g()\n    except LostError:\n        pass\n")
+    assert unmapped_errors([errors, library], cli) == ({"UnusedError"},
+                                                       {"UnusedError", "LostError"})

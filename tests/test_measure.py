@@ -12,7 +12,6 @@ from weakgordon import propagator as pr
 from weakgordon import seminorm as sn
 from weakgordon.errors import (
     DomainError,
-    RepresentationError,
     ResourceError,
     ToleranceError,
     ValidationError,
@@ -622,15 +621,6 @@ _UNIT = me.dirac(0.5, 1.0, (0.0, 1.0))
 _COMB = me.make_measure([(0.0, 1.0)], (), (0.0, 1.0))
 
 
-def _resample_over(budget, monkeypatch):
-    """multiply_lipschitz of t^3 by a ramp, whose degree-4 product takes 500
-    Hermite cells, under a cell budget; by the Chebyshev bound no degree-4
-    piece takes more than about 1,700, so only a lowered budget is reached."""
-    monkeypatch.setattr(me, "_RESAMPLE_BUDGET", budget)
-    mu = me.make_measure((), [(0.0, 1.0, (0.0, 0.0, 0.0, 1.0))], (0.0, 1.0))
-    return me.multiply_lipschitz(mu, me.PiecewiseAffine((0.0, 1.0), (0.0, 1.0)))
-
-
 @pytest.mark.parametrize("call, error, message", [
     (lambda: me.Segment(1.0, 1.0, (1.0,)), ValidationError, "segment [1.0, 1.0] is empty"),
     (lambda: me.Segment(0.0, 1.0, (1.0,) * 5), ValidationError,
@@ -683,8 +673,9 @@ def test_raise_paths(call, error, message):
     assert str(info.value) == message
 
 
-def test_resample_budget_raises(monkeypatch):
-    assert len(_resample_over(500, monkeypatch).segments) == 500
-    with pytest.raises(RepresentationError) as info:
-        _resample_over(499, monkeypatch)
-    assert str(info.value) == "degree reduction needs 500 cells, budget 499"
+def test_resample_cell_count():
+    # t^3 times a ramp takes 500 Hermite cells; by the Chebyshev bound no
+    # degree-4 piece takes more than 1,682 (`measure._cubic_resample`)
+    mu = me.make_measure((), [(0.0, 1.0, (0.0, 0.0, 0.0, 1.0))], (0.0, 1.0))
+    ramp = me.PiecewiseAffine((0.0, 1.0), (0.0, 1.0))
+    assert len(me.multiply_lipschitz(mu, ramp).segments) == 500

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
@@ -631,7 +631,8 @@ def test_span_events_carry_their_covering_segments():
     # each span of the walk takes its factors from the one segment that a
     # scan of every segment finds covering it (or from none), on a
     # mollified measure (many adjacent segments) and on spans that start
-    # and end inside, between and on segment ends
+    # and end inside, between and on segment ends; an atom is no factor but
+    # a mark after the spans up to it
     mu = me.make_measure([(0.3, 1.0), (1.0, -0.5)],
                          ((-2.0, -1.0, (1.0,)), (-1.0, 0.5, (0.5, 1.0)), (1.5, 2.5, (0.2,))),
                          (-3, 3))
@@ -639,23 +640,23 @@ def test_span_events_carry_their_covering_segments():
         for a, b in ((-3.0, 3.0), (-1.5, 2.0), (-1.0, 0.5), (0.7, 0.9), (2.6, 3.0)):
             cut = sorted({a, b} | {min(max(x, a), b) for s in m.segments for x in (s.start, s.end)}
                          | {x for x, _ in m.atoms_in(a, b)})
-            runs, expected, atoms = [], [], dict(m.atoms_in(a, b))
+            runs, expected, atoms, atom_marks = [], [], dict(m.atoms_in(a, b)), []
             for x0, x1 in zip(cut, cut[1:]):
                 scan = [s for s in m.segments if s.start <= x0 and x1 <= s.end]
                 assert len(scan) <= 1
                 span = wo.span_factors(1.0, x0, x1, scan[0] if scan else None, 1e-8, runs)
                 expected.append((span[0], None, 0))  # a span's Magnus steps are one factor
                 if x1 in atoms:
-                    expected.append(((1 + 0j, 0j, atoms[x1], 1 + 0j), None, 0))
+                    atom_marks.append((len(expected), x1, atoms[x1]))
             products = iter(wo.run_products(runs, 1.0))
             expected = [next(products) if F is None else (F, d, n) for F, d, n in expected]
             factors, defects, marks, stats = pr._walk(m, 1.0, a, b, 1e-8)
-            assert expected and len(factors) == len(expected)
+            assert expected and len(factors) == len(expected) == stats.constant + stats.runs
             for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
                 assert_agrees(F, ref, n <= 1)
                 assert (d is None) == (ref_d is None)
+            assert marks == tuple(atom_marks) and stats.atoms == len(atoms)
             assert [(x, w) for _, x, w in marks] == list(m.atoms_in(a, b))
-            assert all(factors[i] == (1 + 0j, 0j, w, 1 + 0j) for i, _, w in marks)
             assert stats.magnus == sum(n for *_, n in runs) and stats.runs == len(runs)
 
 
@@ -802,16 +803,14 @@ def test_run_products_match_the_sequential_fold(case):
 
 
 def test_det_defect_is_the_python_sum_of_step_defects():
-    # atoms and constant pieces add their Python |det F - 1|, each run the
-    # NumPy defects of its steps; summing per run first moves the total
-    # only by rounding
+    # constant pieces add their Python |det F - 1|, each run the NumPy
+    # defects of its steps and atoms, which are jumps, nothing; summing per
+    # run first moves the total only by rounding
     mu = _edge_measure()
     z, tol = 0.5 + 0.25j, 1e-10
     factors, runs = [], []
     for ev in wo.factor_events(mu, z, -2.5, 2.5):
-        if ev[0] == "atom":
-            factors.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
-        elif ev[0] == "span":
+        if ev[0] == "span":
             factors += [F for F in wo.span_factors(z, *ev[1:], tol, runs) if F is not None]
     terms = [abs(f00 * f11 - f01 * f10 - 1.0) for f00, f01, f10, f11 in factors]
     f00, f01, f10, f11 = np.array(wo.magnus_factors(runs, z)).T
@@ -877,7 +876,8 @@ def test_transfer_along_matches_scalar_fold(case):
 def test_walk_run_products_both_ways(case):
     # at tol 1e-12 a span takes thousands of steps; walking either way, a
     # run factor is the oracle's one-step-at-a-time fold (inverted and
-    # reversed to the left), and each run carries its steps' defects
+    # reversed to the left), and each run carries its steps' defects; the
+    # atoms are marks, not factors
     mu, z, s, t, _ = case
     a, b = sorted((s, t))
     for backward in (False, True):
@@ -885,7 +885,9 @@ def test_walk_run_products_both_ways(case):
             warnings.simplefilter("error", RuntimeWarning)
             factors, defects, marks, stats = pr._walk(mu, z, a, b, 1e-12, backward=backward)
         expected = wo.span_walk(mu, z, a, b, 1e-12, backward)
-        assert len(factors) == len(defects) == len(expected)
+        assert len(factors) == len(defects) == len(expected) == stats.constant + stats.runs
+        atoms = list(mu.atoms_in(a, b))
+        assert [(x, w) for _, x, w in marks] == (atoms[::-1] if backward else atoms)
         for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
             assert_agrees(F, ref, n <= 1)
             assert (d is None) == (ref_d is None)
@@ -897,34 +899,42 @@ def test_walk_run_products_both_ways(case):
 
 def python_fold(mu, z, s, t):
     """T(t, s) and its det defect folded in Python complex arithmetic from
-    the closed-form factors of an atom-only measure."""
+    the closed-form factors of an atom-only measure, each atom of weight w
+    at x applied as the jump u'(x+) - u'(x-) = w u(x) to both columns
+    (walking left, removed)."""
     a, b = sorted((s, t))
-    factors = []
-    for ev in wo.factor_events(mu, z, a, b):
-        if ev[0] == "atom":
-            factors.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
-        elif ev[0] == "span":
-            factors.append(pr._const_factor(-z, ev[2] - ev[1]))
+    steps = [ev[2] if ev[0] == "atom" else pr._const_factor(-z, ev[2] - ev[1])
+             for ev in wo.factor_events(mu, z, a, b)]
     if t < s:
-        factors = [(d, -b_, -c, a_) for a_, b_, c, d in reversed(factors)]
-    T, defect = (1 + 0j, 0j, 0j, 1 + 0j), 0.0
-    for f00, f01, f10, f11 in factors:
-        t00, t01, t10, t11 = T
-        T = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
-             f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
+        steps = [step if isinstance(step, complex) else pr._inv_unimodular(step)
+                 for step in reversed(steps)]
+    (t00, t01, t10, t11), defect = (1 + 0j, 0j, 0j, 1 + 0j), 0.0
+    for step in steps:
+        if isinstance(step, complex):
+            if t < s:
+                t10, t11 = t10 - step * t00, t11 - step * t01
+            else:
+                t10, t11 = t10 + step * t00, t11 + step * t01
+            continue
+        f00, f01, f10, f11 = step
+        t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
+                              f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
         defect += abs(f00 * f11 - f01 * f10 - 1.0)
-    return T, defect
+    return (t00, t01, t10, t11), defect
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.floats(-2.9, 2.9), complex_unit), min_size=1, max_size=8),
        st.floats(-2.9, 2.9), st.floats(-2.9, 2.9),
        st.builds(complex, st.floats(-10.0, 10.0), st.floats(-3.0, 3.0)))
+# as the factor (1, 0, w, 1), the first atom would turn T00's imaginary -0.0
+# into +0.0; as a jump it leaves T00 alone
+@example([(-2.0, 0.5 + 0j), (1.0, -0.5 + 0j)], -2.5, 1.0, complex(2.0, -0.0))
 def test_atom_only_transfer_is_the_scalar_fold(atoms, s, t, z):
     mu = me.make_measure(atoms, (), (-3, 3))
     T = pr.transfer_matrix(mu, z, s, t)
     ref, defect = python_fold(mu, z, s, t)
-    assert T.entries.ravel().tolist() == list(ref)
+    assert T.entries.tobytes() == np.array(ref).tobytes()
     assert T.det_defect == defect
 
 
@@ -1074,8 +1084,10 @@ def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
         factors, defects, marks, stats = pr._walk(mu, 0.3 - 0.1j, grid[0], grid[-1], 1e-8,
                                                   grid, backward)
         assert stats == pr.WalkStats(atoms=2, constant=999, magnus=0)
-        assert len(factors) == 1001 and defects == [None] * 1001
+        assert len(factors) == stats.constant + stats.runs and defects == [None] * 999
         assert [x for _, x, w in marks if w is None] == (grid[::-1] if backward else grid)
+        atoms = [(x, w) for _, x, w in marks if w is not None]
+        assert atoms == (list(mu.atoms[::-1]) if backward else list(mu.atoms))
     tmats, _, stats = pr._transfer_along(mu, 0.3 - 0.1j, 0.2, grid, 1e-8)
     assert len(tmats) == 1001 and stats.magnus == 0 and stats.atoms == 2
 
@@ -1156,7 +1168,7 @@ def test_walk_stats_on_a_1001_point_grid():
     assert tr.stats == (_oracle_stats(mu, z, 0.3, right[-1], tol, right)
                         + _oracle_stats(mu, z, left[0], 0.3, tol, left))
     # the 1,000 grid cells, cut again at s, the six segment ends and the
-    # three atoms (none of them on the grid): the atom factors are not cells
+    # three atoms (none of them on the grid): the atoms are marks, not cells
     assert tr.stats.atoms == 3 and tr.stats.constant + tr.stats.runs == 1000 + 1 + 6 + 3
 
 

@@ -5,7 +5,8 @@ their former form, kept as oracles for the flat walk and the column writer.
 ('sample', x) events; `span_factors` turns a span into factors with None
 placeholders for Magnus steps, which `walk` fills from one batched kernel
 call over runs (coeffs, x0, h, n).  `propagate` and `transfer_along` fold
-those events one step at a time, as the library once did.
+those events one step at a time, as the library once did; both apply an
+atom as the jump u'(x+) - u'(x-) = w u(x), not as a factor.
 
 The flat walk multiplies the steps of each run (a span's Magnus steps) into
 one factor by a product tree, so it associates the products differently:
@@ -78,14 +79,12 @@ def run_products(runs, z):
 def span_walk(mu, z, a, b, tol, backward=False):
     """The factors of the flat walk over [a, b], each span's Magnus steps
     folded by `run_products`: (F, defect, n) for a run of n steps and
-    (F, None, 0) for a constant piece or an atom; walking left, reversed
-    and inverted."""
+    (F, None, 0) for a constant piece; walking left, reversed and inverted.
+    Atoms are no factors."""
     runs, spans = [], []
     for ev in factor_events(mu, z, a, b):
         if ev[0] == "span":
             spans.append(span_factors(z, *ev[1:], tol, runs)[0])
-        else:
-            spans.append((1 + 0j, 0j, complex(ev[2]), 1 + 0j))
     products = iter(run_products(runs, z))
     out = [(F, None, 0) if F is not None else next(products) for F in spans]
     if backward:
@@ -198,12 +197,14 @@ def transfer_along(mu, z, base, points, tol):
             if ev[0] == "sample":
                 out[ev[1]] = (t00, t01, t10, t11)
                 continue
-            if ev[0] == "factor":
-                F = ev[1]
-            else:
-                F = (1 + 0j, 0j, complex(ev[2]), 1 + 0j)
+            if ev[0] == "atom":  # the jump u'(x+) - u'(x-) = w u(x) on both columns
+                w = ev[2]
                 if backward:
-                    F = pr._inv_unimodular(F)
+                    t10, t11 = t10 - w * t00, t11 - w * t01
+                else:
+                    t10, t11 = t10 + w * t00, t11 + w * t01
+                continue
+            F = ev[1]
             f00, f01, f10, f11 = F
             t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
                                   f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
