@@ -18,6 +18,10 @@ mass supremum, here and in the seminorm layer, is read from one sweep,
 pieces of a span between its ends, atoms and segment ends are walked by
 `span_pieces`, for `cumulative_pieces` and the propagator's walk.
 
+Mollification values the nodes of each Hermite cell in one NumPy pass
+(`_mollified_nodes`), which rounds exactly as the per-node scalar sum:
+complex values go as two real parts, and divisions part by part.
+
 Everything here is immutable and pure, but for two caches on a measure that
 are not part of its value (`_norm_unif`, `walk_plans`); values can be shared
 freely.
@@ -31,6 +35,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter, itemgetter, le, lt
+
+import numpy as np
 
 from . import poly
 from .errors import DomainError, ResourceError, ValidationError
@@ -685,50 +691,140 @@ def _cubic_resample(a, b, coeffs):
     # the last node is b itself, so the pieces end where the next segment begins
     nodes = [a + (b - a) * k / n for k in range(n)] + [b]
     return _hermite_segments(
-        nodes, [(poly.evaluate(coeffs, x - a), poly.evaluate(d, x - a)) for x in nodes])
+        np.array(nodes), np.array([poly.evaluate(coeffs, x - a) for x in nodes]),
+        np.array([poly.evaluate(d, x - a) for x in nodes]))
 
 
-def _hermite_segments(nodes, values):
+def _times(k, re, im):
+    """k * (re + i im) for a real k, as Python forms it: the product with
+    the complex (k, 0), whose zero terms keep Python's signed zeros."""
+    return k * re - 0.0 * im, k * im + 0.0 * re
+
+
+def _over(re, im, h):
+    """(re + i im) / h for h > 0, as Python's complex quotient by (h, 0)
+    forms it, part by part; NumPy's would multiply by a reciprocal."""
+    return (re + im * 0.0) / h, (im - re * 0.0) / h
+
+
+def _complex(re, im):
+    """The complex array re + i im, each part with its bits; re + 1j * im
+    would turn a -0.0 real part into +0.0."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _hermite_segments(nodes, f, df):
     """The Hermite cubic Segments between consecutive nodes, from the
-    (value, slope) pairs at the nodes."""
-    return [Segment(x0, x1, poly.trim(poly.hermite_cubic(x0, x1, f0, d0, f1, d1)))
-            for x0, x1, (f0, d0), (f1, d1) in zip(nodes, nodes[1:], values, values[1:])]
+    arrays of nodes and of complex values and slopes at them.  Each
+    coefficient has the bits of the scalar cubic matching the values and
+    slopes at both ends, signed zeros included."""
+    h = np.diff(nodes)
+    (f0, f1), (d0, d1) = ((v[:-1], v[1:]) for v in (f, df))
+    f0r, f0i, f1r, f1i = f0.real, f0.imag, f1.real, f1.imag
+    d0r, d0i, d1r, d1i = d0.real, d0.imag, d1.real, d1.imag
+    # c2 = (3 (f1 - f0) / h - 2 d0 - d1) / h
+    ur, ui = _over(*_times(3.0, f1r - f0r, f1i - f0i), h)
+    vr, vi = _times(2.0, d0r, d0i)
+    c2 = _over(ur - vr - d1r, ui - vi - d1i, h)
+    # c3 = (2 (f0 - f1) / h + d0 + d1) / h^2
+    ur, ui = _over(*_times(2.0, f0r - f1r, f0i - f1i), h)
+    c3 = _over(ur + d0r + d1r, ui + d0i + d1i, h * h)
+    coeffs = zip(f0.tolist(), d0.tolist(), _complex(*c2).tolist(), _complex(*c3).tolist())
+    return [Segment(x0, x1, c if c[-1] else poly.trim(c))
+            for x0, x1, c in zip(nodes[:-1].tolist(), nodes[1:].tolist(), coeffs)]
 
 
 # ---------------------------------------------------------------------------
 # mollification
 
 
-def _kernel_coeffs(n):
-    """psi_n(x) = n * c * (1 - (nx)^2)^3 on (-1/n, 1/n), low-order first."""
+def _kernels(n):
+    """The coefficients of psi_n(x) = n * c * (1 - (nx)^2)^3 on (-1/n, 1/n)
+    and of psi_n', low-order first, as the columns of a 7 x 2 array."""
     n2 = float(n) * float(n)
     base = (1.0, 0.0, -3.0 * n2, 0.0, 3.0 * n2 * n2, 0.0, -n2 * n2 * n2)
-    return tuple(n * MOLLIFIER_NORM * c for c in base)
+    kern = tuple(n * MOLLIFIER_NORM * c for c in base)
+    return np.array([kern, poly.derivative(kern) + (0.0,)]).T
 
 
-def _mollified_value_and_slope(mu, n, x, kern, kern_d):
-    """Exact (psi_n * mu)(x) and its derivative.
+# the divisors of the antiderivative of a kernel times a density of degree
+# MAX_DEGREE, whose product has degree 6 + MAX_DEGREE
+_DIVISORS = np.arange(1.0, MAX_DEGREE + 8.0)
 
-    Segment convolutions are expanded in the kernel variable v = y - x, so
-    every term stays O(n); expanding the ~n^7-sized kernel coefficients
-    around a distant origin would cancel catastrophically.
+
+def _horner(coeffs, x):
+    """Horner's rule at x over the first axis of coeffs, low order first."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _mollified_nodes(mu, half, kernels, x):
+    """Exact (psi_n * mu)(x) and its derivative at the sorted nodes x (one
+    Hermite cell's), as two complex arrays, with half = 1/n and the
+    `_kernels` of n.
+
+    One array pass per atom and segment that meets the nodes' kernel zone
+    (x - 1/n, x + 1/n): each term is masked to the nodes whose zone the
+    piece meets, and the terms are summed, at each node, in the order and
+    with the roundings of the per-node scalar sum: atoms, then segments, by
+    position; a segment's Taylor shift to x, its product with the kernel
+    and the antiderivative, expanded in the kernel variable v = y - x so
+    that every term stays O(n).  Expanding the ~n^7-sized kernel
+    coefficients around a distant origin would cancel catastrophically.
+    The real and imaginary parts go separately (a real measure's imaginary
+    parts are all zero and skipped): a complex times a real is a product
+    of parts, and a quotient by the integer k is part / k, where NumPy's
+    complex quotient would multiply by a reciprocal.  For finite values the
+    zero terms of Python's complex arithmetic only change the sign of
+    zeros, which the sums, started at +0, drop.
     """
-    half = 1.0 / n
-    f = 0j
-    df = 0j
-    # the exact test is on v; the wider span only has to hold those atoms
-    for p, w in mu.atoms_in(x - 2.0 * half, x + 2.0 * half):
-        v = x - p
-        if -half < v < half:
-            f += w * poly.evaluate(kern, v)
-            df += w * poly.evaluate(kern_d, v)
-    for s in mu.segments_meeting(x - half, x + half):
-        ya, yb = max(s.start, x - half), min(s.end, x + half)
+    xm, xp = x - half, x + half
+    # the exact test is on v = x - p; the wider span only has to hold those atoms
+    atoms = mu.atoms_in(x[0] - 2.0 * half, x[-1] + 2.0 * half)
+    segs = mu.segments_meeting(xm[0], xp[-1])
+    coeffs = [s.coeffs + (0j,) * (MAX_DEGREE + 1 - len(s.coeffs)) for s in segs]
+    complex_ = any(w.imag for _, w in atoms) or any(c.imag for cs in coeffs for c in cs)
+    parts = 2 if complex_ else 1
+    # f and f', each by part
+    acc = np.zeros((2, parts, len(x)))
+    if atoms:
+        w = np.array([(w.real, w.imag) for _, w in atoms])[:, :parts, None]
+        v = x - np.array([p for p, _ in atoms])[:, None]
+        k = _horner(kernels[:, :, None, None], v)[:, :, None] * w
+        terms = np.where(((-half < v) & (v < half))[:, None], k, 0.0)
+        for i in range(len(atoms)):
+            acc += terms[:, i]
+    if segs:
+        c = np.array(coeffs)
+        c = np.stack((c.real, c.imag), axis=-1)[:, :, :parts, None]
+        start = np.array([s.start for s in segs])[:, None]
+        end = np.array([s.end for s in segs])[:, None]
+        # rho(x + v) in v: the synthetic division of `poly.shift_origin`
+        d = (x - start)[:, None]
+        rho = [c[:, j] for j in range(MAX_DEGREE + 1)]
+        for i in range(MAX_DEGREE):
+            for j in range(MAX_DEGREE - 1, i - 1, -1):
+                rho[j] = rho[j] + d * rho[j + 1]
+        rho = np.stack(np.broadcast_arrays(*rho))[:, None]
         # psi_n(x - y) = psi_n(v) (even), psi_n'(x - y) = -psi_n'(v)
-        rho_x = poly.shift_origin(s.coeffs, x - s.start)  # rho(x + v) in v
-        f += poly.integral(poly.multiply(kern, rho_x), ya - x, yb - x)
-        df -= poly.integral(poly.multiply(kern_d, rho_x), ya - x, yb - x)
-    return f, df
+        prod = np.zeros((len(_DIVISORS), 2) + rho.shape[2:])
+        for i, k in enumerate(kernels[:, :, None, None, None]):
+            prod[i:i + MAX_DEGREE + 1] += k * rho
+        prod /= _DIVISORS[:, None, None, None, None]
+        # (y1 - x, y0 - x), with (y0, y1) the segment's part of the zone
+        ends = (np.stack((np.minimum(end, xp), np.maximum(start, xm))) - x)[:, :, None]
+        value = _horner(prod[:, :, None], ends) * ends
+        terms = np.where(((end > xm) & (start < xp))[:, None], value[:, 0] - value[:, 1], 0.0)
+        terms[1] *= -1.0
+        for i in range(len(segs)):
+            acc += terms[:, i]
+    if not complex_:
+        acc = np.concatenate((acc, np.zeros_like(acc)), axis=1)
+    return _complex(*acc[0]), _complex(*acc[1])
 
 
 def mollify(mu: LocalMeasure, n: int) -> LocalMeasure:
@@ -739,11 +835,16 @@ def mollify(mu: LocalMeasure, n: int) -> LocalMeasure:
 def mollify_with_error(mu: LocalMeasure, n: int):
     """Absolutely continuous psi_n * mu as piecewise cubics.
 
-    Returns (measure, sup_error_bound).  Cells whose kernel zone is covered by
-    a single polynomial piece (or nothing) are exact; the rest are Hermite
-    cubic interpolants on a grid of width ~0.0187/n, giving a sup error of at
-    most 1e-7 * n * (local mass), from |f''''| <= 315 n^5 |mu|(zone) and the
-    h^4/384 Hermite bound.
+    Returns (measure, sup_error_bound).  The cells are cut at every atom and
+    segment end +- 1/n; a cut within 1e-15 * max(1, |x|) of the one before
+    it is dropped, so they tile the window.  Cells whose kernel zone is
+    covered by a single polynomial piece (or nothing) are exact; the rest
+    are Hermite cubic interpolants on a grid of width ~0.0187/n, giving a
+    sup error of at most 1e-7 * n * (local mass), from |f''''| <= 315 n^5
+    |mu|(zone) and the h^4/384 Hermite bound.  The bound covers the
+    interpolation only, not the rounding of the node values: those come
+    from one array pass per cell (`_mollified_nodes`) that rounds exactly
+    as the scalar sum at each node, divisions done part by part.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"mollification order must be a positive integer, got {n}")
@@ -752,18 +853,22 @@ def mollify_with_error(mu: LocalMeasure, n: int):
     if not lo < hi:
         raise DomainError("window too small for mollification margins")
 
-    kern = _kernel_coeffs(n)
-    kern_d = poly.derivative(kern)
+    kernels = _kernels(n)
 
     bps = {lo, hi} | {x + d for x in mu.breakpoints() for d in (-half, half)}
-    cuts = sorted(b for b in bps if lo <= b <= hi)
+    # cuts that should coincide, like (x + 2/n) - 1/n and x + 1/n, can round
+    # apart: a cut within the slack of `segments_overlap` of the one before
+    # it is dropped, not the cell between them, so the cells tile [lo, hi]
+    cuts = []
+    for b in sorted(b for b in bps if lo <= b <= hi):
+        if not cuts or b - cuts[-1] > 1e-15 * max(1.0, abs(b)):
+            cuts.append(b)
+    cuts[-1] = hi
 
     h_interp = 0.018684 / n
     segs = []
     err_bound = 0.0
     for x0, x1 in zip(cuts[:-1], cuts[1:]):
-        if x1 - x0 <= 1e-15:
-            continue
         z0, z1 = x0 - half, x1 + half
         zone_atoms = [a for a in mu.atoms_in(z0, z1) if a[0] < z1]
         zone_segs = mu.segments_meeting(z0, z1)
@@ -787,9 +892,8 @@ def mollify_with_error(mu: LocalMeasure, n: int):
             err_bound, (cell_h**4) / 384.0 * 315.0 * (float(n) ** 5) * zone_tv
         )
         # the last node is x1 itself, so the cell's pieces end where the next begins
-        nodes = [x0 + cell_h * k for k in range(m)] + [x1]
-        segs += _hermite_segments(
-            nodes, [_mollified_value_and_slope(mu, n, x, kern, kern_d) for x in nodes])
+        nodes = np.append(x0 + cell_h * np.arange(m), x1)
+        segs += _hermite_segments(nodes, *_mollified_nodes(mu, half, kernels, nodes))
     return LocalMeasure((), tuple(segs), (lo, hi)), err_bound
 
 

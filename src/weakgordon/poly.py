@@ -336,16 +336,6 @@ def sup_abs_on(coeffs, x0, x1):
     return max(abs(evaluate(c, x)) for x in abs_critical_points(c, x0, x1))
 
 
-def hermite_cubic(x0, x1, f0, d0, f1, d1):
-    """Cubic matching values/derivatives at both ends, coefficients in (x - x0)."""
-    h = x1 - x0
-    c0 = f0
-    c1 = d0
-    c2 = (3 * (f1 - f0) / h - 2 * d0 - d1) / h
-    c3 = (2 * (f0 - f1) / h + d0 + d1) / (h * h)
-    return (c0, c1, c2, c3)
-
-
 def as_complex(coeffs):
     return tuple(complex(c) for c in coeffs)
 

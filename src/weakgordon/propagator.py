@@ -320,12 +320,13 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     a walk from scratch.  Walking left inverts the pool and reverses the
     cells, so F always applies on the left.
 
-    Returns the factors in walking order, their step defects (a Magnus
-    cell's summed |det F - 1|, else None), the marks (i, x, w) and the
-    `WalkStats`.  A mark follows the first i factors: an atom of weight w
-    at x, which is no factor but the jump u'(x+) - u'(x-) = w u(x), or a
-    sample x (w None).  At one x the atom comes first walking right and
-    last walking left, so a sample sees (u(x), u'(x+)) both ways.
+    Returns the factors in walking order, an iterator over their step
+    defects (a Magnus cell's summed |det F - 1|, else None) that gathers
+    them only as it is read, the marks (i, x, w) and the `WalkStats`.  A
+    mark follows the first i factors: an atom of weight w at x, which is no
+    factor but the jump u'(x+) - u'(x-) = w u(x), or a sample x (w None).
+    At one x the atom comes first walking right and last walking left, so
+    a sample sees (u(x), u'(x+)) both ways.
     """
     samples = sorted(dict.fromkeys(markers))  # linear for markers in either order
     samples = samples[bisect_left(samples, a):bisect_right(samples, b)]
@@ -348,7 +349,7 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
         pool, source = list(map(_inv_unimodular, pool)), source[::-1]
         marks = tuple((len(source) - i, x, w) for i, x, w in reversed(marks))
     factors = list(map(pool.__getitem__, source))
-    return factors, list(map(defects.__getitem__, source)), marks, plan.stats
+    return factors, map(defects.__getitem__, source), marks, plan.stats
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
@@ -571,6 +572,7 @@ def _transfer_along(mu, z, base, points, tol, restart=False):
         factors, defects, marks, walk_stats = _walk(mu, z, *sorted((float(base), side[-1])), tol,
                                                     side, backward)
         stats += walk_stats
+        defects = list(defects)
         t00, t01, t10, t11 = _EYE
         done = 0
         for i, x, w in marks:

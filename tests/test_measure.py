@@ -1,5 +1,7 @@
+import hashlib
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakgordon import measure as me
+from weakgordon import measure_io
 from weakgordon import poly
 from weakgordon import propagator as pr
 from weakgordon import seminorm as sn
@@ -17,6 +20,7 @@ from weakgordon.errors import (
     ValidationError,
 )
 
+import mollify_oracle as mo
 from conftest import random_measure
 
 
@@ -431,6 +435,130 @@ class TestMollify:
     def test_margin_error(self):
         with pytest.raises(DomainError):
             me.mollify(me.dirac(0.0, 1.0, (-0.1, 0.1)), 4)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_sup_error_bound_holds(self, rng, n):
+        # the Hermite density within err (plus rounding) of the exact psi_n * mu
+        for k in range(4):
+            mu = random_measure(rng, window=(-4, 4), max_atoms=4, complex_weights=k % 2 == 1,
+                                density_degree=3)
+            mol, err = me.mollify_with_error(mu, n)
+            rounding = 1e-12 * n * me.total_variation(mu)
+            for s in mol.segments:
+                for frac in (0.25, 0.5, 0.75):
+                    x = s.start + frac * (s.end - s.start)
+                    exact, _ = mo.value_and_slope(mu, n, x)
+                    assert abs(s.density_at(x) - exact) <= err + rounding
+
+    @pytest.mark.parametrize("shift", [0.0, 2.0**17])
+    def test_cuts_that_round_apart_leave_no_gap(self, shift):
+        # at n = 3 the cuts a + 1/3 and (a + 2/3) - 1/3 round apart (by
+        # 5.6e-17 at 0 and 2.9e-11 at 2**17); the atom at a + 0.3 keeps the
+        # density nonzero between them, so neither a gap nor a cell that
+        # short, with coefficients up to 2.4e15, may appear
+        a = shift + 0.1
+        mu = me.make_measure([(a, 1.0), (a + 0.3, 0.25), (a + 2 / 3, -0.5)], (),
+                             (a - 2.0, a + 3.0))
+        segs = me.mollify(mu, 3).segments
+        assert all(p.end == q.start for p, q in zip(segs, segs[1:]))
+        assert min(s.end - s.start for s in segs) > 1e-3
+        assert max(abs(c) for s in segs for c in s.coeffs) < 1e3
+
+    def test_bytes_are_pinned(self, tmp_path):
+        mu = me.make_measure(
+            [(-0.7, 0.6), (0.25, -0.4 + 0.3j), (0.25 + 1 / 64, 0.2)],
+            [(-1.5, -0.3, (0.5, -0.25, 0.125, -0.0625)), (0.1, 1.3, (0.2j, 0.3))],
+            (-3.0, 3.0))
+        path = tmp_path / "mollified.json"
+        measure_io.dump_measure(me.mollify(mu, 64), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "00e8cb49c842ea849fad049ba5e8855bc466128011a32d831043776dc562ef4d")
+
+
+def _hexes(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _segment_hexes(segments):
+    return [(s.start.hex(), s.end.hex(), [_hexes(c) for c in s.coeffs]) for s in segments]
+
+
+@st.composite
+def mollify_cases(draw):
+    """A measure on (-4, 4), at 0 or shifted by 2**17, and an order n.
+    Atoms anywhere, on a quarter grid, or 1/(2n), 1/n or 2/n from another
+    atom or a segment end, so on or near cuts (cell edges, which are nodes);
+    segments of degree 0 to 3 with ends anywhere or 1/(2n) or 1/n from an
+    atom, inside or on the edge of its kernel zone.  Weights and densities
+    are real or complex, some parts signed zeros."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 64]))
+    shift = draw(st.sampled_from([0.0, 2.0**17]))
+    complex_ = draw(st.booleans())
+    half = 1.0 / n
+    part = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0))
+
+    def value():
+        return complex(draw(part), draw(part) if complex_ else 0.0)
+
+    steps = [0.0, 0.5 * half, half, -half, 2.0 * half]
+    atoms, segments, marks = [], [], [draw(st.floats(-1.5, 1.5))]
+    for lo, hi in ((-1.9, -0.05), (0.05, 1.9)):
+        if draw(st.booleans()):
+            near = st.tuples(st.sampled_from(marks), st.sampled_from(steps)).map(sum)
+            a, b = sorted(min(max(draw(st.one_of(st.floats(lo, hi), near)), lo), hi)
+                          for _ in range(2))
+            if b - a > 1e-3:
+                segments.append((a, b, tuple(value() for _ in range(draw(st.integers(1, 4))))))
+                marks += [a, b]
+    for _ in range(draw(st.integers(0, 4))):
+        p = draw(st.one_of(st.floats(-1.8, 1.8), st.integers(-7, 7).map(lambda k: 0.25 * k),
+                           st.tuples(st.sampled_from(marks), st.sampled_from(steps)).map(sum)))
+        if -1.8 <= p <= 1.8:
+            atoms.append((p, value()))
+            marks.append(p)
+    mu = me.make_measure([(p + shift, w) for p, w in atoms],
+                         [(a + shift, b + shift, c) for a, b, c in segments],
+                         (shift - 4.0, shift + 4.0))
+    return mu, n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mollify_cases())
+def test_mollify_matches_the_scalar_sum(case):
+    # the node pass against the per-node sum it replaced (tests/mollify_oracle.py):
+    # every node's (f, f'), every segment and err have the same bits
+    mu, n = case
+    mol, err = me.mollify_with_error(mu, n)
+    ref, ref_err, cells = mo.mollify_with_error(mu, n)
+    assert err.hex() == ref_err.hex()
+    assert _segment_hexes(mol.segments) == _segment_hexes(ref.segments)
+    # and at the nodes themselves: the cells', and points on and next to the
+    # atoms, the segment ends and the edges of their kernel zones
+    half, kernels = 1.0 / n, me._kernels(n)
+    points = [x + d for x in mu.breakpoints() for d in (0.0, -half, half)]
+    points += [math.nextafter(x, s) for x in points for s in (-math.inf, math.inf)]
+    points = np.array(sorted(x for x in set(points) if mol.lo <= x <= mol.hi))
+    if len(points):
+        cells.append((points, [mo.value_and_slope(mu, n, t) for t in points.tolist()]))
+    for x, values in cells:
+        f, df = me._mollified_nodes(mu, half, kernels, x)
+        assert list(zip(map(_hexes, f), map(_hexes, df))) == [
+            (_hexes(v), _hexes(d)) for v, d in values]
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([-1.5, 0.0, 2.0**17]),
+       st.lists(st.tuples(st.floats(1e-3, 2.0), _PART, _PART, _PART, _PART), min_size=2, max_size=6))
+def test_hermite_segments_match_the_scalar_cubic(x0, rows):
+    # signed zeros included: the coefficients are written to measure files
+    x = np.array(list(accumulate((r[0] for r in rows), initial=x0))[1:])
+    f, df = (np.array([complex(r[k], r[k + 1]) for r in rows]) for k in (1, 3))
+    assert _segment_hexes(me._hermite_segments(x, f, df)) == _segment_hexes(
+        mo.hermite_segments(x, f, df))
 
 
 class TestMultiplyLipschitz:

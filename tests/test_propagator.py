@@ -651,6 +651,7 @@ def test_span_events_carry_their_covering_segments():
             products = iter(wo.run_products(runs, 1.0))
             expected = [next(products) if F is None else (F, d, n) for F, d, n in expected]
             factors, defects, marks, stats = pr._walk(m, 1.0, a, b, 1e-8)
+            defects = list(defects)
             assert expected and len(factors) == len(expected) == stats.constant + stats.runs
             for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
                 assert_agrees(F, ref, n <= 1)
@@ -884,6 +885,7 @@ def test_walk_run_products_both_ways(case):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             factors, defects, marks, stats = pr._walk(mu, z, a, b, 1e-12, backward=backward)
+            defects = list(defects)
         expected = wo.span_walk(mu, z, a, b, 1e-12, backward)
         assert len(factors) == len(defects) == len(expected) == stats.constant + stats.runs
         atoms = list(mu.atoms_in(a, b))
@@ -1083,6 +1085,7 @@ def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
     for backward in (False, True):
         factors, defects, marks, stats = pr._walk(mu, 0.3 - 0.1j, grid[0], grid[-1], 1e-8,
                                                   grid, backward)
+        defects = list(defects)
         assert stats == pr.WalkStats(atoms=2, constant=999, magnus=0)
         assert len(factors) == stats.constant + stats.runs and defects == [None] * 999
         assert [x for _, x, w in marks if w is None] == (grid[::-1] if backward else grid)
