@@ -610,6 +610,11 @@ class PiecewiseAffine:
     ys: tuple
 
     def __post_init__(self):
+        # Python scalars, so no NumPy scalar reaches the measures made with it
+        object.__setattr__(self, "xs", tuple(map(float, self.xs)))
+        object.__setattr__(self, "ys", tuple(
+            complex(y) if isinstance(y, (complex, np.complexfloating)) else float(y)
+            for y in self.ys))
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValidationError("need matching xs/ys with at least two points")
         if any(b <= a for a, b in zip(self.xs[:-1], self.xs[1:])):

@@ -14,10 +14,10 @@ of factors, one per cell, plus marks at the atoms and sample points; its
 z-independent plan is kept on the measure, and per z it gathers each cell's
 factor from a pool of the distinct ones.  A factor is a 4-tuple (F00, F01,
 F10, F11) of Python complex numbers and the grid enters as Python floats, so
-the folds are scalar arithmetic: `_transfer_along` folds the walk into
-matrices, `transfer_matrix` included, and `propagate` folds the state from
-mark to mark.  Both apply each atom's jump at its mark and count what the
-walks applied (`WalkStats`).
+the folds are scalar arithmetic.  Each call makes one walk and folds it both
+ways from its base's mark: `_transfer_along` into matrices, `transfer_matrix`
+included, and `propagate` into the state after every cell.  Both apply each
+atom's jump at its mark and count what the walk applied (`WalkStats`).
 
 Both variation-of-constants checks, `solution_difference` (the by-parts
 form) and `variation_of_constants_value` (the direct form), share one
@@ -33,6 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -300,13 +301,12 @@ def _walk_plan(mu, a, b, tol, samples):
 
 # the walk plans a measure keeps (`LocalMeasure.walk_plans`), oldest dropped first
 _PLANS_KEPT = 8
-# the most Magnus steps of one walk: their arrays take about 200 bytes a step
+# the most Magnus steps of one call's walk: their arrays take about 200 bytes a step
 _MAX_MAGNUS_STEPS = 1_000_000
 
 
-def _walk(mu, z, a, b, tol, markers=(), backward=False):
-    """The one factor walk over [a, b], from a up to b or, with `backward`,
-    from b down to a.
+def _walk(mu, z, a, b, tol, markers=()):
+    """The one factor walk from a up to b.
 
     It runs in two stages.  The plan (`_walk_plan`) is all that does not
     depend on z, kept on mu for its path, tol and samples (the markers in
@@ -317,16 +317,17 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
     makes the pool, one constant factor per distinct (density, length) and
     then the product of each Magnus cell's steps (`_magnus_factors`), and
     gathers the factors from it, one per cell; every factor has the bits of
-    a walk from scratch.  Walking left inverts the pool and reverses the
-    cells, so F always applies on the left.
+    a walk from scratch.
 
     Returns the factors in walking order, an iterator over their step
     defects (a Magnus cell's summed |det F - 1|, else None) that gathers
     them only as it is read, the marks (i, x, w) and the `WalkStats`.  A
     mark follows the first i factors: an atom of weight w at x, which is no
     factor but the jump u'(x+) - u'(x-) = w u(x), or a sample x (w None).
-    At one x the atom comes first walking right and last walking left, so
-    a sample sees (u(x), u'(x+)) both ways.
+    At one x the atom comes first, so a sample sees (u(x), u'(x+)).  A fold
+    from a sample's mark goes right over the factors after it and left over
+    those before it, in reverse and each as its inverse (F11, -F01, -F10,
+    F00), removing an atom's jump after the samples at its x.
     """
     samples = sorted(dict.fromkeys(markers))  # linear for markers in either order
     samples = samples[bisect_left(samples, a):bisect_right(samples, b)]
@@ -344,12 +345,8 @@ def _walk(mu, z, a, b, tol, markers=(), backward=False):
         F, d = _magnus_factors(plan.magnus, z)
         pool += F
         defects += d
-    source, marks = plan.source, plan.marks
-    if backward:
-        pool, source = list(map(_inv_unimodular, pool)), source[::-1]
-        marks = tuple((len(source) - i, x, w) for i, x, w in reversed(marks))
-    factors = list(map(pool.__getitem__, source))
-    return factors, map(defects.__getitem__, source), marks, plan.stats
+    factors = list(map(pool.__getitem__, plan.source))
+    return factors, map(defects.__getitem__, plan.source), plan.marks, plan.stats
 
 
 def transfer_matrix(mu, z, s, t, tol: float = 1e-8) -> TransferMatrix:
@@ -383,9 +380,10 @@ def transfer_steps(mu, z, points, tol: float = 1e-8):
 def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
     """Solution trace with u(s) = initial[0], u'(s+) = initial[1].
 
-    The grid must lie inside the window; s need not be a grid point.  Each
-    side of s is one walk, folded from mark to mark: the state at each grid
-    point is recorded at its mark, and each atom applies its jump at its own.
+    The grid must lie inside the window; s need not be a grid point.  One
+    walk over the grid, with s a sample, is folded from s's mark leftward
+    and rightward, recording the state after every cell; each grid point
+    reads the state at its mark, and each atom applies its jump at its own.
     """
     check_tol(tol)
     grid = np.sort(np.asarray(grid, dtype=float), kind="stable")
@@ -397,29 +395,34 @@ def propagate(mu, z, s, initial, grid, tol: float = 1e-8) -> SolutionTrace:
         raise DomainError("s must lie in the grid range")
     s = float(s)
     state0 = (complex(initial[0]), complex(initial[1]))
-    states, jumps, stats = [], [], WalkStats()
-    k = bisect_left(xs, s)
-    for side, backward in ((xs[:k][::-1], True), (xs[k:], False)):
-        if not side:
-            continue
-        factors, _, marks, counts = _walk(mu, z, *sorted((s, side[-1])), tol, side, backward)
-        stats += counts
-        # fold up to each mark: a sample records the state, an atom applies
-        # its jump (walking left removes it)
-        (v, dv), done, at = state0, 0, {}
-        for i, x, w in marks:
-            for f00, f01, f10, f11 in factors[done:i]:
-                v, dv = f00 * v + f01 * dv, f10 * v + f11 * dv
-            done = i
-            if w is None:
-                at[x] = (v, dv)
-                continue
-            jump = w * v
+    factors, _, marks, stats = _walk(mu, z, xs[0], xs[-1], tol, [s, *xs])
+    k = bisect_right(marks, s, key=itemgetter(1)) - 1  # s's sample, after any atom at s
+    base = marks[k][0]
+    # walking left, each factor applies as its inverse and an atom's jump is
+    # removed after the samples at its x have read the state; an atom at s
+    # is logged at s, where the leftward path starts (0.0 may meet -0.0)
+    (v, dv), left, jumps, done = state0, [state0], [], base
+    for i, x, w in [*(m for m in reversed(marks[:k]) if m[2] is not None), (0, None, None)]:
+        for f00, f01, f10, f11 in reversed(factors[i:done]):
+            v, dv = f11 * v + -f01 * dv, -f10 * v + f00 * dv
+            left.append((v, dv))
+        if w is not None:
+            done, jump = i, w * v
+            jumps.insert(0, (s if x == s else x, w, jump))
+            dv = dv - jump
+    # walking right, an atom's jump replaces the state recorded at its cell
+    (v, dv), right, done = state0, [], base
+    for i, x, w in [*(m for m in marks[k + 1:] if m[2] is not None), (len(factors), None, None)]:
+        for f00, f01, f10, f11 in factors[done:i]:
+            v, dv = f00 * v + f01 * dv, f10 * v + f11 * dv
+            right.append((v, dv))
+        if w is not None:
+            done, jump = i, w * v
             jumps.append((x, w, jump))
-            dv = dv - jump if backward else dv + jump
-        states += [at[x] for x in (side[::-1] if backward else side)]
-    jumps.sort(key=lambda j: j[0])
-    u, du = zip(*states)
+            dv = dv + jump
+            right[-1] = (v, dv)
+    states, at = left[::-1] + right, {x: i for i, x, w in marks if w is None}
+    u, du = zip(*[states[at[x]] for x in xs])
     return SolutionTrace(grid, np.array(u), np.array(du), tuple(jumps), stats)
 
 
@@ -559,30 +562,26 @@ class SolutionDifference:
 
 
 def _transfer_along(mu, z, base, points, tol, restart=False):
-    """T(x, base) for every x in sorted(points), one walk each direction,
-    the summed |det F - 1| over the elementary factors and the walks' stats.
-    With `restart`, T(x, the point before x on its walk)."""
+    """T(x, base) for every x in sorted(points), one walk folded from base's
+    mark rightward, then leftward; the summed |det F - 1| over the elementary
+    factors and the walk's stats.  With `restart`, T(x, the point before x)."""
     points = sorted(set(float(p) for p in points) | {float(base)})
-    out = {base: _EYE}
-    defect, stats = 0.0, WalkStats()
-    k = bisect_left(points, base)
-    for side, backward in ((points[k + 1:], False), (points[:k][::-1], True)):
-        if not side:
-            continue
-        factors, defects, marks, walk_stats = _walk(mu, z, *sorted((float(base), side[-1])), tol,
-                                                    side, backward)
-        stats += walk_stats
-        defects = list(defects)
-        t00, t01, t10, t11 = _EYE
-        done = 0
-        for i, x, w in marks:
-            for (f00, f01, f10, f11), d in zip(factors[done:i], defects[done:i]):
+    factors, defects, marks, stats = _walk(mu, z, points[0], points[-1], tol, points)
+    defects = list(defects)
+    k = bisect_right(marks, base, key=itemgetter(1)) - 1  # base's sample, after any atom there
+    out, defect = {base: _EYE}, 0.0
+    for left in (False, True):
+        (t00, t01, t10, t11), done = _EYE, marks[k][0]
+        for i, x, w in reversed(marks[:k]) if left else marks[k + 1:]:
+            cells = (zip(map(_inv_unimodular, reversed(factors[i:done])), reversed(defects[i:done]))
+                     if left else zip(factors[done:i], defects[done:i]))
+            for (f00, f01, f10, f11), d in cells:
                 t00, t01, t10, t11 = (f00 * t00 + f01 * t10, f00 * t01 + f01 * t11,
                                       f10 * t00 + f11 * t10, f10 * t01 + f11 * t11)
                 defect += abs(f00 * f11 - f01 * f10 - 1.0) if d is None else d
             done = i
             if w is not None:  # the jump `propagate` applies, on both columns
-                if backward:
+                if left:
                     t10, t11 = t10 - w * t00, t11 - w * t01
                 else:
                     t10, t11 = t10 + w * t00, t11 + w * t01

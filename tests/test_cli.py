@@ -240,9 +240,9 @@ class TestExitCodes:
         assert sorted(p.name for p in workdir.iterdir()) == ["comb.json", "dirac.json"]
 
     @pytest.mark.parametrize("extra, message", [
-        # the step count overflows int64
-        (["--tol", "1e-300"], "the walk needs 5e+74 Magnus steps, budget 1000000"),
-        (["--tol", "1e-60"], "the walk needs 5e+14 Magnus steps, budget 1000000"),
+        # the step count overflows int64; the budget counts both sides of --from
+        (["--tol", "1e-300"], "the walk needs 1e+75 Magnus steps, budget 1000000"),
+        (["--tol", "1e-60"], "the walk needs 1e+15 Magnus steps, budget 1000000"),
         # a 2e15-point grid is a MemoryError where NumPy allocates it
         (["--grid", "-1:1:1e-15"], "Unable to allocate 14.2 PiB for an array with shape "
                                    "(2000000000000001,) and data type float64"),

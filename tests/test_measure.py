@@ -579,6 +579,18 @@ class TestMultiplyLipschitz:
         psi = me.PiecewiseAffine((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))
         assert me.multiply_lipschitz(mu, psi).atoms == ((0.0, 1.0 + 0j),)
 
+    def test_numpy_breakpoints_give_python_scalars(self):
+        # a psi built from NumPy scalars computes in Python scalars, so the
+        # product holds no np.float64 end or np.complex128 weight
+        mu = me.make_measure([(0.0, 1.0)], [(-0.5, 0.5, (0.5, 0.25))], (-2, 2))
+        psi = me.PiecewiseAffine(tuple(np.array([-1.0, 0.0, 1.0])),
+                                 (np.float64(0.0), np.complex128(1.0 + 0.5j), np.float32(0.0)))
+        assert list(map(type, psi.xs + psi.ys)) == [float] * 4 + [complex, float]
+        out = me.multiply_lipschitz(mu, psi)
+        assert [tuple(map(type, a)) for a in out.atoms] == [(float, complex)]
+        assert {type(v) for s in out.segments for v in (s.start, s.end)} == {float}
+        assert {type(c) for s in out.segments for c in s.coeffs} == {complex}
+
     def test_degree_bump_resampled(self):
         # cubic density times a genuine slope: degree 4 product gets resampled
         mu = me.make_measure((), ((0.0, 1.0, (0.0, 0.0, 0.0, 1.0)),), (-1, 2))

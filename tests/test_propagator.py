@@ -553,8 +553,9 @@ _SHORT_TRACE = pr.propagate(_DIRAC, 0.0, 0.0, (1.0, 0.0), [-1.0, 0.0])
     # the step count is checked as a float: 2e75 steps would wrap in int64
     (lambda: pr.transfer_matrix(_SLOPE, 0.0, -1.0, 1.0, 1e-300), ResourceError,
      "the walk needs 2e+75 Magnus steps, budget 1000000"),
+    # the budget counts the steps of the whole call: 1e15 on each side of s
     (lambda: pr.propagate(_SLOPE, 0.0, 0.0, (1.0, 0.0), [-1.0, 1.0], 1e-60), ResourceError,
-     "the walk needs 1e+15 Magnus steps, budget 1000000"),
+     "the walk needs 2e+15 Magnus steps, budget 1000000"),
 ], ids=["transfer-steps-no-points", "propagate-empty-grid", "propagate-s-outside",
         "chain-not-unit", "chain-unresolved", "stability-non-integer", "difference-no-zero",
         "voc-off-grid", "voc-other-tr2-point", "voc-past-tr2", "magnus-steps-past-int64",
@@ -874,29 +875,26 @@ def test_transfer_along_matches_scalar_fold(case):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(density_walks())
-def test_walk_run_products_both_ways(case):
-    # at tol 1e-12 a span takes thousands of steps; walking either way, a
-    # run factor is the oracle's one-step-at-a-time fold (inverted and
-    # reversed to the left), and each run carries its steps' defects; the
-    # atoms are marks, not factors
+def test_walk_run_products(case):
+    # at tol 1e-12 a span takes thousands of steps; a run factor is the
+    # oracle's one-step-at-a-time fold, and each run carries its steps'
+    # defects; the atoms are marks, not factors
     mu, z, s, t, _ = case
     a, b = sorted((s, t))
-    for backward in (False, True):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            factors, defects, marks, stats = pr._walk(mu, z, a, b, 1e-12, backward=backward)
-            defects = list(defects)
-        expected = wo.span_walk(mu, z, a, b, 1e-12, backward)
-        assert len(factors) == len(defects) == len(expected) == stats.constant + stats.runs
-        atoms = list(mu.atoms_in(a, b))
-        assert [(x, w) for _, x, w in marks] == (atoms[::-1] if backward else atoms)
-        for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
-            assert_agrees(F, ref, n <= 1)
-            assert (d is None) == (ref_d is None)
-            if d is not None:
-                assert abs(d - ref_d) <= 8 * _EPS * n
-        assert stats.runs == sum(n > 0 for *_, n in expected)
-        assert stats.magnus == sum(n for *_, n in expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        factors, defects, marks, stats = pr._walk(mu, z, a, b, 1e-12)
+        defects = list(defects)
+    expected = wo.span_walk(mu, z, a, b, 1e-12)
+    assert len(factors) == len(defects) == len(expected) == stats.constant + stats.runs
+    assert [(x, w) for _, x, w in marks] == list(mu.atoms_in(a, b))
+    for F, d, (ref, ref_d, n) in zip(factors, defects, expected):
+        assert_agrees(F, ref, n <= 1)
+        assert (d is None) == (ref_d is None)
+        if d is not None:
+            assert abs(d - ref_d) <= 8 * _EPS * n
+    assert stats.runs == sum(n > 0 for *_, n in expected)
+    assert stats.magnus == sum(n for *_, n in expected)
 
 
 def python_fold(mu, z, s, t):
@@ -1019,6 +1017,67 @@ def test_transfer_matches_the_event_walk(case):
         assert_agrees(tmats[x], ref[x], stats.magnus == stats.runs)
 
 
+@st.composite
+def base_walks(draw):
+    """Atoms and constant pieces on (-3, 3), a grid and a base s with the
+    cases of one walk folded both ways from s's mark: s on an atom, off the
+    grid between two points, at either grid end, and -0.0 against a grid
+    point 0.0; repeated grid points; atoms at both grid ends.  Without
+    Magnus steps every value has the oracle's bytes."""
+    lattice = [round(-2.5 + 0.25 * k, 12) for k in range(21)]
+    grid = draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=8))
+    grid += draw(st.lists(st.sampled_from(grid), max_size=3)) + draw(st.sampled_from([[], [0.0]]))
+    lo, hi = min(grid), max(grid)
+    between = st.floats(lo, hi).filter(lambda x: x not in grid)
+    s = draw(st.one_of(st.sampled_from([lo, hi, -0.0 if lo <= 0.0 <= hi else lo, *grid]),
+                       between))
+    ends = sorted(set(draw(st.lists(st.sampled_from([*lattice, s]), min_size=2, max_size=6))))
+    coeff = st.one_of(st.floats(-1.0, 1.0), complex_unit)
+    segments = [(a, b, (draw(coeff),)) for a, b in zip(ends[0::2], ends[1::2])]
+    position = st.one_of(st.sampled_from([lo, hi, s, *grid]), st.floats(-2.9, 2.9))
+    atoms = draw(st.lists(st.tuples(position, complex_unit), max_size=6))
+    z = draw(st.one_of(st.floats(-2.0, 2.0), complex_unit))
+    return me.make_measure(atoms, segments, (-3, 3)), z, s, grid
+
+
+def _complex_bytes(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(base_walks())
+@example((me.make_measure([(0.0, 0.5), (-1.0, 0.25j), (1.0, -0.3)], [(-0.5, 0.5, (0.2j,))],
+                          (-3, 3)), 0.7, -0.0, [-1.0, 0.0, 0.0, 0.25, 1.0]))
+def test_one_walk_folds_are_the_two_walk_bytes(case):
+    # one walk folded both ways from s's mark gives the bytes, the jump log
+    # (with an atom at s logged at s) and the counts of the oracle's two
+    # walks; so do the transfer matrices from s and transfer_steps' restarts
+    mu, z, s, grid = case
+    tr = pr.propagate(mu, z, s, (1.0 - 0.5j, 0.25), grid)
+    ref_grid, u, du, jumps = wo.propagate(mu, z, s, (1.0 - 0.5j, 0.25), grid)
+    assert tr.grid.tobytes() == ref_grid.tobytes()
+    assert tr.u.tobytes() == u.tobytes() and tr.du.tobytes() == du.tobytes()
+    assert _complex_bytes(tr.jump_log) == _complex_bytes(jumps)
+    xs = sorted(grid)
+    right, left = [x for x in xs if x >= s], [x for x in xs if x < s]
+    ref_stats = _oracle_stats(mu, z, s, right[-1], 1e-8, right)
+    if left:
+        ref_stats += _oracle_stats(mu, z, left[0], s, 1e-8, left)
+    assert tr.stats == ref_stats and ref_stats.magnus == 0
+    tmats, defect, stats = pr._transfer_along(mu, z, s, grid, 1e-8)
+    ref, ref_defect = wo.transfer_along(mu, z, s, grid, 1e-8)
+    assert tmats.keys() == ref.keys() and defect == ref_defect and stats == ref_stats
+    assert all(_complex_bytes(tmats[x]) == _complex_bytes(ref[x]) for x in ref)
+    for t in (xs[0], xs[-1]):
+        T = pr.transfer_matrix(mu, z, s, t)
+        entries, ref_defect = wo.transfer_matrix(mu, z, s, t)
+        assert T.entries.tobytes() == entries.tobytes() and T.det_defect == ref_defect
+        assert T.stats == _oracle_stats(mu, z, *sorted((s, t)), 1e-8, [t])
+    points = sorted(set(xs))
+    for x0, x1, T in zip(points, points[1:], pr.transfer_steps(mu, z, grid)):
+        assert T.tobytes() == wo.transfer_matrix(mu, z, x0, x1)[0].tobytes()
+
+
 def _edge_measure():
     return me.make_measure([(-1.0, 0.5 - 0.25j), (0.5, -0.3), (1.5, 0.2)],
                            [(-2.0, -0.5, (0.2, 0.1j, -0.3)), (0.0, 1.0, (0.7,))], (-3, 3))
@@ -1041,7 +1100,7 @@ def test_walk_state_and_jumps_are_python_scalars(monkeypatch):
                                for j in tr.jump_log)
     tmats, defect, _ = pr._transfer_along(mu, 0.5 + 0.25j, np.float64(0.3), grid, 1e-8)
     assert all(type(v) is complex for T in tmats.values() for v in T) and type(defect) is float
-    assert len(walks) == 4
+    assert len(walks) == 2  # one for each call, folded both ways from its base
     assert {type(d) for _, defects, _, _ in walks for d in defects} == {float, type(None)}
     for factors, _, marks, _ in walks:
         assert all(type(v) is complex for F in factors for v in F)
@@ -1067,12 +1126,12 @@ def test_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
         tmats, _, stats = pr._transfer_along(mu, z, -0.2, [2.5, -2.5, 0.7], 1e-8)
         assert set(tmats) == {-0.2, 2.5, -2.5, 0.7}
         assert stats == pr.WalkStats(atoms=2, constant=7, magnus=0)
-    assert len(mu.walk_plans) == 2
+    assert len(mu.walk_plans) == 1  # one walk over [-2.5, 2.5], folded both ways from -0.2
 
 
 def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
     # 1,000 markers inside constant pieces, between atoms and on them,
-    # walked both ways and folded into transfer matrices, still without NumPy
+    # walked and folded both ways into transfer matrices, still without NumPy
     grid = [-2.5 + 0.005 * k for k in range(1000)]
     mu = me.make_measure([(-1.0, 0.5), (grid[500], -0.3 + 0.1j)],
                          [(0.0, 1.0, (0.7,)), (1.5, grid[900], (0.2 - 0.1j,))], (-3, 3))
@@ -1082,15 +1141,12 @@ def test_grid_walks_without_magnus_steps_make_no_numpy_call(monkeypatch):
     monkeypatch.setattr(pr, "_magnus_plan", fail)
     monkeypatch.setattr(pr, "_magnus_factors", fail)
     monkeypatch.setattr(pr, "np", None)  # any NumPy call fails
-    for backward in (False, True):
-        factors, defects, marks, stats = pr._walk(mu, 0.3 - 0.1j, grid[0], grid[-1], 1e-8,
-                                                  grid, backward)
-        defects = list(defects)
-        assert stats == pr.WalkStats(atoms=2, constant=999, magnus=0)
-        assert len(factors) == stats.constant + stats.runs and defects == [None] * 999
-        assert [x for _, x, w in marks if w is None] == (grid[::-1] if backward else grid)
-        atoms = [(x, w) for _, x, w in marks if w is not None]
-        assert atoms == (list(mu.atoms[::-1]) if backward else list(mu.atoms))
+    factors, defects, marks, stats = pr._walk(mu, 0.3 - 0.1j, grid[0], grid[-1], 1e-8, grid)
+    defects = list(defects)
+    assert stats == pr.WalkStats(atoms=2, constant=999, magnus=0)
+    assert len(factors) == stats.constant + stats.runs and defects == [None] * 999
+    assert [x for _, x, w in marks if w is None] == grid
+    assert [(x, w) for _, x, w in marks if w is not None] == list(mu.atoms)
     tmats, _, stats = pr._transfer_along(mu, 0.3 - 0.1j, 0.2, grid, 1e-8)
     assert len(tmats) == 1001 and stats.magnus == 0 and stats.atoms == 2
 
