@@ -4,7 +4,9 @@ Polynomials are tuples of coefficients (c0, c1, ..., cn), low order first,
 in a local variable x, so p(x) = sum c_k x^k.  Everything the measure layer
 needs (evaluation, Taylor shifts, antiderivatives, root isolation, integrals
 of |p|) stays closed-form for real coefficients; complex |p| is integrated
-by one adaptive Gauss-Legendre rule (`gauss_integral`).
+by one adaptive Gauss-Legendre rule (`gauss_integral`).  `branches` is the
+one split of a real p at the roots of p'; root isolation above degree 2,
+`sup_abs_on` and the seminorm's median and L1 value all read it.
 """
 
 from __future__ import annotations
@@ -153,14 +155,60 @@ def rising_objective(coeffs, level, sign):
     return f
 
 
+class Branch(namedtuple("Branch", "coeffs deriv xa xb va vb")):
+    """A real p on [xa, xb] (local coordinates), strictly monotone there
+    or constant, with deriv = p' and end values va = p(xa), vb = p(xb)."""
+
+    def crossing(self, c):
+        """(x, p'(x)) with p(x) = c, for c strictly between va and vb:
+        closed form up to degree 2, bracketed Newton above."""
+        p = self.coeffs
+        if len(p) == 2:
+            x = (c - p[0]) / p[1]
+        elif len(p) == 3:
+            a0 = p[0] - c
+            disc = max(p[1] * p[1] - 4.0 * p[2] * a0, 0.0)
+            q = -0.5 * (p[1] + math.copysign(math.sqrt(disc), p[1]))
+            roots = (q / p[2], a0 / q) if q != 0.0 else (0.0,)
+            x = min(roots, key=lambda r: max(self.xa - r, r - self.xb))
+        else:
+            f = rising_objective(p, c, 1.0 if self.vb > self.va else -1.0)
+            x = bracketed_newton(
+                f, self.xa, self.xb,
+                self.xa + (self.xb - self.xa) * (c - self.va) / (self.vb - self.va),
+            )
+        x = min(max(x, self.xa), self.xb)
+        return x, evaluate(self.deriv, x)
+
+    def integral_abs(self, c):
+        """int |p - c| over [xa, xb], cut at `crossing(c)` when c lies
+        strictly between va and vb."""
+        F = antiderivative(add(self.coeffs, (-c,)))
+        xs = [self.xa, self.xb]
+        if min(self.va, self.vb) < c < max(self.va, self.vb):
+            xs.insert(1, self.crossing(c)[0])
+        vals = [evaluate(F, x) for x in xs]
+        return sum(abs(b - a) for a, b in zip(vals, vals[1:]))
+
+
+def branches(coeffs, lo, hi):
+    """The real part of p on [lo, hi] cut at the roots of p' (`_roots_in`)
+    into the non-empty `Branch`es, in order."""
+    p = trim(to_real(coeffs))
+    d = derivative(p)
+    xs = [lo] + _roots_in(d, lo, hi) + [hi]
+    vs = [evaluate(p, x) for x in xs]
+    return [Branch(p, d, xa, xb, va, vb)
+            for xa, xb, va, vb in zip(xs, xs[1:], vs, vs[1:]) if xb > xa]
+
+
 def real_roots_in(coeffs, lo, hi):
     """Real roots of a real-coefficient polynomial inside (lo, hi), sorted.
 
-    Degrees 1 and 2 are closed form.  Above, the roots of p' (found the
-    same way) cut (lo, hi) into monotone branches; a branch whose end values
-    have opposite signs holds exactly one root, which `bracketed_newton`
-    closes.  Above degree 2, p(x) counts as zero when it is within the
-    Horner rounding bound (2n + 1) 2^-53 sum |c_k| |x|^k at x:
+    Degrees 1 and 2 are closed form.  Above, the `branches` of p hold one
+    root each where their end values have opposite signs, closed by
+    `Branch.crossing(0.0)`.  Above degree 2, p(x) counts as zero when it is
+    within the Horner rounding bound (2n + 1) 2^-53 sum |c_k| |x|^k at x:
     - tangency rule: a critical point where p is zero is a (double) root;
     - end rule: roots are taken on the open interval, and an end where p
       is zero starts or ends no sign change, so a root within rounding of
@@ -182,24 +230,19 @@ def real_roots_in(coeffs, lo, hi):
 
 
 def _roots_in(c, lo, hi):
-    """`real_roots_in` of a trimmed real c, recursing on p' above degree 2
-    (privately, so that only outside calls reach the public name)."""
+    """`real_roots_in` of a trimmed real c, from its `branches` above
+    degree 2 (privately, so that only outside calls reach the public name)."""
     deg = len(c) - 1
     if deg > 2:
-        d = derivative(c)
-        xs = [lo] + _roots_in(d, lo, hi) + [hi]
         absc = tuple(map(abs, c))
-        vs = []
-        for x in xs:
-            v = evaluate(c, x)
-            vs.append(0.0 if abs(v) <= (2 * deg + 1) * 2.0**-53 * evaluate(absc, abs(x)) else v)
         roots = []
-        for i, (xa, xb, va, vb) in enumerate(zip(xs, xs[1:], vs, vs[1:])):
+        for i, br in enumerate(branches(c, lo, hi)):
+            va, vb = (0.0 if abs(v) <= (2 * deg + 1) * 2.0**-53 * evaluate(absc, abs(x)) else v
+                      for x, v in ((br.xa, br.va), (br.xb, br.vb)))
             if i and va == 0.0:
-                roots.append(xa)
+                roots.append(br.xa)
             if va < 0.0 < vb or vb < 0.0 < va:
-                f = rising_objective(c, 0.0, 1.0 if vb > 0.0 else -1.0)
-                roots.append(bracketed_newton(f, xa, xb, xa + (xb - xa) * va / (va - vb)))
+                roots.append(br._replace(va=va, vb=vb).crossing(0.0)[0])
         return roots
     if deg == 0:
         return []
@@ -326,13 +369,12 @@ def gauss_integral(coeffs, x0, x1, fn, max_panels):
 
 
 def sup_abs_on(coeffs, x0, x1):
-    """sup of |p| on [x0, x1]; exact via critical points for real p,
-    critical points of |p|^2 otherwise."""
+    """sup of |p| on [x0, x1]: the branch ends for real p (|p(x0)| when
+    x0 = x1), the critical points of |p|^2 otherwise."""
     c = trim(coeffs)
     if is_real(c):
-        cr = to_real(c)
-        xs = [x0, x1] + real_roots_in(derivative(cr), x0, x1)
-        return max(abs(evaluate(cr, x)) for x in xs)
+        return max((abs(v) for br in branches(c, x0, x1) for v in (br.va, br.vb)),
+                   default=abs(evaluate(c, x0)))
     return max(abs(evaluate(c, x)) for x in abs_critical_points(c, x0, x1))
 
 

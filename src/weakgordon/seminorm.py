@@ -21,7 +21,8 @@ search over the sorted branch-end values finds the bracket where S crosses
 half the window length; inside it the closed form (every active branch
 affine) or Newton on S, with S' = sum 1/|phi'|, closes the bracket to 2 ulp.
 That c is the reported median, with no threshold that could move it, so a
-real window value is homogeneous: N(lambda mu) = |lambda| N(mu).
+real window value is homogeneous: N(lambda mu) = |lambda| N(mu).  The split
+is `poly.branches`, and the value int |phi - c| is summed over its branches.
 
 Interval seminorms (|I| > 2) take a certified supremum over all admissible
 windows in one sweep over the window centres a, cut at the events where
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -111,10 +111,6 @@ def _phi_offset(mu, wlo):
 # exact real median (one sweep over monotone branches) and L1 distance
 
 
-def _real_pieces(pieces):
-    return [(t0, t1, poly.to_real(c)) for t0, t1, c in pieces]
-
-
 def _l1(pieces, c):
     """int |phi - c| over the pieces of phi, real or complex."""
     return sum(
@@ -123,59 +119,17 @@ def _l1(pieces, c):
     )
 
 
-class _Branch(namedtuple("_Branch", "coeffs deriv xa xb va vb")):
-    """A piece of phi on [xa, xb] (local coordinates), strictly monotone
-    there, with end values va = p(xa) and vb = p(xb)."""
-
-    def crossing(self, c):
-        """(x, p'(x)) with p(x) = c, for c strictly between va and vb:
-        closed form up to degree 2, bracketed Newton above."""
-        p = self.coeffs
-        if len(p) == 2:
-            x = (c - p[0]) / p[1]
-        elif len(p) == 3:
-            a0 = p[0] - c
-            disc = max(p[1] * p[1] - 4.0 * p[2] * a0, 0.0)
-            q = -0.5 * (p[1] + math.copysign(math.sqrt(disc), p[1]))
-            roots = (q / p[2], a0 / q) if q != 0.0 else (0.0,)
-            x = min(roots, key=lambda r: max(self.xa - r, r - self.xb))
-        else:
-            f = poly.rising_objective(p, c, 1.0 if self.vb > self.va else -1.0)
-            x = poly.bracketed_newton(
-                f, self.xa, self.xb,
-                self.xa + (self.xb - self.xa) * (c - self.va) / (self.vb - self.va),
-            )
-        x = min(max(x, self.xa), self.xb)
-        return x, poly.evaluate(self.deriv, x)
+def _l1_parts(parts, c):
+    """int |phi - c| over the monotone parts of a real phi."""
+    return sum(br.integral_abs(c) for *_, br in parts)
 
 
 def _monotone_parts(pieces):
-    """Split each real piece once, at its critical points.
-
-    Returns (vlo, vhi, length, branch) in piece order.  Constant pieces and
-    flat stretches are steps (vlo == vhi, branch None); the rest are
-    monotone branches.
-    """
-    parts = []
-    for t0, t1, coeffs in pieces:
-        p = poly.trim(coeffs)
-        L = t1 - t0
-        if len(p) == 1:
-            parts.append((p[0], p[0], L, None))
-            continue
-        d = poly.derivative(p)
-        xs = [0.0] + poly.real_roots_in(d, 0.0, L) + [L]
-        vs = [poly.evaluate(p, x) for x in xs]
-        for xa, xb, va, vb in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
-            if xb <= xa:
-                continue
-            if va == vb:
-                parts.append((va, va, xb - xa, None))
-            else:
-                parts.append(
-                    (min(va, vb), max(va, vb), xb - xa, _Branch(p, d, xa, xb, va, vb))
-                )
-    return parts
+    """(vlo, vhi, length, branch) for the `poly.branches` of the real part
+    of each piece, in piece order: steps (vlo == vhi) and monotone
+    branches."""
+    return [(min(br.va, br.vb), max(br.va, br.vb), br.xb - br.xa, br)
+            for t0, t1, coeffs in pieces for br in poly.branches(coeffs, 0.0, t1 - t0)]
 
 
 def _sublevel(parts, c):
@@ -191,8 +145,9 @@ def _sublevel(parts, c):
     return total, slope
 
 
-def _smallest_median(pieces, half):
-    """Smallest c with lebesgue{phi <= c} >= half (the lower quantile).
+def _smallest_median(parts, half):
+    """Smallest c with lebesgue{phi <= c} >= half (the lower quantile), from
+    the `_monotone_parts` of phi.
 
     Binary search over the sorted branch-end values finds the bracket where
     S crosses half; inside it S is a sum of branch inverses, solved by
@@ -200,7 +155,6 @@ def _smallest_median(pieces, half):
     affine.  A step function ends at a level of the search, a constant phi
     at its one event.
     """
-    parts = _monotone_parts(pieces)
     events = sorted({v for vlo, vhi, _, _ in parts for v in (vlo, vhi)})
     i, j, s_lo = -1, len(events) - 1, 0.0
     while j - i > 1:
@@ -213,7 +167,8 @@ def _smallest_median(pieces, half):
     c = events[j]
     if j > 0:
         lo = events[j - 1]
-        active = [br for vlo, vhi, _, br in parts if br is not None and vlo <= lo and vhi >= c]
+        # steps (vlo == vhi) cannot span [lo, c]
+        active = [br for vlo, vhi, _, br in parts if vlo <= lo and vhi >= c]
         below = math.nextafter(c, lo)
         # S jumps past half at c (a step there) unless it already holds below
         if active and below > lo and _sublevel(parts, below)[0] >= half:
@@ -475,13 +430,14 @@ def _window_value(mu, wlo, whi):
         return 0.0, 0.0, 0j, SeminormStats()
     offset = _phi_offset(mu, wlo)
     half = 0.5 * (whi - wlo)
-    re_pieces = _real_pieces(pieces)
+    re_parts = _monotone_parts(pieces)
     if all(poly.is_real(c) for _, _, c in pieces):
-        c = _smallest_median(re_pieces, half)
-        val = _l1(re_pieces, c)
+        c = _smallest_median(re_parts, half)
+        val = _l1_parts(re_parts, c)
         return val, val, complex(c) + offset, SeminormStats()
     im_pieces = [(t0, t1, tuple(float(v.imag) for v in c)) for t0, t1, c in pieces]
-    c_med = complex(_smallest_median(re_pieces, half), _smallest_median(im_pieces, half))
+    c_med = complex(_smallest_median(re_parts, half),
+                    _smallest_median(_monotone_parts(im_pieces), half))
     m_med = _l1(pieces, c_med)
     c_best, m_best, steps, scores = _geometric_median(pieces, c_med, m_med)
     # M/2 is a lower bound however far the solver got: c_med takes the

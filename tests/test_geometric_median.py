@@ -55,7 +55,7 @@ def _weiszfeld(pieces, c0, iters=120):
 def _c_med(pieces, wlo, whi):
     half = 0.5 * (whi - wlo)
     return complex(*(
-        sn._smallest_median(sn._real_pieces(
+        sn._smallest_median(sn._monotone_parts(
             [(t0, t1, tuple(getattr(v, part) for v in c)) for t0, t1, c in pieces]), half)
         for part in ("real", "imag")))
 

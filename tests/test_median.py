@@ -13,6 +13,7 @@ compared with the first, since the snap can move off the smallest median
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from weakgordon import measure as me
 from weakgordon import poly
 from weakgordon import seminorm as sn
+
+from test_poly import check_branches
 
 
 def _bisection_sublevel(pieces, c):
@@ -77,14 +80,18 @@ def _bisection_median(pieces, half):
     return c, c
 
 
+def _real(pieces):
+    return [(t0, t1, poly.to_real(c)) for t0, t1, c in pieces]
+
+
 def _real_parts(mu, wlo, whi):
     """The real cumulative piece lists _window_value hands to the median:
     the measure's own for a real measure, else its Re and Im parts."""
     pieces = me.cumulative_pieces(mu, wlo, whi)
     if mu.is_real():
-        return [sn._real_pieces(pieces)]
+        return [_real(pieces)]
     return [
-        sn._real_pieces([(t0, t1, tuple(getattr(v, part) for v in c)) for t0, t1, c in pieces])
+        _real([(t0, t1, tuple(getattr(v, part) for v in c)) for t0, t1, c in pieces])
         for part in ("real", "imag")
     ]
 
@@ -94,13 +101,14 @@ def _check_against_bisection(mu, wlo, whi):
     for pieces in _real_parts(mu, wlo, whi):
         if not pieces:
             continue
-        c_new = sn._smallest_median(pieces, half)
+        parts = sn._monotone_parts(pieces)
+        c_new = sn._smallest_median(parts, half)
         c_old, c_snapped = _bisection_median(pieces, half)
         vmin, vmax = _value_range(pieces)
         scale = max(1.0, abs(vmin), abs(vmax))
         assert abs(c_new - c_old) <= 1e-12 * max(1.0, abs(c_old)), (c_new, c_old)
         assert abs(sn._l1(pieces, c_new) - sn._l1(pieces, c_snapped)) <= 1e-12 * scale
-        assert sn._sublevel(sn._monotone_parts(pieces), c_new)[0] >= half
+        assert sn._sublevel(parts, c_new)[0] >= half
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +149,112 @@ def test_edge_cases_match_bisection(name):
     _check_against_bisection(*EDGE_CASES[name])
 
 
+def _check_branches_and_l1(mu, wlo, whi):
+    """Every piece's branches pass `check_branches`, and the L1 value summed
+    over the median's parts is the reference `_l1` within a few ulps of
+    the window's scale, at the median and at levels around phi."""
+    half = 0.5 * (whi - wlo)
+    for pieces in _real_parts(mu, wlo, whi):
+        for t0, t1, coeffs in pieces:
+            check_branches(coeffs, 0.0, t1 - t0)
+        if not pieces:
+            continue
+        parts = sn._monotone_parts(pieces)
+        vmin, vmax = _value_range(pieces)
+        for c in (sn._smallest_median(parts, half), vmin, vmax, 0.5 * (vmin + vmax),
+                  vmin - 1.0, 0.25 * vmin + 0.75 * vmax):
+            scale = (max(abs(vmin), abs(vmax)) + abs(c)) * (whi - wlo)
+            assert abs(sn._l1_parts(parts, c) - sn._l1(pieces, c)) <= 8 * 2.0**-52 * scale
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_branches_and_l1_parts(name):
+    _check_branches_and_l1(*EDGE_CASES[name])
+
+
+def test_real_window_never_integrates_abs(monkeypatch):
+    # the median's split also gives the value: no second root isolation
+    def refuse(*args):
+        raise AssertionError("poly.integral_abs on a real window")
+
+    monkeypatch.setattr(poly, "integral_abs", refuse)
+    for name in ("atom on a density breakpoint", "cubic density", "mollified difference"):
+        assert sn._window_value(*EDGE_CASES[name])[0] > 0.0
+
+
+def _exact_window_value(mu, wlo, whi):
+    """min_c int |phi - c| over [wlo, whi] in exact arithmetic, for a real
+    measure of atoms and degree-0 densities: phi is then piecewise linear,
+    so a median and the value are rational.
+
+    phi = mu((wlo, t]) (a constant offset moves neither).  On each stretch
+    between cuts it is a + b s, s in [0, t1 - t0].  The sublevel measure S
+    is linear between consecutive stretch-end values v, so a median is the
+    first v with S(v) >= half when S(v-) <= half, else the point where the
+    line from (v_prev, S(v_prev)) to (v, S(v-)) meets half.
+    """
+    lo, hi = Fraction(wlo), Fraction(whi)
+    atoms = [(Fraction(x), Fraction(complex(w).real)) for x, w in mu.atoms if wlo < x < whi]
+    segs = [(max(Fraction(g.start), lo), min(Fraction(g.end), hi),
+             Fraction(complex(g.coeffs[0]).real)) for g in mu.segments]
+    segs = [(s, e, r) for s, e, r in segs if e > s]
+    cuts = sorted({lo, hi} | {x for x, _ in atoms} | {v for s, e, _ in segs for v in (s, e)})
+    lines, level = [], Fraction(0)
+    for t0, t1 in zip(cuts, cuts[1:]):
+        level += sum(w for x, w in atoms if x == t0)
+        slope = sum(r for s, e, r in segs if s <= t0 and t1 <= e)
+        lines.append((level, slope, t1 - t0))
+        level += slope * (t1 - t0)
+
+    def below(c, strict):
+        total = Fraction(0)
+        for a, b, L in lines:
+            if b == 0:
+                total += L if (a < c if strict else a <= c) else 0
+            else:
+                x = min(max((c - a) / b, Fraction(0)), L)
+                total += x if b > 0 else L - x
+        return total
+
+    half = (hi - lo) / 2
+    vs = sorted({a for a, _, _ in lines} | {a + b * L for a, b, L in lines})
+    j = next(j for j, v in enumerate(vs) if below(v, False) >= half)
+    c = vs[j]
+    if below(c, True) > half:
+        s_prev, s_next = below(vs[j - 1], False), below(c, True)
+        c = vs[j - 1] + (half - s_prev) * (c - vs[j - 1]) / (s_next - s_prev)
+    total = Fraction(0)
+    for a, b, L in lines:
+        f0, f1 = a - c, a + b * L - c
+        if f0 * f1 >= 0:
+            total += abs(f0 + f1) * L / 2
+        else:
+            x = -f0 / b
+            total += (abs(f0) * x + abs(f1) * (L - x)) / 2
+    return total
+
+
+def _check_exact_value(mu, wlo, whi):
+    """|value - exact| <= 1e-15 2 |mu|(W), plus 16 units of the smallest
+    subnormal for values whose products underflow (a 1e-224 density on a
+    1e-224 stretch has the exact value 3e-448)."""
+    value = sn._window_value(mu, wlo, whi)[0]
+    bound = 2.0 * me.total_variation(mu, (wlo, whi))
+    exact = _exact_window_value(mu, wlo, whi)
+    slack = Fraction(1e-15) * Fraction(bound) + Fraction(1, 2**1070)
+    assert abs(Fraction(value) - exact) <= slack, (value, float(exact))
+
+
+FLAT_EDGE_CASES = ["atoms on both window edges", "dipole, flat median set",
+                   "dirac off-centre window", "lebesgue",
+                   "single dirac, plateau at the median", "zero measure"]
+
+
+@pytest.mark.parametrize("name", FLAT_EDGE_CASES)
+def test_flat_edge_case_values_are_exact(name):
+    _check_exact_value(*EDGE_CASES[name])
+
+
 @pytest.mark.parametrize("lead", [4.8e-89, 5e-324])
 def test_negligible_leading_term_keeps_the_root(lead):
     # a cubic term below rounding on the interval moves no root: it is
@@ -159,8 +273,8 @@ def _check_median_properties(mu, wlo, whi):
     for pieces in _real_parts(mu, wlo, whi):
         if not pieces:
             continue
-        c = sn._smallest_median(pieces, half)
         parts = sn._monotone_parts(pieces)
+        c = sn._smallest_median(parts, half)
         vmin, vmax = _value_range(pieces)
         scale = max(1.0, abs(vmin), abs(vmax))
         assert sn._sublevel(parts, c)[0] >= half
@@ -187,10 +301,10 @@ WELL_SCALED = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-
 
 
 @st.composite
-def measure_windows(draw, complex_=False, coefficient=ANY_FLOAT):
+def measure_windows(draw, complex_=False, coefficient=ANY_FLOAT, max_degree=3):
     """A measure on (-2, 2) and a window [a-1, a+1] inside it, with atoms on
     the window edges and on density breakpoints, ~1e-9 segments, densities
-    of degree 0-3 and the zero measure all in reach."""
+    of degree 0 to max_degree and the zero measure all in reach."""
     a = draw(st.floats(-0.9, 0.9))
     wlo, whi = a - 1.0, a + 1.0
     n_seg = draw(st.integers(0, 3))
@@ -201,7 +315,7 @@ def measure_windows(draw, complex_=False, coefficient=ANY_FLOAT):
         if draw(st.booleans()):
             e = min(e, s + draw(st.floats(5e-10, 2e-9)))
         if e > s:
-            deg = draw(st.integers(0, 3))
+            deg = draw(st.integers(0, max_degree))
             segments.append((s, e, _coeffs(draw, deg, complex_, coefficient)))
     special = [wlo, whi] + [x for s, e, _ in segments for x in (s, e)]
     position = st.one_of(st.sampled_from(special), st.floats(-2.0, 2.0))
@@ -222,6 +336,24 @@ def test_real_measures_match_bisection(case):
 @given(measure_windows(complex_=True))
 def test_complex_parts_match_bisection(case):
     _check_against_bisection(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(measure_windows())
+def test_real_branches_and_l1_parts(case):
+    _check_branches_and_l1(*case)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(measure_windows(complex_=True))
+def test_complex_part_branches_and_l1_parts(case):
+    _check_branches_and_l1(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(measure_windows(max_degree=0))
+def test_flat_window_values_are_exact(case):
+    _check_exact_value(*case)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

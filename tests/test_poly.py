@@ -1,8 +1,11 @@
 """poly.abs_pieces, the one root split behind |mu| and |phi - c|,
-poly.real_roots_in against an exact reference, and poly.shift_origin
+poly.branches, the one split at the critical points, poly.real_roots_in
+against an exact reference and pinned to its bits, and poly.shift_origin
 against its former Horner form."""
 
+import hashlib
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -204,6 +207,41 @@ def test_double_root_is_one_root_and_end_roots_are_dropped():
     assert got == [pytest.approx(1.0 / 3.0, abs=1e-7), pytest.approx(0.75, rel=1e-15)]
 
 
+def _pin_corpus(n=2000, seed=20260):
+    """n real polynomials of degree 0-7 on intervals inside [-2, 4.5]: every
+    other one has random coefficients, the rest are products of linear
+    factors whose roots lie in the interval, the first two equal (a planted
+    double root) from degree 2 on.  Drawn by `random.random` alone, whose
+    sequence is fixed across Python versions."""
+    u = random.Random(seed).random
+    out = []
+    for k in range(n):
+        deg = int(8 * u())
+        lo = -2.0 + 3.0 * u()
+        hi = lo + 0.5 + 2.5 * u()
+        if k % 2:
+            coeffs = tuple(4.0 * u() - 2.0 for _ in range(deg + 1))
+        else:
+            coeffs = (0.25 + 1.75 * u(),)
+            roots = [lo + (hi - lo) * u() for _ in range(deg)]
+            if deg >= 2:
+                roots[1] = roots[0]
+            for r in roots:
+                coeffs = poly.multiply(coeffs, (-r, 1.0))
+        out.append((coeffs, lo, hi))
+    return out
+
+
+def test_real_roots_in_keeps_its_bits():
+    # every layer isolates roots through real_roots_in: a refactor of the
+    # branch split must leave each root's bits as they are
+    digest = hashlib.sha256()
+    for coeffs, lo, hi in _pin_corpus():
+        roots = poly.real_roots_in(coeffs, lo, hi)
+        digest.update((",".join(map(float.hex, roots)) + ";").encode())
+    assert digest.hexdigest() == "782b6d430df512c7d04d9fbd5df86144b019bdecd6f569143d54655d311dba77"
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_rising_objective_is_the_shifted_value_and_slope(sign):
     # the Newton objective of root isolation (level 0) and of the median's
@@ -215,6 +253,59 @@ def test_rising_objective_is_the_shifted_value_and_slope(sign):
         v, dv = f(y)
         assert v == pytest.approx(sign * (poly.evaluate(c, y) - level), rel=1e-14)
         assert dv == pytest.approx(sign * poly.evaluate(poly.derivative(c), y), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# poly.branches
+
+
+def check_branches(coeffs, lo, hi):
+    """The branches of Re p tile [lo, hi] end to end, carry p at their ends,
+    and on each non-step branch `crossing(c)` of a level c strictly between
+    the end values lands on the branch with p within rounding of c."""
+    p = poly.trim(poly.to_real(coeffs))
+    absp = tuple(map(abs, p))
+    brs = poly.branches(coeffs, lo, hi)
+    assert [br.xa for br in brs[:1]] == ([lo] if hi > lo else [])
+    assert [br.xb for br in brs[-1:]] == ([hi] if hi > lo else [])
+    for br, nxt in zip(brs, brs[1:]):
+        assert br.xb == nxt.xa
+    for br in brs:
+        assert br.coeffs == p and br.xa < br.xb
+        assert (br.va, br.vb) == (poly.evaluate(p, br.xa), poly.evaluate(p, br.xb))
+        if br.va == br.vb:
+            continue
+        slope = poly.sup_abs_on(br.deriv, br.xa, br.xb)
+        reach = 4.0 * slope * math.ulp(max(abs(br.xa), abs(br.xb)))
+        for f in (1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9):
+            c = br.va + f * (br.vb - br.va)
+            if not min(br.va, br.vb) < c < max(br.va, br.vb):
+                continue
+            x, dp = br.crossing(c)
+            assert br.xa <= x <= br.xb
+            assert dp == poly.evaluate(br.deriv, x)
+            rounding = 4.0 * 2.0**-53 * (len(p) * poly.evaluate(absp, abs(x)) + abs(c))
+            assert abs(poly.evaluate(p, x) - c) <= rounding + reach, (c, x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polys_on_intervals())
+def test_branches_tile_and_cross(case):
+    coeffs, t0, t1 = case
+    check_branches(coeffs, 0.0, t1 - t0)
+    check_branches(coeffs, t0, t1)
+
+
+def test_branches_take_the_real_part_before_trimming():
+    # Re p = 0.5 - t: trimmed before the real part is taken, p would keep a
+    # zero leading coefficient, and the closed form for p' would divide by it
+    (br,) = poly.branches((0.5, -1.0, 0.3j), 0.0, 1.0)
+    assert br.coeffs == (0.5, -1.0) and (br.va, br.vb) == (0.5, -0.5)
+
+
+def test_sup_abs_on_a_point_is_the_value_there():
+    # [x, x] holds no branch: the sup is |p(x)|
+    assert poly.sup_abs_on((1.0, 2.0, 3.0), 0.5, 0.5) == 2.75
 
 
 def _horner_shift(coeffs, d):

@@ -201,7 +201,7 @@ class TestMedianProperties:
         for _ in range(8):
             mu = random_measure(rng, window=(-4, 4))
             res = sn.window_seminorm(mu, 0.0)
-            pieces = sn._real_pieces(me.cumulative_pieces(mu, -1.0, 1.0))
+            pieces = me.cumulative_pieces(mu, -1.0, 1.0)
             c_opt = complex(res.minimizer_c - sn._phi_offset(mu, -1.0)).real
             best = sn._l1(pieces, c_opt)
             for c in rng.uniform(-3, 3, 25):
